@@ -11,6 +11,7 @@ disagreement), 2 for any input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -29,10 +30,9 @@ from .model import (
     BundleData,
     CombCurve,
     Polarization,
-    component_eulers,
+    _euler_numbers,
     format_rational,
     parse_rational,
-    total_euler,
     validate_polarization,
 )
 from .oracles import InstanceBounds, run_selftest
@@ -58,19 +58,19 @@ def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
 
 
 def _bundle_payload(curve: CombCurve, bundle: BundleData) -> dict:
+    chis, chi = _euler_numbers(curve, bundle)
     return {
         "rank": bundle.rank,
         "multidegree": list(bundle.multidegree),
-        "component_eulers": list(component_eulers(curve, bundle)),
-        "euler": total_euler(curve, bundle),
+        "component_eulers": list(chis),
+        "euler": chi,
     }
 
 
-def _bundle_lines(curve: CombCurve, bundle: BundleData, title: str = "bundle") -> list[str]:
-    chis = component_eulers(curve, bundle)
+def _bundle_lines(payload: dict, title: str = "bundle") -> list[str]:
     return [
-        f"{title}: rank {bundle.rank}, multidegree {tuple(bundle.multidegree)}, "
-        f"component eulers {tuple(chis)}, total euler {total_euler(curve, bundle)}"
+        f"{title}: rank {payload['rank']}, multidegree {tuple(payload['multidegree'])}, "
+        f"component eulers {tuple(payload['component_eulers'])}, total euler {payload['euler']}"
     ]
 
 
@@ -118,14 +118,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     bundle = _require_bundle(doc)
     w = _resolve_polarization(args, doc)
     verdict = necessary_check(curve, bundle, w)
-    chis = component_eulers(curve, bundle)
-    chi = total_euler(curve, bundle)
+    bundle_payload = _bundle_payload(curve, bundle)
+    chis = bundle_payload["component_eulers"]
+    chi = bundle_payload["euler"]
     n = bundle.rank
 
     lines = [
         f"curve: {curve.num_components} components, genera {tuple(curve.genera)}, "
         f"arithmetic genus {curve.arithmetic_genus}",
-        *_bundle_lines(curve, bundle),
+        *_bundle_lines(bundle_payload),
         f"polarization: {_weights_text(w)}",
         "necessary inequalities at the teeth (w_j*chi <= chi_j <= w_j*chi + n):",
     ]
@@ -198,7 +199,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     payload = {
         "command": "analyze",
         "curve": {"genera": list(curve.genera)},
-        "bundle": _bundle_payload(curve, bundle),
+        "bundle": bundle_payload,
         "polarization": {"weights": [format_rational(x) for x in w.weights]},
         "necessary": {"overall_pass": verdict.overall_pass, "components": comp_payload},
         "classification": classification_payload,
@@ -213,7 +214,7 @@ def cmd_region(args: argparse.Namespace) -> int:
     curve = doc.curve
     bundle = _require_bundle(doc)
     region = feasible_region(curve, bundle, strict=args.strict)
-    lines = _bundle_lines(curve, bundle)
+    lines = _bundle_lines(_bundle_payload(curve, bundle))
     interval_payload = []
     for j, iv in enumerate(region.intervals, start=1):
         if iv.is_empty:
@@ -257,7 +258,7 @@ def cmd_polarize(args: argparse.Namespace) -> int:
         w = kernel_polarization(curve, doc.pair)
     else:
         raise CliInputError("polarize needs a bundle or a pair section")
-    lines = _bundle_lines(curve, bundle, title="target bundle")
+    lines = _bundle_lines(_bundle_payload(curve, bundle), title="target bundle")
     if w is None:
         lines.append("no polarization: the strict feasibility region is empty")
         payload = {"command": "polarize", "weights": None, "exit": EXIT_NEGATIVE}
@@ -281,10 +282,11 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     if violations:
         raise CliInputError("invalid pair: " + "; ".join(violations))
     m = kernel_data(curve, pair)
+    kernel_payload = _bundle_payload(curve, m)
     lines = [
         f"pair: rank {pair.rank}, sections {pair.sections}, multidegree "
         f"{tuple(pair.multidegree)}, kernel dims {tuple(pair.kernel_dims)}",
-        *_bundle_lines(curve, m, title="kernel bundle"),
+        *_bundle_lines(kernel_payload, title="kernel bundle"),
         "restriction witnesses:",
     ]
     witness_payload = []
@@ -339,7 +341,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     code = EXIT_NEGATIVE if negative else EXIT_OK
     payload = {
         "command": "kernel",
-        "kernel_bundle": _bundle_payload(curve, m),
+        "kernel_bundle": kernel_payload,
         "restriction_witnesses": witness_payload,
         "strong_unstability": {
             "verdict": su.verdict.value,
@@ -476,11 +478,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _any_int_length():
+    """Lift the interpreter's int/str digit limit, restoring it on the way out.
+
+    Exact results (a synthesized weight, say) can outgrow the limit on
+    inputs well inside it; the document reader bounds the inputs itself.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # interpreters without the limit
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _any_int_length():
+            return args.func(args)
     except (DocumentError, CliInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -5,7 +5,9 @@ polarization.  Rationals travel as exact lowest-terms "p/q" strings;
 degrees and genera are plain integers.  Unknown fields are rejected so that
 typos fail loudly instead of silently validating something else.  Degrees
 are the canonical bundle input; euler characteristics may be supplied as
-well (or instead) and are cross-validated against the degrees.
+well (or instead) and are cross-validated against the degrees.  Integers in
+a document file, the numerator and denominator of each weight included,
+have at most 4300 decimal digits.
 """
 
 from __future__ import annotations
@@ -19,18 +21,27 @@ from .model import (
     BundleData,
     CombCurve,
     Polarization,
-    component_eulers,
+    _euler_numbers,
     format_rational,
     parse_rational,
-    total_euler,
 )
+
+# CPython's default int/str conversion limit, stated here so that it holds
+# whatever limit the interpreter runs with.
+_MAX_DIGITS = 4300
 
 
 class DocumentError(ValueError):
     """Malformed instance document (CLI exit code 2)."""
 
 
-@dataclass(frozen=True)
+def _check_digits(text: str, where: str) -> str:
+    if len(text.strip().lstrip("+-")) > _MAX_DIGITS:
+        raise DocumentError(f"{where} has more than {_MAX_DIGITS} digits")
+    return text
+
+
+@dataclass(frozen=True, slots=True)
 class InstanceDocument:
     curve: CombCurve
     bundle: BundleData | None = None
@@ -100,7 +111,9 @@ def _parse_bundle(obj: object, curve: CombCurve) -> BundleData:
             chi - rank * (1 - g) for chi, g in zip(eulers, curve.genera)
         )
     bundle = BundleData(rank=rank, multidegree=degrees)
-    derived = component_eulers(curve, bundle)
+    if eulers is None and "euler" not in mapping:
+        return bundle
+    derived, total = _euler_numbers(curve, bundle)
     if eulers is not None and tuple(eulers) != derived:
         raise DocumentError(
             f"bundle.component_eulers {list(eulers)} disagree with the multidegree "
@@ -108,10 +121,9 @@ def _parse_bundle(obj: object, curve: CombCurve) -> BundleData:
         )
     if "euler" in mapping:
         stated = _int_field(mapping["euler"], "bundle.euler")
-        if stated != total_euler(curve, bundle):
+        if stated != total:
             raise DocumentError(
-                f"bundle.euler = {stated} disagrees with the derived total "
-                f"{total_euler(curve, bundle)}"
+                f"bundle.euler = {stated} disagrees with the derived total {total}"
             )
     return bundle
 
@@ -174,6 +186,8 @@ def _parse_polarization(obj: object, curve: CombCurve) -> Polarization:
             raise DocumentError(
                 f"polarization.weights[{i}] must be an exact 'p/q' string, got {item!r}"
             )
+        for part in item.split("/"):
+            _check_digits(part, f"polarization.weights[{i}]")
         try:
             weights.append(parse_rational(item))
         except ValueError as exc:
@@ -226,14 +240,22 @@ def render_document(doc: InstanceDocument) -> dict:
     return out
 
 
+def _parse_int(text: str) -> int:
+    return int(_check_digits(text, "integer"))
+
+
 def load_document(path: str | Path) -> InstanceDocument:
     """Read and parse a UTF-8 JSON instance document from disk."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8: {exc}") from exc
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"JSON in {path} is nested too deeply") from exc
     return parse_document(obj)

@@ -20,6 +20,7 @@ from .model import (
     CombCurve,
     Polarization,
     SubsheafProfile,
+    _check_int,
     component_euler,
     total_euler,
 )
@@ -27,7 +28,7 @@ from .polarization import synthesize_polarization
 from .restrictions import euclidean_remainder
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairAssumptions:
     """Non-numeric hypotheses supplied as flags, never derived.
 
@@ -43,7 +44,7 @@ class PairAssumptions:
     components_general_in_moduli: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneratedPairData:
     """Numerical shadow of a generated pair (E, V).
 
@@ -60,6 +61,12 @@ class GeneratedPairData:
     def __post_init__(self) -> None:
         object.__setattr__(self, "multidegree", tuple(self.multidegree))
         object.__setattr__(self, "kernel_dims", tuple(self.kernel_dims))
+        _check_int(self.rank, "rank")
+        _check_int(self.sections, "sections")
+        for j, d in enumerate(self.multidegree, start=1):
+            _check_int(d, f"degree on component {j}")
+        for j, k in enumerate(self.kernel_dims, start=1):
+            _check_int(k, f"kernel dimension at component {j}")
         if self.rank < 1:
             raise ValueError(f"rank must be positive, got {self.rank}")
         if len(self.multidegree) != len(self.kernel_dims):
@@ -129,12 +136,17 @@ def _require_valid(curve: CombCurve, pair: GeneratedPairData) -> None:
 def kernel_data(curve: CombCurve, pair: GeneratedPairData) -> BundleData:
     """Rank and multidegree of the kernel bundle: (l - n, -multidegree of E)."""
     _require_valid(curve, pair)
-    m = BundleData(rank=pair.kernel_rank, multidegree=tuple(-d for d in pair.multidegree))
+    m = _kernel_bundle(pair)
     # Defining sequence gives a second route to chi(M); the two must agree.
     bundle_e = BundleData(rank=pair.rank, multidegree=pair.multidegree)
     chi_structure = 1 - curve.arithmetic_genus
-    assert total_euler(curve, m) == pair.sections * chi_structure - total_euler(curve, bundle_e)
+    if total_euler(curve, m) != pair.sections * chi_structure - total_euler(curve, bundle_e):
+        raise RuntimeError("kernel bundle euler characteristic disagrees with its defining sequence")
     return m
+
+
+def _kernel_bundle(pair: GeneratedPairData) -> BundleData:
+    return BundleData(rank=pair.kernel_rank, multidegree=tuple(-d for d in pair.multidegree))
 
 
 def restriction_unstable(curve: CombCurve, pair: GeneratedPairData, j: int) -> SubsheafProfile | None:
@@ -165,7 +177,7 @@ class StrongUnstabilityKind(Enum):
     NO_KERNEL_OBSTRUCTION = "NoKernelObstruction"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrongUnstabilityVerdict:
     verdict: StrongUnstabilityKind
     triggering_j: int | None = None
@@ -194,6 +206,10 @@ def strong_unstability(curve: CombCurve, pair: GeneratedPairData) -> StrongUnsta
     """
     _require_valid(curve, pair)
     _check_kernel_consistency(curve, pair)
+    return _strong_unstability(curve, pair)
+
+
+def _strong_unstability(curve: CombCurve, pair: GeneratedPairData) -> StrongUnstabilityVerdict:
     m = pair.kernel_rank
     if all(k == 0 for k in pair.kernel_dims):
         return StrongUnstabilityVerdict(
@@ -267,7 +283,8 @@ def kernel_polarization(curve: CombCurve, pair: GeneratedPairData) -> Polarizati
     For a valid pair every restricted euler characteristic is negative, so
     the strict region is always feasible and a polarization is returned.
     """
-    return synthesize_polarization(curve, kernel_data(curve, pair))
+    _require_valid(curve, pair)
+    return synthesize_polarization(curve, _kernel_bundle(pair))
 
 
 class CharacterizationKind(Enum):
@@ -278,7 +295,7 @@ class CharacterizationKind(Enum):
     NOT_DETERMINED = "NotDetermined"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CharacterizationReport:
     """Combined verdict of the if-and-only-if characterization."""
 
@@ -321,8 +338,9 @@ def characterize(curve: CombCurve, pair: GeneratedPairData) -> CharacterizationR
                 missing_assumptions=(needed,),
                 notes=tuple(notes + [reason]),
             )
-        w = kernel_polarization(curve, pair)
-        assert w is not None
+        w = synthesize_polarization(curve, _kernel_bundle(pair))
+        if w is None:
+            raise RuntimeError("kernel bundle of a valid pair has no polarization")
         notes.append(
             "all restriction kernels vanish, so the restricted kernel bundles are the "
             "component kernel bundles and are semistable under the assumed flags"
@@ -332,7 +350,7 @@ def characterize(curve: CombCurve, pair: GeneratedPairData) -> CharacterizationR
             polarization=w,
             notes=tuple(notes),
         )
-    su = strong_unstability(curve, pair)
+    su = _strong_unstability(curve, pair)
     divides_all = m > 2 and all(d % m == 0 for d in pair.multidegree)
     if divides_all:
         trigger = next(

@@ -1,11 +1,11 @@
-"""Pure-Python reference implementations of the hot integer kernels.
+"""Hot integer kernels: simplest-fraction search and destabilizer ranges.
 
-These are the fallback backend; ``combstab.kernels._speedups`` is the
-compiled twin with identical signatures and semantics.  Everything here is
-exact integer arithmetic on arbitrary-precision ints.
+Everything here is exact integer arithmetic on arbitrary-precision ints.
 """
 
 from __future__ import annotations
+
+BACKEND = "pure-python"
 
 
 def simplest_between(ap: int, aq: int, bp: int, bq: int) -> tuple[int, int]:

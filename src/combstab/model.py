@@ -61,7 +61,7 @@ def format_rational(value: Fraction | int) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CombCurve:
     """Numerical shape of a comb-like curve: one genus per component.
 
@@ -89,7 +89,7 @@ class CombCurve:
         return sum(self.genera)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BundleData:
     """Rank and multidegree of a bundle on the comb (same rank on every component)."""
 
@@ -105,7 +105,7 @@ class BundleData:
             _check_int(d, f"degree on component {j}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polarization:
     """Tuple of rational weights, one per component.
 
@@ -125,7 +125,7 @@ class Polarization:
         return cls(tuple(parse_rational(s) for s in items))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubsheafProfile:
     """Multirank and Euler characteristic of a candidate subsheaf.
 
@@ -168,11 +168,24 @@ def _check_lengths(curve: CombCurve, values: Sequence[object], what: str) -> Non
 
 
 def component_eulers(curve: CombCurve, bundle: BundleData) -> tuple[int, ...]:
-    """Per-component Euler characteristics chi_j of the bundle's restrictions."""
+    """Per-component Euler characteristics chi_j of the bundle's restrictions.
+
+    Curve and bundle validated their integers on construction, so only the
+    lengths are checked here.
+    """
     _check_lengths(curve, bundle.multidegree, "multidegree")
-    return tuple(
-        component_euler(g, bundle.rank, d) for g, d in zip(curve.genera, bundle.multidegree)
-    )
+    n = bundle.rank
+    return tuple(d + n * (1 - g) for g, d in zip(curve.genera, bundle.multidegree))
+
+
+def _euler_numbers(curve: CombCurve, bundle: BundleData) -> tuple[tuple[int, ...], int]:
+    """(chi_j per component, chi) from a single pass over the components.
+
+    Public entry points derive these once per call and hand them to their
+    private helpers.
+    """
+    chis = component_eulers(curve, bundle)
+    return chis, sum(chis) - bundle.rank * (curve.num_components - 1)
 
 
 def total_euler(curve: CombCurve, bundle: BundleData) -> int:
@@ -181,8 +194,7 @@ def total_euler(curve: CombCurve, bundle: BundleData) -> int:
     Gluing at the N-1 nodes costs rank * (N-1) against the sum of the
     component values.
     """
-    chis = component_eulers(curve, bundle)
-    return sum(chis) - bundle.rank * (curve.num_components - 1)
+    return _euler_numbers(curve, bundle)[1]
 
 
 def full_profile(curve: CombCurve, bundle: BundleData, label: str = "") -> SubsheafProfile:

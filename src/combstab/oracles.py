@@ -33,7 +33,7 @@ from .polarization import (
 from .restrictions import classify_restriction, destabilizer_candidates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceBounds:
     """Bounds for the seeded generators; identical bounds + seed give identical streams."""
 
@@ -171,7 +171,7 @@ def oracle_destabilizer_enumeration(
     n*k + 1 beyond both true bounds (the slope threshold below, the
     weighted ceiling above) so an off-by-one in the fast range arithmetic
     surfaces as a disagreement instead of getting masked; kept candidates
-    never touch the window edges, which is asserted.
+    never touch the window edges, which is checked.
     """
     n = bundle.rank
     chi = total_euler(curve, bundle)
@@ -190,7 +190,8 @@ def oracle_destabilizer_enumeration(
                 continue
             if not Fraction(chi_l - k) / (k * w_j) <= mu_bundle:
                 continue
-            assert lo < chi_l < hi  # padding means the window never clips
+            if not lo < chi_l < hi:
+                raise RuntimeError(f"padded window [{lo}, {hi}] clipped candidate {chi_l}")
             found.append((k, chi_l))
     return found
 
@@ -219,7 +220,8 @@ def oracle_filtered_destabilizers(
             q, r = divmod(chi_j, n)
             if Fraction(chi_l, k) != Fraction(chi_j, n) + Fraction(n - r, n):
                 continue
-            assert q + 1 == chi_l // k
+            if q + 1 != chi_l // k:
+                raise RuntimeError(f"pinned quotient {chi_l // k} is not chi_j // n + 1 = {q + 1}")
         kept.append((k, chi_l))
     return kept
 

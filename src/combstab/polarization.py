@@ -24,15 +24,14 @@ from .model import (
     CombCurve,
     Polarization,
     SubsheafProfile,
-    component_eulers,
+    _euler_numbers,
     format_rational,
     slope,
-    total_euler,
     validate_polarization,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalQ:
     """Rational interval with independently open/closed endpoints.
 
@@ -122,7 +121,7 @@ class IntervalQ:
         return f"{left}{lo}, {hi}{right}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentCheck:
     """Outcome of the two-sided inequality at one tooth, with witness on failure."""
 
@@ -133,7 +132,7 @@ class ComponentCheck:
     witness_slope: Fraction | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NecessaryVerdict:
     components: tuple[ComponentCheck, ...]
     overall_pass: bool
@@ -150,20 +149,31 @@ def canonical_witnesses(
     """
     if not 1 <= j <= curve.num_components - 1:
         raise IndexError(f"tooth index must be in 1..{curve.num_components - 1}, got {j}")
-    n = bundle.rank
-    chis = component_eulers(curve, bundle)
-    chi = total_euler(curve, bundle)
+    chis, chi = _euler_numbers(curve, bundle)
+    return _witnesses(curve.num_components, bundle.rank, chis[j - 1], chi, j)
+
+
+def _witnesses(
+    num: int, n: int, chi_j: int, chi: int, j: int
+) -> tuple[SubsheafProfile, SubsheafProfile]:
     restricted = SubsheafProfile(
-        multirank=tuple(n if i == j else 0 for i in range(1, curve.num_components + 1)),
-        euler=chis[j - 1] - n,
+        multirank=tuple(n if i == j else 0 for i in range(1, num + 1)),
+        euler=chi_j - n,
         label=f"E_{j}(-p_{j})",
     )
     complement = SubsheafProfile(
-        multirank=tuple(0 if i == j else n for i in range(1, curve.num_components + 1)),
-        euler=chi - chis[j - 1],
+        multirank=tuple(0 if i == j else n for i in range(1, num + 1)),
+        euler=chi - chi_j,
         label=f"tilde-E_{j}",
     )
     return restricted, complement
+
+
+def _tooth_sides(wchi: Fraction, chi_j: int, n: int, strict: bool = False) -> tuple[bool, bool]:
+    """Lower and upper side of w_j*chi <= chi_j <= w_j*chi + n (strict: with <)."""
+    if strict:
+        return wchi < chi_j, chi_j < wchi + n
+    return wchi <= chi_j, chi_j <= wchi + n
 
 
 def necessary_check(curve: CombCurve, bundle: BundleData, w: Polarization) -> NecessaryVerdict:
@@ -174,21 +184,18 @@ def necessary_check(curve: CombCurve, bundle: BundleData, w: Polarization) -> Ne
     polarized slope strictly above chi/n.
     """
     n = bundle.rank
-    chis = component_eulers(curve, bundle)
-    chi = total_euler(curve, bundle)
+    chis, chi = _euler_numbers(curve, bundle)
     if len(w.weights) != curve.num_components:
         raise ValueError(
             f"polarization has {len(w.weights)} weights for {curve.num_components} components"
         )
     checks = []
     for j in range(1, curve.num_components):
-        wchi = w.weights[j - 1] * chi
-        lower_ok = wchi <= chis[j - 1]
-        upper_ok = chis[j - 1] <= wchi + n
+        lower_ok, upper_ok = _tooth_sides(w.weights[j - 1] * chi, chis[j - 1], n)
         witness = None
         witness_slope = None
         if not (lower_ok and upper_ok):
-            restricted, complement = canonical_witnesses(curve, bundle, j)
+            restricted, complement = _witnesses(curve.num_components, n, chis[j - 1], chi, j)
             witness = complement if not lower_ok else restricted
             witness_slope = slope(witness, w)
         checks.append(
@@ -206,7 +213,7 @@ def necessary_check(curve: CombCurve, bundle: BundleData, w: Polarization) -> Ne
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FeasibleRegion:
     """Per-tooth weight intervals plus the simplex-completion feasibility flag."""
 
@@ -239,14 +246,13 @@ def feasible_region(curve: CombCurve, bundle: BundleData, strict: bool = False) 
     (0, 1); with all intervals inside (0, 1) this is an exact interval-sum
     membership test.
     """
-    n = bundle.rank
-    chis = component_eulers(curve, bundle)
-    chi = total_euler(curve, bundle)
+    chis, chi = _euler_numbers(curve, bundle)
+    return _region(chis, chi, bundle.rank, strict)
+
+
+def _region(chis: tuple[int, ...], chi: int, n: int, strict: bool) -> FeasibleRegion:
     unit = IntervalQ.open(Fraction(0), Fraction(1))
-    intervals = tuple(
-        _tooth_interval(chis[j - 1], chi, n, strict).intersect(unit)
-        for j in range(1, curve.num_components)
-    )
+    intervals = tuple(_tooth_interval(chi_j, chi, n, strict).intersect(unit) for chi_j in chis[:-1])
     feasible = all(not iv.is_empty for iv in intervals)
     if feasible:
         total = intervals[0]
@@ -259,9 +265,9 @@ def feasible_region(curve: CombCurve, bundle: BundleData, strict: bool = False) 
 def pick_simplest_rational(interval: IntervalQ) -> Fraction:
     """Rational with the smallest denominator in the interval (smallest numerator on ties).
 
-    Open interiors are searched by Stern-Brocot descent (compiled kernel when
-    available); closed endpoints simply compete as candidates.  Requires a
-    nonempty interval with finite bounds.
+    Open interiors are searched by Stern-Brocot descent; closed endpoints
+    simply compete as candidates.  Requires a nonempty interval with finite
+    bounds.
     """
     if interval.is_empty:
         raise ValueError("empty interval has no simplest rational")
@@ -283,17 +289,10 @@ def pick_simplest_rational(interval: IntervalQ) -> Fraction:
     return min(candidates, key=lambda f: (f.denominator, f.numerator))
 
 
-def _strict_inequalities_hold(
-    curve: CombCurve, bundle: BundleData, w: Polarization
-) -> bool:
-    n = bundle.rank
-    chis = component_eulers(curve, bundle)
-    chi = total_euler(curve, bundle)
-    for j in range(1, curve.num_components):
-        wchi = w.weights[j - 1] * chi
-        if not (wchi < chis[j - 1] < wchi + n):
-            return False
-    return True
+def _strict_inequalities_hold(chis: tuple[int, ...], chi: int, n: int, w: Polarization) -> bool:
+    return all(
+        all(_tooth_sides(w_j * chi, chi_j, n, strict=True)) for w_j, chi_j in zip(w.weights, chis[:-1])
+    )
 
 
 def synthesize_polarization(curve: CombCurve, bundle: BundleData) -> Polarization | None:
@@ -305,7 +304,9 @@ def synthesize_polarization(curve: CombCurve, bundle: BundleData) -> Polarizatio
     its lower end and re-picked; the strict region is open, so this
     terminates at a valid simplex point whenever the region is feasible.
     """
-    region = feasible_region(curve, bundle, strict=True)
+    n = bundle.rank
+    chis, chi = _euler_numbers(curve, bundle)
+    region = _region(chis, chi, n, strict=True)
     if not region.feasible:
         return None
     intervals = list(region.intervals)
@@ -323,8 +324,8 @@ def synthesize_polarization(curve: CombCurve, bundle: BundleData) -> Polarizatio
     else:
         raise RuntimeError("polarization fallback failed to converge on a feasible region")
     w = Polarization(tuple(picks) + (tail,))
-    assert not validate_polarization(w)
-    assert _strict_inequalities_hold(curve, bundle, w)
+    if validate_polarization(w) or not _strict_inequalities_hold(chis, chi, n, w):
+        raise RuntimeError("synthesized polarization violates the strict inequalities")
     return w
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 
 from . import kernels
-from .model import BundleData, CombCurve, Polarization, component_eulers, total_euler
+from .model import BundleData, CombCurve, Polarization, _euler_numbers
 
 
 class RestrictionCase(Enum):
@@ -32,7 +33,7 @@ class RestrictionCase(Enum):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RestrictionVerdict:
     """Conditional verdict for one tooth restriction.
 
@@ -57,16 +58,16 @@ def euclidean_remainder(value: int, modulus: int) -> int:
     return value % modulus
 
 
-def _weight_times_chi(curve: CombCurve, bundle: BundleData, w: Polarization, j: int):
+def _tooth_eulers(curve: CombCurve, bundle: BundleData, w: Polarization, j: int) -> tuple[int, int]:
+    """chi_j and chi for tooth j, after checking the tooth index and weight count."""
     if not 1 <= j <= curve.num_components - 1:
         raise IndexError(f"tooth index must be in 1..{curve.num_components - 1}, got {j}")
     if len(w.weights) != curve.num_components:
         raise ValueError(
             f"polarization has {len(w.weights)} weights for {curve.num_components} components"
         )
-    chi = total_euler(curve, bundle)
-    chi_j = component_eulers(curve, bundle)[j - 1]
-    return chi, chi_j, w.weights[j - 1] * chi
+    chis, chi = _euler_numbers(curve, bundle)
+    return chis[j - 1], chi
 
 
 def destabilizer_candidates(
@@ -81,10 +82,13 @@ def destabilizer_candidates(
     n = bundle.rank
     if not 1 <= k <= n - 1:
         raise ValueError(f"destabilizer rank must be in 1..{n - 1}, got {k}")
-    chi, chi_j, _ = _weight_times_chi(curve, bundle, w, j)
-    wj = w.weights[j - 1]
-    lo, hi = kernels.destabilizer_range(k, chi_j, n, wj.numerator, wj.denominator, chi)
-    return list(range(lo, hi + 1))
+    chi_j, chi = _tooth_eulers(curve, bundle, w, j)
+    return list(_candidate_range(k, n, chi_j, chi, w.weights[j - 1]))
+
+
+def _candidate_range(k: int, n: int, chi_j: int, chi: int, w_j: Fraction) -> range:
+    lo, hi = kernels.destabilizer_range(k, chi_j, n, w_j.numerator, w_j.denominator, chi)
+    return range(lo, hi + 1)
 
 
 def divisibility_exclusion(n: int, chi_j: int, k: int, chi_l: int) -> bool:
@@ -108,13 +112,16 @@ def filtered_destabilizer_candidates(
     must sit at chi_j*k/n + a with 0 < a < k; otherwise pairs with k | chi_L
     are pinned to the single quotient chi_j/n + (n - r_j)/n.
     """
-    n = bundle.rank
-    chi_j = component_eulers(curve, bundle)[j - 1]
+    chi_j, chi = _tooth_eulers(curve, bundle, w, j)
+    return _filtered(bundle.rank, chi_j, chi, w.weights[j - 1])
+
+
+def _filtered(n: int, chi_j: int, chi: int, w_j: Fraction) -> tuple[tuple[int, int], ...]:
     n_divides = chi_j % n == 0
     forced_quotient = chi_j // n + 1  # slope forced on candidates with k | chi_L
     kept = []
     for k in range(1, n):
-        for chi_l in destabilizer_candidates(curve, bundle, w, j, k):
+        for chi_l in _candidate_range(k, n, chi_j, chi, w_j):
             if n_divides:
                 if divisibility_exclusion(n, chi_j, k, chi_l):
                     continue
@@ -138,7 +145,9 @@ def classify_rank2(
     """
     if bundle.rank != 2:
         raise ValueError(f"rank-2 classifier called with rank {bundle.rank}")
-    _, chi_j, wchi = _weight_times_chi(curve, bundle, w, j)
+    chi_j, chi = _tooth_eulers(curve, bundle, w, j)
+    w_j = w.weights[j - 1]
+    wchi = w_j * chi
     if wchi.denominator == 1:
         return RestrictionVerdict(
             j=j,
@@ -161,8 +170,9 @@ def classify_rank2(
     # with the admissible range keeps the verdict honest on inputs that
     # already violate the necessary inequalities.
     forced_euler = (chi_j + 1) // 2
-    forced = filtered_destabilizer_candidates(curve, bundle, w, j)
-    assert all(pair == (1, forced_euler) for pair in forced)
+    forced = _filtered(2, chi_j, chi, w_j)
+    if any(pair != (1, forced_euler) for pair in forced):
+        raise RuntimeError(f"rank-2 filter kept {forced}, not only (1, {forced_euler})")
     if forced:
         notes = (
             f"a destabilizer must be a line subbundle with euler characteristic "
@@ -196,7 +206,9 @@ def classify_rankn(
     n = bundle.rank
     if n < 2:
         raise ValueError(f"classification needs rank >= 2, got {n}")
-    _, chi_j, wchi = _weight_times_chi(curve, bundle, w, j)
+    chi_j, chi = _tooth_eulers(curve, bundle, w, j)
+    w_j = w.weights[j - 1]
+    wchi = w_j * chi
     if wchi.denominator == 1:
         return RestrictionVerdict(
             j=j,
@@ -210,7 +222,7 @@ def classify_rankn(
             case=RestrictionCase.SEMISTABLE_BY_WINDOW,
             notes=f"{n} divides chi_{j} = {chi_j} and chi_{j} lies in the top unit window",
         )
-    forced = filtered_destabilizer_candidates(curve, bundle, w, j)
+    forced = _filtered(n, chi_j, chi, w_j)
     if n_divides and not forced:
         return RestrictionVerdict(
             j=j,

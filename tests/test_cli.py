@@ -1,4 +1,6 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -217,6 +219,59 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", write_doc({"curve": {"genera": [2, 2]}, "x": 1}))
         assert code == 2
         assert "unknown" in err
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b'{"curve": {"genera": [0, 0]}, "bundle": {"rank": 1, "multidegree": [1'
+            + b"0" * 5000
+            + b', 0]}}',
+            b'{"curve": {"genera": [\xff\xfe]}}',
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=["5000-digit-integer", "not-utf8", "nested-100k"],
+    )
+    def test_unreadable_document_exits_two(self, capsys, tmp_path, raw):
+        path = tmp_path / "doc.json"
+        path.write_bytes(raw)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_polarize_renders_weights_past_the_digit_limit(self, capsys, write_doc):
+        # Tight family: genera 0, rank 1, tooth degrees near -D, spine degree N-3.
+        num, big = 16, 10**299
+        degrees = [-big - j * j for j in range(num - 1)] + [num - 3]
+        doc = {"curve": {"genera": [0] * num}, "bundle": {"rank": 1, "multidegree": degrees}}
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "polarize", write_doc(doc), "--json")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        payload = json.loads(out)
+        assert max(len(part) for x in payload["weights"] for part in x.split("/")) > 4300
+        sys.set_int_max_str_digits(0)
+        try:
+            weights = [Fraction(x) for x in payload["weights"]]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert sum(weights) == 1
+        assert all(0 < x < 1 for x in weights)
+
+    def test_digit_limit_restored_on_every_exit(self, capsys, write_doc, tmp_path):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            bad = tmp_path / "bad.json"
+            bad.write_text("{", encoding="utf-8")
+            assert run_cli(capsys, "validate", str(bad))[0] == 2
+            assert sys.get_int_max_str_digits() == 5000
+            assert run_cli(capsys, "polarize", write_doc(I1))[0] == 0
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestSelftest:

@@ -164,3 +164,24 @@ def test_load_document(tmp_path):
         load_document(bad)
     with pytest.raises(DocumentError, match="cannot read"):
         load_document(tmp_path / "missing.json")
+
+
+def test_integer_digit_bound(tmp_path):
+    path = tmp_path / "doc.json"
+    for digits, ok in ((4300, True), (4301, False)):
+        degree = "9" * digits
+        path.write_text(
+            f'{{"curve": {{"genera": [0, 0]}}, "bundle": {{"rank": 1, "multidegree": [-{degree}, 0]}}}}',
+            encoding="utf-8",
+        )
+        if ok:
+            assert load_document(path).bundle.multidegree[0] == -int(degree)
+        else:
+            with pytest.raises(DocumentError, match="more than 4300 digits"):
+                load_document(path)
+    path.write_text(
+        json.dumps({"curve": {"genera": [0, 0]}, "polarization": {"weights": ["1/" + "9" * 4301, "1"]}}),
+        encoding="utf-8",
+    )
+    with pytest.raises(DocumentError, match="more than 4300 digits"):
+        load_document(path)

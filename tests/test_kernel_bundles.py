@@ -62,6 +62,21 @@ class TestValidatePair:
         assert any("kernel rank" in v for v in violations)
 
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (True, 3, (3, 3), (0, 0)),
+            (1, 3.0, (3, 3), (0, 0)),
+            (1, 3, (3, "3"), (0, 0)),
+            (1, 3, (3, 3), (0, False)),
+        ],
+        ids=["rank", "sections", "multidegree", "kernel_dims"],
+    )
+    def test_integer_fields_type_checked(self, args):
+        with pytest.raises(TypeError):
+            GeneratedPairData(*args)
+
+
 class TestKernelData:
     def test_worked(self):
         pair = GeneratedPairData(1, 3, (3, 3, 3), (0, 0, 0))
