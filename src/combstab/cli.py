@@ -37,12 +37,17 @@ from .model import (
 )
 from .oracles import InstanceBounds, run_selftest
 from .polarization import feasible_region, necessary_check, synthesize_polarization
-from .restrictions import classify_restriction
+from .restrictions import _walk_length, classify_restriction
 from . import kernels
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
+
+# analyze refuses a classification that would enumerate more destabilizer
+# candidates than this: a tooth far below its lower inequality, or tens of
+# teeth at rank 1000.
+_MAX_WALK = 10**7
 
 
 class CliInputError(Exception):
@@ -122,6 +127,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     chis = bundle_payload["component_eulers"]
     chi = bundle_payload["euler"]
     n = bundle.rank
+    walk = _walk_length(n, chis, chi, w)
+    if walk > _MAX_WALK:
+        raise CliInputError(
+            f"the restriction classification would enumerate {walk} destabilizer "
+            f"candidates, more than {_MAX_WALK}"
+        )
 
     lines = [
         f"curve: {curve.num_components} components, genera {tuple(curve.genera)}, "
@@ -225,8 +236,8 @@ def cmd_region(args: argparse.Namespace) -> int:
             {
                 "j": j,
                 "empty": iv.is_empty,
-                "lo": None if iv.lo is None else format_rational(iv.lo),
-                "hi": None if iv.hi is None else format_rational(iv.hi),
+                "lo": format_rational(iv.lo),
+                "hi": format_rational(iv.hi),
                 "lo_open": iv.lo_open,
                 "hi_open": iv.hi_open,
             }

@@ -7,7 +7,7 @@ typos fail loudly instead of silently validating something else.  Degrees
 are the canonical bundle input; euler characteristics may be supplied as
 well (or instead) and are cross-validated against the degrees.  Integers in
 a document file, the numerator and denominator of each weight included,
-have at most 4300 decimal digits.
+have at most 4300 decimal digits, and a bundle's rank is at most 1000.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from .model import (
 # CPython's default int/str conversion limit, stated here so that it holds
 # whatever limit the interpreter runs with.
 _MAX_DIGITS = 4300
+# analyze lists forced destabilizers, a list that grows with rank**2.
+_MAX_RANK = 1000
 
 
 class DocumentError(ValueError):
@@ -96,6 +98,8 @@ def _parse_bundle(obj: object, curve: CombCurve) -> BundleData:
     rank = _int_field(mapping["rank"], "bundle.rank")
     if rank < 1:
         raise DocumentError(f"bundle.rank must be positive, got {rank}")
+    if rank > _MAX_RANK:
+        raise DocumentError(f"bundle.rank is at most {_MAX_RANK}, got {rank}")
     num = curve.num_components
     degrees = None
     if "multidegree" in mapping:

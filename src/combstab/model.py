@@ -10,11 +10,14 @@ banned throughout the package.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 Rational = Fraction
+
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _check_int(value: object, what: str) -> int:
@@ -39,16 +42,18 @@ def _as_fraction(value: object, what: str) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` into a Fraction in lowest terms.
 
-    Decimal notation is rejected: the wire format is exact by contract.
+    After outer whitespace is stripped the text must match the ASCII
+    grammar ``-?[0-9]+(/[0-9]+)?``; decimals, exponents, ``+`` signs, signed
+    denominators, inner spaces, digit separators and non-ASCII digits are
+    rejected, as the wire format is exact by contract.  A fraction not in
+    lowest terms, such as ``"2/4"``, is accepted and reduced.
     """
     s = text.strip()
-    if "." in s or "e" in s or "E" in s:
+    if not _RATIONAL.fullmatch(s):
         raise ValueError(f"not an exact rational: {text!r}")
-    num, sep, den = s.partition("/")
+    num, _, den = s.partition("/")
     try:
-        if sep:
-            return Fraction(int(num), int(den))
-        return Fraction(int(s))
+        return Fraction(int(num), int(den or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not an exact rational: {text!r}") from exc
 

@@ -237,8 +237,6 @@ def oracle_simplest_rational(interval: IntervalQ, max_denominator: int) -> Fract
         raise ValueError("max_denominator must be at least 1")
     if interval.is_empty:
         return None
-    if interval.lo is None or interval.hi is None:
-        raise ValueError("oracle needs finite interval bounds")
     for q in range(1, max_denominator + 1):
         # Smallest p with p/q above (or at, when closed) the lower endpoint.
         p = -((-interval.lo.numerator * q) // interval.lo.denominator)

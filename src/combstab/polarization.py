@@ -33,14 +33,14 @@ from .model import (
 
 @dataclass(frozen=True, slots=True)
 class IntervalQ:
-    """Rational interval with independently open/closed endpoints.
+    """Rational interval with finite, independently open/closed endpoints.
 
-    ``None`` bounds mean minus/plus infinity.  Emptiness is a derived
-    property; :meth:`empty` gives the canonical empty interval.
+    Emptiness is a derived property; :meth:`empty` gives the canonical
+    empty interval.
     """
 
-    lo: Fraction | None
-    hi: Fraction | None
+    lo: Fraction
+    hi: Fraction
     lo_open: bool = False
     hi_open: bool = False
 
@@ -58,67 +58,27 @@ class IntervalQ:
 
     @property
     def is_empty(self) -> bool:
-        if self.lo is None or self.hi is None:
-            return False
-        if self.lo > self.hi:
-            return True
         if self.lo == self.hi:
             return self.lo_open or self.hi_open
-        return False
+        return self.lo > self.hi
 
     def contains(self, value: Fraction) -> bool:
-        if self.lo is not None:
-            if self.lo_open and not value > self.lo:
-                return False
-            if not self.lo_open and not value >= self.lo:
-                return False
-        if self.hi is not None:
-            if self.hi_open and not value < self.hi:
-                return False
-            if not self.hi_open and not value <= self.hi:
-                return False
-        return True
+        above = value > self.lo if self.lo_open else value >= self.lo
+        below = value < self.hi if self.hi_open else value <= self.hi
+        return above and below
 
     def intersect(self, other: "IntervalQ") -> "IntervalQ":
-        if self.lo is None:
-            lo, lo_open = other.lo, other.lo_open
-        elif other.lo is None or self.lo > other.lo:
-            lo, lo_open = self.lo, self.lo_open
-        elif other.lo > self.lo:
-            lo, lo_open = other.lo, other.lo_open
-        else:
-            lo, lo_open = self.lo, self.lo_open or other.lo_open
-        if self.hi is None:
-            hi, hi_open = other.hi, other.hi_open
-        elif other.hi is None or self.hi < other.hi:
-            hi, hi_open = self.hi, self.hi_open
-        elif other.hi < self.hi:
-            hi, hi_open = other.hi, other.hi_open
-        else:
-            hi, hi_open = self.hi, self.hi_open or other.hi_open
-        return IntervalQ(lo, hi, lo_open=lo_open, hi_open=hi_open)
-
-    def minkowski_add(self, other: "IntervalQ") -> "IntervalQ":
-        """Interval of all sums x + y with x in self, y in other (both nonempty)."""
-        if self.is_empty or other.is_empty:
-            return IntervalQ.empty()
-        lo = None if self.lo is None or other.lo is None else self.lo + other.lo
-        hi = None if self.hi is None or other.hi is None else self.hi + other.hi
-        return IntervalQ(
-            lo,
-            hi,
-            lo_open=self.lo_open or other.lo_open,
-            hi_open=self.hi_open or other.hi_open,
-        )
+        # On equal endpoints the open one wins: True sorts above False.
+        lo, lo_open = max((self.lo, self.lo_open), (other.lo, other.lo_open))
+        hi, hi_closed = min((self.hi, not self.hi_open), (other.hi, not other.hi_open))
+        return IntervalQ(lo, hi, lo_open=lo_open, hi_open=not hi_closed)
 
     def render(self) -> str:
         if self.is_empty:
             return "(empty)"
-        left = "(" if self.lo_open or self.lo is None else "["
-        right = ")" if self.hi_open or self.hi is None else "]"
-        lo = "-inf" if self.lo is None else format_rational(self.lo)
-        hi = "+inf" if self.hi is None else format_rational(self.hi)
-        return f"{left}{lo}, {hi}{right}"
+        left = "(" if self.lo_open else "["
+        right = ")" if self.hi_open else "]"
+        return f"{left}{format_rational(self.lo)}, {format_rational(self.hi)}{right}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -243,8 +203,9 @@ def feasible_region(curve: CombCurve, bundle: BundleData, strict: bool = False) 
     ``strict=True`` solves the open variant used for synthesis.  The region
     is feasible when each interval is nonempty and some choice of teeth
     weights leaves the spine weight w_N = 1 - sum(w_j) strictly inside
-    (0, 1); with all intervals inside (0, 1) this is an exact interval-sum
-    membership test.
+    (0, 1).  Every clipped interval lies in (0, 1) and holds points as close
+    to its lower end lo_j as wished, so this holds exactly when the slack
+    1 - sum(lo_j) is positive.
     """
     chis, chi = _euler_numbers(curve, bundle)
     return _region(chis, chi, bundle.rank, strict)
@@ -253,26 +214,23 @@ def feasible_region(curve: CombCurve, bundle: BundleData, strict: bool = False) 
 def _region(chis: tuple[int, ...], chi: int, n: int, strict: bool) -> FeasibleRegion:
     unit = IntervalQ.open(Fraction(0), Fraction(1))
     intervals = tuple(_tooth_interval(chi_j, chi, n, strict).intersect(unit) for chi_j in chis[:-1])
-    feasible = all(not iv.is_empty for iv in intervals)
-    if feasible:
-        total = intervals[0]
-        for iv in intervals[1:]:
-            total = total.minkowski_add(iv)
-        feasible = not total.intersect(unit).is_empty
+    feasible = all(not iv.is_empty for iv in intervals) and _slack(intervals) > 0
     return FeasibleRegion(intervals=intervals, feasible=feasible, strict=strict)
+
+
+def _slack(intervals: tuple[IntervalQ, ...]) -> Fraction:
+    """1 - sum(lo_j): the weight left for the spine with every tooth at its lower end."""
+    return 1 - sum(iv.lo for iv in intervals)
 
 
 def pick_simplest_rational(interval: IntervalQ) -> Fraction:
     """Rational with the smallest denominator in the interval (smallest numerator on ties).
 
     Open interiors are searched by Stern-Brocot descent; closed endpoints
-    simply compete as candidates.  Requires a nonempty interval with finite
-    bounds.
+    simply compete as candidates.  Requires a nonempty interval.
     """
     if interval.is_empty:
         raise ValueError("empty interval has no simplest rational")
-    if interval.lo is None or interval.hi is None:
-        raise ValueError("interval must have finite bounds")
     candidates = []
     if not interval.lo_open:
         candidates.append(interval.lo)
@@ -299,31 +257,32 @@ def synthesize_polarization(curve: CombCurve, bundle: BundleData) -> Polarizatio
     """Construct a polarization satisfying the strict inequalities, or None.
 
     Picks the simplest rational in each strict tooth interval and completes
-    with w_N = 1 - sum.  If the independently simplest picks push the spine
-    weight out of (0, 1), the widest interval is repeatedly halved toward
-    its lower end and re-picked; the strict region is open, so this
-    terminates at a valid simplex point whenever the region is feasible.
+    with w_N = 1 - sum.  The picks lie in (0, 1), so w_N < 1; if they push
+    w_N to 0 or below, each tooth is picked once more in its share of the
+    slack s = 1 - sum(lo_j), the open interval
+    (lo_j, min(hi_j, lo_j + s/(N-1))).  These picks sum to less than
+    sum(lo_j) + s = 1, so a feasible region (s > 0) always yields a
+    polarization.  A first pick already inside its share is kept: the
+    simplest rational of an interval is also that of any subinterval
+    holding it.
     """
     n = bundle.rank
     chis, chi = _euler_numbers(curve, bundle)
     region = _region(chis, chi, n, strict=True)
     if not region.feasible:
         return None
-    intervals = list(region.intervals)
+    intervals = region.intervals
     picks = [pick_simplest_rational(iv) for iv in intervals]
-    for _ in range(10_000):
-        tail = 1 - sum(picks)
-        if 0 < tail < 1:
-            break
-        widths = [iv.hi - iv.lo for iv in intervals]
-        idx = max(range(len(intervals)), key=lambda i: (widths[i], -i))
-        iv = intervals[idx]
-        mid = (iv.lo + iv.hi) / 2
-        intervals[idx] = IntervalQ(iv.lo, mid, lo_open=iv.lo_open, hi_open=True)
-        picks[idx] = pick_simplest_rational(intervals[idx])
-    else:
-        raise RuntimeError("polarization fallback failed to converge on a feasible region")
-    w = Polarization(tuple(picks) + (tail,))
+    total = sum(picks)
+    if total >= 1:
+        share = _slack(intervals) / len(intervals)
+        picks = [
+            p if p < iv.lo + share
+            else pick_simplest_rational(iv.intersect(IntervalQ.open(iv.lo, iv.lo + share)))
+            for p, iv in zip(picks, intervals)
+        ]
+        total = sum(picks)
+    w = Polarization(tuple(picks) + (1 - total,))
     if validate_polarization(w) or not _strict_inequalities_hold(chis, chi, n, w):
         raise RuntimeError("synthesized polarization violates the strict inequalities")
     return w

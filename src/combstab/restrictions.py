@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import Sequence
 
 from . import kernels
 from .model import BundleData, CombCurve, Polarization, _euler_numbers
@@ -121,17 +122,35 @@ def _filtered(n: int, chi_j: int, chi: int, w_j: Fraction) -> tuple[tuple[int, i
     forced_quotient = chi_j // n + 1  # slope forced on candidates with k | chi_L
     kept = []
     for k in range(1, n):
-        for chi_l in _candidate_range(k, n, chi_j, chi, w_j):
-            if n_divides:
-                if divisibility_exclusion(n, chi_j, k, chi_l):
-                    continue
-                a = chi_l - (k * chi_j) // n
-                if not 1 <= a <= k - 1:
-                    continue
-            elif chi_l % k == 0 and chi_l // k != forced_quotient:
-                continue
-            kept.append((k, chi_l))
+        candidates = _candidate_range(k, n, chi_j, chi, w_j)
+        if n_divides:
+            # The range starts just above k*chi_j/n, a multiple of k, so its
+            # first k - 1 entries are exactly the survivors.
+            kept.extend((k, chi_l) for chi_l in candidates[: k - 1])
+        elif k == 1:
+            if forced_quotient in candidates:
+                kept.append((1, forced_quotient))
+        else:
+            kept.extend(
+                (k, chi_l) for chi_l in candidates if chi_l % k or chi_l // k == forced_quotient
+            )
     return tuple(kept)
+
+
+def _walk_length(n: int, chis: Sequence[int], chi: int, w: Polarization) -> int:
+    """Candidates the classifiers enumerate one by one over all teeth.
+
+    Only ranks k >= 2 at a tooth with chi_j not a multiple of n and w_j*chi
+    not an integer are walked entry by entry; at least half of them are
+    listed.  Every other case takes O(n) steps.
+    """
+    total = 0
+    for w_j, chi_j in zip(w.weights, chis[:-1]):
+        if chi_j % n and (w_j * chi).denominator != 1:
+            for k in range(2, n):
+                candidates = _candidate_range(k, n, chi_j, chi, w_j)
+                total += max(0, candidates.stop - candidates.start)
+    return total
 
 
 def classify_rank2(

@@ -1,10 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from combstab.cli import main
+from combstab.documents import DocumentError, load_document
 
 I1 = {
     "curve": {"genera": [2, 2]},
@@ -50,6 +55,54 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Half integers, which often leave the document valid, half other JSON values.
+_MUTANTS = st.one_of(
+    st.one_of(st.integers(-3, 3), st.sampled_from([10**30, -1])),
+    st.one_of(
+        st.just(True),
+        st.just(None),
+        st.sampled_from(["", "x", "1/2", "+1/2", "1/0", [], {}]),
+        st.floats(),
+    ),
+)
+
+
+def _paths(node, prefix=()):
+    """(key path, value) for every node of a decoded JSON tree, the root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,), child
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """Arbitrary bytes (1 in 4), or a valid bundle or pair document with 1-3 values replaced."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=200))
+    doc = copy.deepcopy(draw(st.sampled_from([I1, I1_FAIL, KERNEL_SU, KERNEL_GAP, KERNEL_OK])))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_paths(doc))
+        leaves = [path for path, value in nodes if not isinstance(value, (dict, list))]
+        # Half the time a scalar, which keeps more of the documents valid.
+        path = draw(st.sampled_from(leaves) | st.sampled_from([path for path, _ in nodes]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(_MUTANTS)
+    return json.dumps(doc).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
 
 
 class TestAnalyze:
@@ -259,6 +312,45 @@ class TestInputBoundary:
             sys.set_int_max_str_digits(limit)
         assert sum(weights) == 1
         assert all(0 < x < 1 for x in weights)
+
+    def test_bundle_rank_is_bounded(self, capsys, write_doc):
+        doc = {"curve": {"genera": [0, 0, 0]}, "bundle": {"rank": 1000, "multidegree": [0, 0, 0]}}
+        assert run_cli(capsys, "validate", write_doc(doc))[0] == 0
+        doc["bundle"]["rank"] = 1001
+        code, out, err = run_cli(capsys, "analyze", write_doc(doc), "--polarization", "1/3,1/3,1/3")
+        assert code == 2
+        assert out == ""
+        assert "bundle.rank" in err
+
+    def test_classification_walk_is_bounded(self, capsys, write_doc):
+        # chi_1 = 8 is not a multiple of 3 and lies about 3*10^29 below the
+        # non-integral w_1*chi: every other rank-2 candidate would be listed.
+        doc = {
+            "curve": {"genera": [0, 0]},
+            "bundle": {"rank": 3, "multidegree": [5, 10**30]},
+            "polarization": {"weights": ["2/7", "5/7"]},
+        }
+        code, out, err = run_cli(capsys, "analyze", write_doc(doc))
+        assert code == 2
+        assert out == ""
+        assert "more than 10000000" in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=fuzzed_documents(), as_json=st.booleans())
+    def test_exit_code_contract_on_arbitrary_input(self, fuzz_path, raw, as_json):
+        fuzz_path.write_bytes(raw)
+        try:
+            load_document(fuzz_path)
+            rejected = False
+        except DocumentError:
+            rejected = True
+        for command in ("analyze", "region", "polarize", "kernel", "validate"):
+            argv = [command, str(fuzz_path)] + (["--json"] if as_json else [])
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2)
+            if rejected:
+                assert code == 2
 
     def test_digit_limit_restored_on_every_exit(self, capsys, write_doc, tmp_path):
         saved = sys.get_int_max_str_digits()

@@ -162,7 +162,23 @@ def test_parse_rational(text, value):
     assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["0.5", "1/0", "x", "1e3", ""])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0.5",
+        "1/0",
+        "x",
+        "1e3",
+        "",
+        "1_0/20",
+        "\u0661/\u0662",  # Arabic-Indic digits
+        "\uff11/\uff12",  # fullwidth digits
+        "+1/2",
+        "1/-2",
+        "1/+2",
+        "1 /2",
+    ],
+)
 def test_parse_rational_rejects(text):
     with pytest.raises(ValueError):
         parse_rational(text)

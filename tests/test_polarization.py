@@ -26,6 +26,17 @@ C22 = CombCurve((2, 2))
 B11 = BundleData(2, (1, 1))
 B51 = BundleData(2, (5, 1))
 W_HALF = Polarization.from_strings(["1/2", "1/2"])
+C000 = CombCurve((0, 0, 0))
+B_NARROW = BundleData(1, (-51, -51, 0))
+
+
+def assert_strict_inequalities(curve: CombCurve, bundle: BundleData, w: Polarization) -> None:
+    n = bundle.rank
+    chi = total_euler(curve, bundle)
+    for j in range(1, curve.num_components):
+        wchi = w.weights[j - 1] * chi
+        chij = bundle.multidegree[j - 1] + n * (1 - curve.genera[j - 1])
+        assert wchi < chij < wchi + n
 
 
 class TestCanonicalWitnesses:
@@ -126,6 +137,23 @@ class TestFeasibleRegion:
         (iv,) = region.intervals
         assert (iv.lo_open, iv.hi_open) == (True, True)
 
+    def test_zero_slack_is_infeasible(self):
+        # chis (-1, -1, 2), chi = -2: both teeth start at 1/2, so sum(lo_j) = 1
+        # exactly and the spine weight cannot be positive.
+        bundle = BundleData(1, (-2, -2, 1))
+        for strict in (False, True):
+            region = feasible_region(C000, bundle, strict=strict)
+            assert [iv.lo for iv in region.intervals] == [Fraction(1, 2)] * 2
+            assert all(not iv.is_empty for iv in region.intervals)
+            assert not region.feasible
+
+    def test_slack_just_above_zero_is_feasible(self):
+        # chis (-50, -50, 1), chi = -101: both teeth in (50/101, 51/101), so
+        # the slack 1 - sum(lo_j) is 1/101.
+        region = feasible_region(C000, B_NARROW, strict=True)
+        assert [iv.render() for iv in region.intervals] == ["(50/101, 51/101)"] * 2
+        assert region.feasible
+
     @given(curve_bundle_polarization())
     def test_strict_contained_in_closed(self, cbw):
         curve, bundle, _ = cbw
@@ -151,17 +179,6 @@ class TestIntervalQ:
         assert IntervalQ.open(Fraction(1, 2), Fraction(1, 2)).is_empty
         assert not IntervalQ.closed(Fraction(1, 2), Fraction(1, 2)).is_empty
         assert IntervalQ(Fraction(2), Fraction(1)).is_empty
-
-    def test_minkowski(self):
-        total = IntervalQ.closed(Fraction(1, 4), Fraction(1, 2)).minkowski_add(
-            IntervalQ.open(Fraction(0), Fraction(1, 4))
-        )
-        assert (total.lo, total.hi, total.lo_open, total.hi_open) == (
-            Fraction(1, 4),
-            Fraction(3, 4),
-            True,
-            True,
-        )
 
     def test_render(self):
         assert IntervalQ.closed(Fraction(1, 4), Fraction(3, 4)).render() == "[1/4, 3/4]"
@@ -220,6 +237,24 @@ class TestSynthesizePolarization:
     def test_infeasible_returns_none(self):
         assert synthesize_polarization(C22, B51) is None
 
+    def test_overshoot_repicks_within_slack_shares(self):
+        # Both first picks are 1/2, leaving the spine 0; each tooth is then
+        # re-picked in (50/101, 50/101 + 1/202), its half of the slack 1/101.
+        w = synthesize_polarization(C000, B_NARROW)
+        assert w.weights == (Fraction(51, 103), Fraction(51, 103), Fraction(1, 103))
+        assert_strict_inequalities(C000, B_NARROW, w)
+
+    def test_tight_family_large_n(self):
+        # Genera 0, rank 1, tooth degrees near -10^6, spine degree N - 3: the
+        # first picks overshoot, and each tooth interval has width 1/|chi|.
+        num = 2000
+        curve = CombCurve((0,) * num)
+        bundle = BundleData(1, tuple(-(10**6) - j * j for j in range(num - 1)) + (num - 3,))
+        assert feasible_region(curve, bundle, strict=True).feasible
+        w = synthesize_polarization(curve, bundle)
+        assert validate_polarization(w) == []
+        assert_strict_inequalities(curve, bundle, w)
+
     @given(curve_bundle_polarization())
     def test_output_contract(self, cbw):
         curve, bundle, _ = cbw
@@ -230,12 +265,8 @@ class TestSynthesizePolarization:
             return
         assert w is not None
         assert validate_polarization(w) == []
-        n = bundle.rank
-        chi = total_euler(curve, bundle)
+        assert_strict_inequalities(curve, bundle, w)
         for j, iv in enumerate(strict.intervals, start=1):
-            wchi = w.weights[j - 1] * chi
-            chij = (bundle.multidegree[j - 1]) + n * (1 - curve.genera[j - 1])
-            assert wchi < chij < wchi + n
             assert iv.contains(w.weights[j - 1])
 
 

@@ -161,6 +161,17 @@ class TestClassifyRankN:
                 assert filtered_destabilizer_candidates(self.CURVE, self.BUNDLE, w, 1) == ()
 
 
+def test_filters_skip_huge_candidate_ranges():
+    # chi_1 lies about 10^29 below w_1*chi, so each raw rank-k range is that
+    # long; the survivors are the pinned line subbundle (n = 2) or the k - 1
+    # eulers above k*chi_1/n (n | chi_1), and no range is walked.
+    w = Polarization.from_strings(["1/2", "1/2"])
+    assert filtered_destabilizer_candidates(C22, BundleData(2, (5, 10**30)), w, 1) == ((1, 2),)
+    assert filtered_destabilizer_candidates(
+        CombCurve((0, 0)), BundleData(4, (4, 10**30)), w, 1
+    ) == ((2, 5), (3, 7), (3, 8))
+
+
 def test_dispatch():
     w = Polarization.from_strings(["1/3", "2/3"])
     assert classify_restriction(C22, B11, w, 1).case is RestrictionCase.POSSIBLY_UNSTABLE
