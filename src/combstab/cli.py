@@ -19,10 +19,10 @@ from fractions import Fraction
 from .documents import DocumentError, InstanceDocument, load_document, render_document
 from .kernel_bundles import (
     CharacterizationKind,
+    _restriction_witness,
     characterize,
     kernel_data,
     kernel_polarization,
-    restriction_unstable,
     strong_unstability,
     validate_pair,
 )
@@ -302,7 +302,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     ]
     witness_payload = []
     for j in range(1, curve.num_components + 1):
-        profile = restriction_unstable(curve, pair, j)
+        profile = _restriction_witness(curve, pair, j)
         k = pair.kernel_dims[j - 1]
         d = pair.multidegree[j - 1]
         if profile is not None:

@@ -160,11 +160,15 @@ def restriction_unstable(curve: CombCurve, pair: GeneratedPairData, j: int) -> S
     _require_valid(curve, pair)
     if not 1 <= j <= curve.num_components:
         raise IndexError(f"component index must be in 1..{curve.num_components}, got {j}")
+    return _restriction_witness(curve, pair, j)
+
+
+def _restriction_witness(curve: CombCurve, pair: GeneratedPairData, j: int) -> SubsheafProfile | None:
+    """The witness of :func:`restriction_unstable` for a validated pair and index."""
     k = pair.kernel_dims[j - 1]
-    d = pair.multidegree[j - 1]
-    if k > 0 and d > 0:
+    if k > 0 and pair.multidegree[j - 1] > 0:
         return SubsheafProfile(
-            multirank=tuple(k if i == j else 0 for i in range(1, curve.num_components + 1)),
+            multirank=(0,) * (j - 1) + (k,) + (0,) * (curve.num_components - j),
             euler=k * (1 - curve.genera[j - 1]),
             label="trivial-kernel-part",
         )

@@ -143,13 +143,17 @@ class SubsheafProfile:
     label: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "multirank", tuple(self.multirank))
+        multirank = tuple(self.multirank)
+        object.__setattr__(self, "multirank", multirank)
         _check_int(self.euler, "euler characteristic")
-        for j, r in enumerate(self.multirank, start=1):
-            _check_int(r, f"multirank entry {j}")
-            if r < 0:
-                raise ValueError(f"multirank entry {j} is negative: {r}")
-        if not any(self.multirank):
+        # One C-level pass accepts the usual all-int multirank; the entry loop
+        # runs only otherwise, to word the error (or pass int subclasses).
+        if not ({*map(type, multirank)} == {int} and min(multirank) >= 0):
+            for j, r in enumerate(multirank, start=1):
+                _check_int(r, f"multirank entry {j}")
+                if r < 0:
+                    raise ValueError(f"multirank entry {j} is negative: {r}")
+        if not any(multirank):
             raise ValueError("multirank must not be identically zero")
 
 
@@ -197,9 +201,14 @@ def total_euler(curve: CombCurve, bundle: BundleData) -> int:
     """Euler characteristic of the bundle on the whole comb.
 
     Gluing at the N-1 nodes costs rank * (N-1) against the sum of the
-    component values.
+    component values, which leaves the closed form deg(E) + n*(1 - p_a).
     """
-    return _euler_numbers(curve, bundle)[1]
+    return _total_euler(curve, bundle)
+
+
+def _total_euler(curve: CombCurve, bundle: BundleData) -> int:
+    _check_lengths(curve, bundle.multidegree, "multidegree")
+    return sum(bundle.multidegree) + bundle.rank * (1 - curve.arithmetic_genus)
 
 
 def full_profile(curve: CombCurve, bundle: BundleData, label: str = "") -> SubsheafProfile:

@@ -139,7 +139,11 @@ def oracle_necessary_equivalence(curve: CombCurve, bundle: BundleData, w: Polari
 
     The two witness profiles are rebuilt here from scratch and their slopes
     written out as explicit quotients; the failure pattern must match the
-    fast check side for side at every tooth.
+    fast check side for side at every tooth.  The reported witness (the
+    complement on a lower failure, else the twisted restriction, none on a
+    pass) must match its rebuilt profile in label, multirank and euler, and
+    its slope must equal the euler over the weighted multirank summed
+    entry by entry.
     """
     n = bundle.rank
     num = curve.num_components
@@ -158,6 +162,28 @@ def oracle_necessary_equivalence(curve: CombCurve, bundle: BundleData, w: Polari
             return False
         if check.lower_ok != (not lower_violated):
             return False
+        if lower_violated:
+            label = f"tilde-E_{j}"
+            multirank = [0 if i == j else n for i in range(1, num + 1)]
+            euler = chi - chis[j - 1]
+        elif upper_violated:
+            label = f"E_{j}(-p_{j})"
+            multirank = [n if i == j else 0 for i in range(1, num + 1)]
+            euler = chis[j - 1] - n
+        else:
+            if check.witness is not None or check.witness_slope is not None:
+                return False
+            continue
+        witness = check.witness
+        if witness is None or witness.label != label:
+            return False
+        if list(witness.multirank) != multirank or witness.euler != euler:
+            return False
+        weighted = Fraction(0)
+        for w_i, r_i in zip(w.weights, multirank):
+            weighted += w_i * r_i
+        if check.witness_slope != Fraction(euler) / weighted:
+            return False
     return True
 
 
@@ -174,8 +200,9 @@ def oracle_destabilizer_enumeration(
     never touch the window edges, which is checked.
     """
     n = bundle.rank
-    chi = total_euler(curve, bundle)
-    chi_j = (bundle.multidegree[j - 1]) + n * (1 - curve.genera[j - 1])
+    chis = [d + n * (1 - g) for g, d in zip(curve.genera, bundle.multidegree)]
+    chi = sum(chis) - n * (curve.num_components - 1)
+    chi_j = chis[j - 1]
     w_j = w.weights[j - 1]
     mu_bundle = Fraction(chi, n)
     found = []

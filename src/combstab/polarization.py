@@ -26,7 +26,6 @@ from .model import (
     SubsheafProfile,
     _euler_numbers,
     format_rational,
-    slope,
     validate_polarization,
 )
 
@@ -110,30 +109,44 @@ def canonical_witnesses(
     if not 1 <= j <= curve.num_components - 1:
         raise IndexError(f"tooth index must be in 1..{curve.num_components - 1}, got {j}")
     chis, chi = _euler_numbers(curve, bundle)
-    return _witnesses(curve.num_components, bundle.rank, chis[j - 1], chi, j)
+    num, n = curve.num_components, bundle.rank
+    return _restricted(num, n, chis[j - 1], j), _complement(num, n, chis[j - 1], chi, j)
 
 
-def _witnesses(
-    num: int, n: int, chi_j: int, chi: int, j: int
-) -> tuple[SubsheafProfile, SubsheafProfile]:
-    restricted = SubsheafProfile(
-        multirank=tuple(n if i == j else 0 for i in range(1, num + 1)),
+def _restricted(num: int, n: int, chi_j: int, j: int) -> SubsheafProfile:
+    return SubsheafProfile(
+        multirank=(0,) * (j - 1) + (n,) + (0,) * (num - j),
         euler=chi_j - n,
         label=f"E_{j}(-p_{j})",
     )
-    complement = SubsheafProfile(
-        multirank=tuple(0 if i == j else n for i in range(1, num + 1)),
+
+
+def _complement(num: int, n: int, chi_j: int, chi: int, j: int) -> SubsheafProfile:
+    return SubsheafProfile(
+        multirank=(n,) * (j - 1) + (0,) + (n,) * (num - j),
         euler=chi - chi_j,
         label=f"tilde-E_{j}",
     )
-    return restricted, complement
 
 
-def _tooth_sides(wchi: Fraction, chi_j: int, n: int, strict: bool = False) -> tuple[bool, bool]:
-    """Lower and upper side of w_j*chi <= chi_j <= w_j*chi + n (strict: with <)."""
+def _witness_slope(euler: int, weighted: Fraction) -> Fraction:
+    """euler / weighted, refusing a weighted multirank <= 0 exactly as model.slope does."""
+    if weighted <= 0:
+        raise ValueError(f"weighted multirank must be positive, got {weighted}")
+    return euler / weighted
+
+
+def _tooth_sides(w_j: Fraction, chi_j: int, chi: int, n: int, strict: bool = False) -> tuple[bool, bool]:
+    """Lower and upper side of w_j*chi <= chi_j <= w_j*chi + n (strict: with <).
+
+    Decided by cross-multiplication: with w_j = p/q, q > 0, the sides read
+    p*chi <= chi_j*q <= p*chi + n*q.
+    """
+    p, q = w_j.numerator, w_j.denominator
+    low, mid = p * chi, chi_j * q
     if strict:
-        return wchi < chi_j, chi_j < wchi + n
-    return wchi <= chi_j, chi_j <= wchi + n
+        return low < mid, mid < low + n * q
+    return low <= mid, mid <= low + n * q
 
 
 def necessary_check(curve: CombCurve, bundle: BundleData, w: Polarization) -> NecessaryVerdict:
@@ -141,23 +154,31 @@ def necessary_check(curve: CombCurve, bundle: BundleData, w: Polarization) -> Ne
 
     A lower failure is witnessed by the complementary profile, an upper
     failure by the twisted restriction; the attached witness always has
-    polarized slope strictly above chi/n.
+    polarized slope strictly above chi/n.  Only the reported witness is
+    built.  Its slope needs no N-term sum: the twisted restriction has
+    weighted multirank n*w_j and the complement n*(S - w_j), S the weight
+    sum, taken once per call.
     """
     n = bundle.rank
+    num = curve.num_components
     chis, chi = _euler_numbers(curve, bundle)
-    if len(w.weights) != curve.num_components:
-        raise ValueError(
-            f"polarization has {len(w.weights)} weights for {curve.num_components} components"
-        )
+    if len(w.weights) != num:
+        raise ValueError(f"polarization has {len(w.weights)} weights for {num} components")
+    total = None  # sum of the weights, taken at the first complement witness
     checks = []
-    for j in range(1, curve.num_components):
-        lower_ok, upper_ok = _tooth_sides(w.weights[j - 1] * chi, chis[j - 1], n)
+    for j in range(1, num):
+        w_j, chi_j = w.weights[j - 1], chis[j - 1]
+        lower_ok, upper_ok = _tooth_sides(w_j, chi_j, chi, n)
         witness = None
         witness_slope = None
-        if not (lower_ok and upper_ok):
-            restricted, complement = _witnesses(curve.num_components, n, chis[j - 1], chi, j)
-            witness = complement if not lower_ok else restricted
-            witness_slope = slope(witness, w)
+        if not lower_ok:
+            if total is None:
+                total = sum(w.weights)
+            witness = _complement(num, n, chi_j, chi, j)
+            witness_slope = _witness_slope(witness.euler, n * (total - w_j))
+        elif not upper_ok:
+            witness = _restricted(num, n, chi_j, j)
+            witness_slope = _witness_slope(witness.euler, n * w_j)
         checks.append(
             ComponentCheck(
                 j=j,
@@ -249,7 +270,7 @@ def pick_simplest_rational(interval: IntervalQ) -> Fraction:
 
 def _strict_inequalities_hold(chis: tuple[int, ...], chi: int, n: int, w: Polarization) -> bool:
     return all(
-        all(_tooth_sides(w_j * chi, chi_j, n, strict=True)) for w_j, chi_j in zip(w.weights, chis[:-1])
+        all(_tooth_sides(w_j, chi_j, chi, n, strict=True)) for w_j, chi_j in zip(w.weights, chis[:-1])
     )
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import kernels
-from .model import BundleData, CombCurve, Polarization, _euler_numbers
+from .model import BundleData, CombCurve, Polarization, _total_euler
 
 
 class RestrictionCase(Enum):
@@ -60,15 +60,31 @@ def euclidean_remainder(value: int, modulus: int) -> int:
 
 
 def _tooth_eulers(curve: CombCurve, bundle: BundleData, w: Polarization, j: int) -> tuple[int, int]:
-    """chi_j and chi for tooth j, after checking the tooth index and weight count."""
+    """chi_j and chi for tooth j, after checking the tooth index and the lengths.
+
+    chi_j is the one tooth's d_j + n*(1 - g_j); chi takes the closed form,
+    so no other component's Euler number is derived.
+    """
     if not 1 <= j <= curve.num_components - 1:
         raise IndexError(f"tooth index must be in 1..{curve.num_components - 1}, got {j}")
     if len(w.weights) != curve.num_components:
         raise ValueError(
             f"polarization has {len(w.weights)} weights for {curve.num_components} components"
         )
-    chis, chi = _euler_numbers(curve, bundle)
-    return chis[j - 1], chi
+    chi = _total_euler(curve, bundle)  # checks the multidegree length first
+    return bundle.multidegree[j - 1] + bundle.rank * (1 - curve.genera[j - 1]), chi
+
+
+def _integral_wchi(w_j: Fraction, chi: int) -> bool:
+    """Whether w_j*chi is an integer: q divides p*chi for w_j = p/q."""
+    return (w_j.numerator * chi) % w_j.denominator == 0
+
+
+def _in_window(w_j: Fraction, chi: int, chi_j: int, a: int) -> bool:
+    """w_j*chi + a < chi_j < w_j*chi + a + 1, as p*chi + a*q < chi_j*q < p*chi + (a+1)*q."""
+    p, q = w_j.numerator, w_j.denominator
+    low = p * chi + a * q
+    return low < chi_j * q < low + q
 
 
 def destabilizer_candidates(
@@ -146,11 +162,20 @@ def _walk_length(n: int, chis: Sequence[int], chi: int, w: Polarization) -> int:
     """
     total = 0
     for w_j, chi_j in zip(w.weights, chis[:-1]):
-        if chi_j % n and (w_j * chi).denominator != 1:
+        if chi_j % n and not _integral_wchi(w_j, chi):
             for k in range(2, n):
                 candidates = _candidate_range(k, n, chi_j, chi, w_j)
                 total += max(0, candidates.stop - candidates.start)
     return total
+
+
+def _inconclusive(j: int, w_j: Fraction, chi: int) -> RestrictionVerdict:
+    wchi = w_j.numerator * chi // w_j.denominator
+    return RestrictionVerdict(
+        j=j,
+        case=RestrictionCase.INCONCLUSIVE_INTEGRAL_WCHI,
+        notes=f"w_{j}*chi = {wchi} is an integer; the classification is silent here",
+    )
 
 
 def classify_rank2(
@@ -166,14 +191,9 @@ def classify_rank2(
         raise ValueError(f"rank-2 classifier called with rank {bundle.rank}")
     chi_j, chi = _tooth_eulers(curve, bundle, w, j)
     w_j = w.weights[j - 1]
-    wchi = w_j * chi
-    if wchi.denominator == 1:
-        return RestrictionVerdict(
-            j=j,
-            case=RestrictionCase.INCONCLUSIVE_INTEGRAL_WCHI,
-            notes=f"w_{j}*chi = {wchi} is an integer; the classification is silent here",
-        )
-    if wchi + 1 < chi_j < wchi + 2:
+    if _integral_wchi(w_j, chi):
+        return _inconclusive(j, w_j, chi)
+    if _in_window(w_j, chi, chi_j, 1):
         return RestrictionVerdict(
             j=j,
             case=RestrictionCase.SEMISTABLE_BY_WINDOW,
@@ -227,15 +247,10 @@ def classify_rankn(
         raise ValueError(f"classification needs rank >= 2, got {n}")
     chi_j, chi = _tooth_eulers(curve, bundle, w, j)
     w_j = w.weights[j - 1]
-    wchi = w_j * chi
-    if wchi.denominator == 1:
-        return RestrictionVerdict(
-            j=j,
-            case=RestrictionCase.INCONCLUSIVE_INTEGRAL_WCHI,
-            notes=f"w_{j}*chi = {wchi} is an integer; the classification is silent here",
-        )
+    if _integral_wchi(w_j, chi):
+        return _inconclusive(j, w_j, chi)
     n_divides = chi_j % n == 0
-    if n_divides and wchi + (n - 1) < chi_j < wchi + n:
+    if n_divides and _in_window(w_j, chi, chi_j, n - 1):
         return RestrictionVerdict(
             j=j,
             case=RestrictionCase.SEMISTABLE_BY_WINDOW,

@@ -1,7 +1,9 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -164,6 +166,32 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 2
         assert "malformed" in err
+
+    @pytest.mark.parametrize(
+        "as_json, digest",
+        [
+            (False, "35c9890aa32c0a4a9f7a5e3ba2df72e65253938295bfe48b193fb103bd69e30a"),
+            (True, "744e2181c8abebd63fee976f03abb5625ff118b51bfc69c8e3b2a0e48ec1c4ac"),
+        ],
+    )
+    def test_wide_document_output_is_pinned(self, capsys, write_doc, as_json, digest):
+        # N = 60, rank 3, random degrees: 57 teeth fail and most restrictions
+        # list destabilizers.  Both renderings must stay byte for byte.
+        rng = random.Random(60)
+        num = 60
+        doc = {
+            "curve": {"genera": [rng.randint(0, 3) for _ in range(num)]},
+            "bundle": {"rank": 3, "multidegree": [rng.randint(-20, 20) for _ in range(num)]},
+        }
+        den = rng.randint(num, 8 * num)
+        cuts = sorted(rng.sample(range(1, den), num - 1))
+        doc["polarization"] = {
+            "weights": [str(Fraction(b - a, den)) for a, b in zip([0, *cuts], [*cuts, den])]
+        }
+        argv = ["analyze", write_doc(doc)] + (["--json"] if as_json else [])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestRegion:

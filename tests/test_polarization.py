@@ -1,5 +1,7 @@
-import pytest
+import random
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given
 
@@ -103,6 +105,79 @@ class TestNecessaryCheck:
             restricted, complement = canonical_witnesses(curve, bundle, check.j)
             assert check.upper_ok == (slope(restricted, w) <= mu)
             assert check.lower_ok == (slope(complement, w) <= mu)
+
+    def test_reported_slope_is_model_slope(self):
+        # Seeded instances, half with weights that do not sum to 1: the
+        # reported slope comes from n*w_j or n*(S - w_j), never from slope().
+        rng = random.Random(20260808)
+        seen = set()
+        for i in range(600):
+            num = rng.randint(2, 8)
+            curve = CombCurve(tuple(rng.randint(0, 4) for _ in range(num)))
+            bundle = BundleData(rng.randint(1, 4), tuple(rng.randint(-20, 20) for _ in range(num)))
+            if i % 2:
+                w = Polarization(tuple(Fraction(rng.randint(1, 30), rng.randint(1, 30)) for _ in range(num)))
+            else:
+                den = rng.randint(num, 64)
+                cuts = sorted(rng.sample(range(1, den), num - 1))
+                w = Polarization(tuple(Fraction(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])))
+            for check in necessary_check(curve, bundle, w).components:
+                if check.witness is None:
+                    assert check.lower_ok and check.upper_ok and check.witness_slope is None
+                    continue
+                restricted, complement = canonical_witnesses(curve, bundle, check.j)
+                assert check.witness == (complement if not check.lower_ok else restricted)
+                assert check.witness_slope == slope(check.witness, w)
+                seen.add((check.witness.label[0], sum(w.weights) == 1))
+        assert seen == {("E", True), ("E", False), ("t", True), ("t", False)}
+
+    @pytest.mark.parametrize("weights", [("0", "1"), ("-1/3", "4/3")])
+    def test_nonpositive_weight_raises_like_slope(self, weights):
+        # chis (3, -1), chi 0: the upper side fails at any weight, and the
+        # twisted restriction has weighted multirank 2*w_1 <= 0.
+        w = Polarization.from_strings(weights)
+        restricted, _ = canonical_witnesses(C22, B51, 1)
+        with pytest.raises(ValueError) as expected:
+            slope(restricted, w)
+        with pytest.raises(ValueError) as got:
+            necessary_check(C22, B51, w)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("weights", [("1", "0"), ("3/2", "-1/2")])
+    def test_nonpositive_complement_weight_raises_like_slope(self, weights):
+        # chis (1, 6), chi 6: w_1 >= 1 makes w_1*chi > chi_1, a lower failure
+        # whose complement has weighted multirank w_2 <= 0.
+        curve, bundle = CombCurve((0, 0)), BundleData(1, (0, 5))
+        w = Polarization.from_strings(weights)
+        _, complement = canonical_witnesses(curve, bundle, 1)
+        with pytest.raises(ValueError) as expected:
+            slope(complement, w)
+        with pytest.raises(ValueError) as got:
+            necessary_check(curve, bundle, w)
+        assert str(got.value) == str(expected.value)
+
+    def test_wide_instance(self):
+        # N = 1000, rank 3, random degrees: most teeth fail.  Every witness
+        # is checked against the quotient written out, a sample against slope().
+        rng = random.Random(1000)
+        num, n = 1000, 3
+        curve = CombCurve(tuple(rng.randint(0, 3) for _ in range(num)))
+        bundle = BundleData(n, tuple(rng.randint(-20, 20) for _ in range(num)))
+        den = rng.randint(num, 8 * num)
+        cuts = sorted(rng.sample(range(1, den), num - 1))
+        w = Polarization(tuple(Fraction(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])))
+        chi = total_euler(curve, bundle)
+        verdict = necessary_check(curve, bundle, w)
+        failing = [c for c in verdict.components if c.witness is not None]
+        assert len(failing) > num // 2 and not verdict.overall_pass
+        for check in failing:
+            w_j = w.weights[check.j - 1]
+            share = w_j if check.lower_ok else 1 - w_j
+            assert check.witness_slope == Fraction(check.witness.euler) / (n * share)
+            assert check.witness_slope > Fraction(chi, n)
+            assert sum(check.witness.multirank) == n * (1 if check.lower_ok else num - 1)
+        for check in failing[::50]:
+            assert check.witness_slope == slope(check.witness, w)
 
 
 class TestFeasibleRegion:

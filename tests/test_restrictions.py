@@ -16,6 +16,8 @@ from combstab import (
     filtered_destabilizer_candidates,
     total_euler,
 )
+from combstab.oracles import oracle_filtered_destabilizers
+from combstab.restrictions import _walk_length
 
 C22 = CombCurve((2, 2))
 B11 = BundleData(2, (1, 1))
@@ -179,3 +181,70 @@ def test_dispatch():
     assert v.case is RestrictionCase.SEMISTABLE_BY_WINDOW
     with pytest.raises(ValueError):
         classify_restriction(C22, BundleData(1, (1, 1)), w, 1)
+
+
+def _longhand_case(n: int, chi_j: int, chi: int, w_j: Fraction, forced) -> RestrictionCase:
+    """The classifier's decision written out in Fraction arithmetic."""
+    wchi = w_j * chi
+    if wchi.denominator == 1:
+        return RestrictionCase.INCONCLUSIVE_INTEGRAL_WCHI
+    if n == 2:
+        if wchi + 1 < chi_j < wchi + 2:
+            return RestrictionCase.SEMISTABLE_BY_WINDOW
+        if chi_j % 2 == 0:
+            return RestrictionCase.SEMISTABLE_BY_PARITY
+        return RestrictionCase.POSSIBLY_UNSTABLE
+    if chi_j % n == 0 and wchi + (n - 1) < chi_j < wchi + n:
+        return RestrictionCase.SEMISTABLE_BY_WINDOW
+    if chi_j % n == 0 and not forced:
+        return RestrictionCase.SEMISTABLE_BY_DIVISIBILITY
+    return RestrictionCase.POSSIBLY_UNSTABLE
+
+
+def test_classifier_matches_fraction_longhand_on_a_grid():
+    # Two genus-0 components, so chi_1 = d_1 + n and chi = d_1 + d_2 + n are
+    # set directly.  chi runs through negative, zero and positive values,
+    # chi_1 through both edges of each unit window, and w_1 = p/q through
+    # every fraction with q <= 6, integral w_1*chi included.
+    curve = CombCurve((0, 0))
+    weights = sorted({Fraction(p, q) for q in range(2, 7) for p in range(1, q)})
+    cases, edges = set(), set()
+    for n in (2, 3, 4):
+        window = 1 if n == 2 else n - 1
+        for chi in range(-6, 7):
+            for chi_1 in range(-10, 11):
+                bundle = BundleData(n, (chi_1 - n, chi - chi_1))
+                for w_1 in weights:
+                    w = Polarization((w_1, 1 - w_1))
+                    verdict = classify_restriction(curve, bundle, w, 1)
+                    oracle = oracle_filtered_destabilizers(curve, bundle, w, 1)
+                    case = _longhand_case(n, chi_1, chi, w_1, oracle)
+                    assert verdict.case is case, (n, chi_1, chi, w_1)
+                    if case is RestrictionCase.POSSIBLY_UNSTABLE:
+                        assert list(verdict.forced_destabilizers) == oracle
+                    elif case is RestrictionCase.INCONCLUSIVE_INTEGRAL_WCHI:
+                        assert f"w_1*chi = {w_1 * chi} is an integer" in verdict.notes
+                    cases.add((n == 2, case, (chi > 0) - (chi < 0)))
+                    offset = chi_1 - w_1 * chi
+                    if offset in (window, window + 1):
+                        edges.add((n, offset - window))
+                    longhand_walk = 0
+                    if chi_1 % n and (w_1 * chi).denominator != 1:
+                        longhand_walk = sum(
+                            len(destabilizer_candidates(curve, bundle, w, 1, k)) for k in range(2, n)
+                        )
+                    assert _walk_length(n, (chi_1, chi - chi_1 + n), chi, w) == longhand_walk
+    assert edges == {(n, e) for n in (2, 3, 4) for e in (0, 1)}
+    # chi = 0 makes w_1*chi integral, so every other case needs chi != 0.
+    reachable = {
+        True: ("SEMISTABLE_BY_WINDOW", "SEMISTABLE_BY_PARITY", "POSSIBLY_UNSTABLE"),
+        False: ("SEMISTABLE_BY_WINDOW", "SEMISTABLE_BY_DIVISIBILITY", "POSSIBLY_UNSTABLE"),
+    }
+    assert cases == {
+        (rank2, RestrictionCase.INCONCLUSIVE_INTEGRAL_WCHI, sign) for rank2 in reachable for sign in (-1, 0, 1)
+    } | {
+        (rank2, RestrictionCase[name], sign)
+        for rank2, names in reachable.items()
+        for name in names
+        for sign in (-1, 1)
+    }
