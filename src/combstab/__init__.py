@@ -28,6 +28,7 @@ from .model import (
     Polarization,
     Rational,
     SubsheafProfile,
+    ToothWitness,
     component_euler,
     component_eulers,
     format_rational,
@@ -80,6 +81,7 @@ __all__ = [
     "StrongUnstabilityVerdict",
     "SubsheafProfile",
     "SufficiencyVerdict",
+    "ToothWitness",
     "canonical_witnesses",
     "characterize",
     "classify_rank2",

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .documents import DocumentError, InstanceDocument, load_document, render_document
 from .kernel_bundles import (
@@ -30,6 +30,7 @@ from .model import (
     BundleData,
     CombCurve,
     Polarization,
+    ToothWitness,
     _euler_numbers,
     format_rational,
     parse_rational,
@@ -37,17 +38,18 @@ from .model import (
 )
 from .oracles import InstanceBounds, run_selftest
 from .polarization import feasible_region, necessary_check, synthesize_polarization
-from .restrictions import _walk_length, classify_restriction
+from .restrictions import _pairs_beside_walk, _walk_length, classify_restriction
 from . import kernels
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 
-# analyze refuses a classification that would enumerate more destabilizer
-# candidates than this: a tooth far below its lower inequality, or tens of
-# teeth at rank 1000.
-_MAX_WALK = 10**7
+# analyze refuses a report that would enumerate or list more entries than
+# this: the destabilizer candidates its classification walks (a tooth far
+# below its lower inequality, or tens of teeth at rank 1000) or lists, plus
+# under --json the N multirank entries of each failing tooth's witness.
+_MAX_LISTING = 10**7
 
 
 class CliInputError(Exception):
@@ -56,10 +58,77 @@ class CliInputError(Exception):
 
 def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         for line in lines:
             print(line)
+
+
+def _json_text(value: object) -> str:
+    """The bytes of ``json.dumps(value, indent=2)``, written without its encoder.
+
+    With ``indent`` set the standard encoder runs in pure Python, one
+    generator step per item.  Here a flat list of ints or of strings is one
+    C-level join, and a :class:`ToothWitness` is written as its multirank
+    list by repeating one precomputed line block, so no N-entry list is
+    built.  Accepts str-keyed dicts, lists, str, int, bool and None (exact
+    types; subclasses of str and int are refused).
+    """
+    chunks: list[str] = []
+    _encode(value, "\n", chunks.append)
+    return "".join(chunks)
+
+
+# Writers for the scalars, by exact type; bool indexes the pair.
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _encode(value: object, newline: str, put) -> None:
+    """Append the indented JSON of ``value`` to ``put``; ``newline`` ends in its indent."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        put(scalar(value))
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, got {type(key).__name__}")
+            put(sep + _quote(key) + ": ")
+            _encode(item, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(value, list):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        kinds = {*map(type, value)}
+        if len(kinds) == 1 and (scalar := _SCALARS.get(kinds.pop())) is not None:
+            put("[" + inner + ("," + inner).join(map(scalar, value)) + newline + "]")
+        else:
+            sep = "[" + inner
+            for item in value:
+                put(sep)
+                _encode(item, inner, put)
+                sep = "," + inner
+            put(newline + "]")
+    elif isinstance(value, ToothWitness):
+        item = "," + newline + "  "
+        off = item + int.__repr__(value.off_tooth)
+        on = item + int.__repr__(value.on_tooth)
+        entries = off * (value.j - 1) + on + off * (value.num_components - value.j)
+        put("[" + entries[1:] + newline + "]")
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _bundle_payload(curve: CombCurve, bundle: BundleData) -> dict:
@@ -84,7 +153,7 @@ def _weights_text(w: Polarization) -> str:
 
 
 def _resolve_polarization(args: argparse.Namespace, doc: InstanceDocument) -> Polarization:
-    if getattr(args, "polarization", None):
+    if getattr(args, "polarization", None) is not None:
         try:
             weights = tuple(parse_rational(p) for p in args.polarization.split(","))
         except ValueError as exc:
@@ -127,11 +196,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     chis = bundle_payload["component_eulers"]
     chi = bundle_payload["euler"]
     n = bundle.rank
-    walk = _walk_length(n, chis, chi, w)
-    if walk > _MAX_WALK:
+    listing = _walk_length(n, chis, chi, w) + _pairs_beside_walk(n, chis, chi, w)
+    if args.json:
+        listing += curve.num_components * sum(c.witness is not None for c in verdict.components)
+    if listing > _MAX_LISTING:
         raise CliInputError(
-            f"the restriction classification would enumerate {walk} destabilizer "
-            f"candidates, more than {_MAX_WALK}"
+            f"the report would enumerate or list {listing} entries, more than {_MAX_LISTING}"
         )
 
     lines = [
@@ -142,6 +212,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "necessary inequalities at the teeth (w_j*chi <= chi_j <= w_j*chi + n):",
     ]
     comp_payload = []
+    mu = format_rational(Fraction(chi, n))
     for check in verdict.components:
         wchi = w.weights[check.j - 1] * chi
         status_bits = []
@@ -156,16 +227,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
         witness_payload = None
         if check.witness is not None:
-            line += (
-                f"; witness {check.witness.label} with slope "
-                f"{format_rational(check.witness_slope)} > {format_rational(Fraction(chi, n))} "
-                f"(= chi/n)"
-            )
+            slope_text = format_rational(check.witness_slope)
+            line += f"; witness {check.witness.label} with slope {slope_text} > {mu} (= chi/n)"
             witness_payload = {
                 "label": check.witness.label,
-                "multirank": list(check.witness.multirank),
+                "multirank": check.witness,  # rendered as its multirank
                 "euler": check.witness.euler,
-                "slope": format_rational(check.witness_slope),
+                "slope": slope_text,
             }
         lines.append(line)
         comp_payload.append(
@@ -316,7 +384,7 @@ def cmd_kernel(args: argparse.Namespace) -> int:
                     "j": j,
                     "witness": {
                         "label": profile.label,
-                        "multirank": list(profile.multirank),
+                        "multirank": profile,  # rendered as its multirank
                         "euler": profile.euler,
                     },
                 }

@@ -7,7 +7,8 @@ typos fail loudly instead of silently validating something else.  Degrees
 are the canonical bundle input; euler characteristics may be supplied as
 well (or instead) and are cross-validated against the degrees.  Integers in
 a document file, the numerator and denominator of each weight included,
-have at most 4300 decimal digits, and a bundle's rank is at most 1000.
+have at most 4300 decimal digits, a curve has at most 100000 components
+and a bundle's rank is at most 1000.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .model import (
 _MAX_DIGITS = 4300
 # analyze lists forced destabilizers, a list that grows with rank**2.
 _MAX_RANK = 1000
+# Every command reads and writes per-component lists, and analyze's
+# witnesses grow with the component count.
+_MAX_COMPONENTS = 10**5
 
 
 class DocumentError(ValueError):
@@ -83,7 +87,10 @@ def _parse_curve(obj: object) -> CombCurve:
     _reject_unknown(mapping, {"genera"}, "curve")
     if "genera" not in mapping:
         raise DocumentError("curve.genera is required")
-    genera = _int_list(mapping["genera"], "curve.genera")
+    raw = mapping["genera"]
+    if isinstance(raw, list) and len(raw) > _MAX_COMPONENTS:
+        raise DocumentError(f"curve.genera has {len(raw)} components, at most {_MAX_COMPONENTS}")
+    genera = _int_list(raw, "curve.genera")
     try:
         return CombCurve(genera)
     except (TypeError, ValueError) as exc:

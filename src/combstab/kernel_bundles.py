@@ -19,7 +19,7 @@ from .model import (
     BundleData,
     CombCurve,
     Polarization,
-    SubsheafProfile,
+    ToothWitness,
     _check_int,
     component_euler,
     total_euler,
@@ -149,7 +149,7 @@ def _kernel_bundle(pair: GeneratedPairData) -> BundleData:
     return BundleData(rank=pair.kernel_rank, multidegree=tuple(-d for d in pair.multidegree))
 
 
-def restriction_unstable(curve: CombCurve, pair: GeneratedPairData, j: int) -> SubsheafProfile | None:
+def restriction_unstable(curve: CombCurve, pair: GeneratedPairData, j: int) -> ToothWitness | None:
     """Witness that the tooth-j restriction of the kernel bundle is unstable.
 
     A nonzero section-restriction kernel sits inside the restricted kernel
@@ -163,15 +163,12 @@ def restriction_unstable(curve: CombCurve, pair: GeneratedPairData, j: int) -> S
     return _restriction_witness(curve, pair, j)
 
 
-def _restriction_witness(curve: CombCurve, pair: GeneratedPairData, j: int) -> SubsheafProfile | None:
+def _restriction_witness(curve: CombCurve, pair: GeneratedPairData, j: int) -> ToothWitness | None:
     """The witness of :func:`restriction_unstable` for a validated pair and index."""
     k = pair.kernel_dims[j - 1]
     if k > 0 and pair.multidegree[j - 1] > 0:
-        return SubsheafProfile(
-            multirank=(0,) * (j - 1) + (k,) + (0,) * (curve.num_components - j),
-            euler=k * (1 - curve.genera[j - 1]),
-            label="trivial-kernel-part",
-        )
+        euler = k * (1 - curve.genera[j - 1])
+        return ToothWitness("trivial-kernel-part", j, curve.num_components, k, 0, euler)
     return None
 
 

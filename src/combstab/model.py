@@ -60,7 +60,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Render in lowest terms: ``"p/q"``, or plain ``"p"`` for integers."""
-    q = Fraction(value)
+    q = value if type(value) is Fraction else Fraction(value)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -134,8 +134,10 @@ class Polarization:
 class SubsheafProfile:
     """Multirank and Euler characteristic of a candidate subsheaf.
 
-    This is the unit of slope comparison: witnesses against semistability
-    are reported as profiles, never as geometric objects.
+    This is the general unit of slope comparison: witnesses against
+    semistability are reported as profiles, never as geometric objects.
+    The witnesses the package builds itself are :class:`ToothWitness`
+    records, which store the same data in O(1).
     """
 
     multirank: tuple[int, ...]
@@ -155,6 +157,31 @@ class SubsheafProfile:
                     raise ValueError(f"multirank entry {j} is negative: {r}")
         if not any(multirank):
             raise ValueError("multirank must not be identically zero")
+
+
+@dataclass(frozen=True, slots=True)
+class ToothWitness:
+    """Subsheaf profile with one rank on component j and another on every other one.
+
+    Every witness the package reports has this shape: the twisted
+    restriction E_j(-p_j) (rank n on tooth j, 0 elsewhere), its complement
+    tilde-E_j (0 on the tooth, n elsewhere) and a trivial kernel part (rank
+    k_j on component j, 0 elsewhere).  The record takes O(1) space whatever
+    N is; :attr:`multirank` builds the N-entry tuple on request, so
+    :func:`slope` accepts it like a :class:`SubsheafProfile`.
+    """
+
+    label: str
+    j: int
+    num_components: int
+    on_tooth: int
+    off_tooth: int
+    euler: int
+
+    @property
+    def multirank(self) -> tuple[int, ...]:
+        off = (self.off_tooth,)
+        return off * (self.j - 1) + (self.on_tooth,) + off * (self.num_components - self.j)
 
 
 def component_euler(genus: int, rank: int, degree: int) -> int:
@@ -211,17 +238,7 @@ def _total_euler(curve: CombCurve, bundle: BundleData) -> int:
     return sum(bundle.multidegree) + bundle.rank * (1 - curve.arithmetic_genus)
 
 
-def full_profile(curve: CombCurve, bundle: BundleData, label: str = "") -> SubsheafProfile:
-    """Profile of the bundle itself: full multirank, total Euler characteristic."""
-    n = bundle.rank
-    return SubsheafProfile(
-        multirank=(n,) * curve.num_components,
-        euler=total_euler(curve, bundle),
-        label=label or "whole-bundle",
-    )
-
-
-def slope(profile: SubsheafProfile, polarization: Polarization) -> Fraction:
+def slope(profile: SubsheafProfile | ToothWitness, polarization: Polarization) -> Fraction:
     """Polarized slope: euler characteristic over the weighted multirank sum."""
     if len(profile.multirank) != len(polarization.weights):
         raise ValueError(

@@ -23,7 +23,7 @@ from .model import (
     BundleData,
     CombCurve,
     Polarization,
-    SubsheafProfile,
+    ToothWitness,
     _euler_numbers,
     format_rational,
     validate_polarization,
@@ -87,7 +87,7 @@ class ComponentCheck:
     j: int
     lower_ok: bool
     upper_ok: bool
-    witness: SubsheafProfile | None = None
+    witness: ToothWitness | None = None
     witness_slope: Fraction | None = None
 
 
@@ -99,7 +99,7 @@ class NecessaryVerdict:
 
 def canonical_witnesses(
     curve: CombCurve, bundle: BundleData, j: int
-) -> tuple[SubsheafProfile, SubsheafProfile]:
+) -> tuple[ToothWitness, ToothWitness]:
     """The two subsheaf profiles that witness failures of the inequality at tooth j.
 
     First the restriction to C_j twisted down at its node (supported on the
@@ -113,20 +113,12 @@ def canonical_witnesses(
     return _restricted(num, n, chis[j - 1], j), _complement(num, n, chis[j - 1], chi, j)
 
 
-def _restricted(num: int, n: int, chi_j: int, j: int) -> SubsheafProfile:
-    return SubsheafProfile(
-        multirank=(0,) * (j - 1) + (n,) + (0,) * (num - j),
-        euler=chi_j - n,
-        label=f"E_{j}(-p_{j})",
-    )
+def _restricted(num: int, n: int, chi_j: int, j: int) -> ToothWitness:
+    return ToothWitness(f"E_{j}(-p_{j})", j, num, n, 0, chi_j - n)
 
 
-def _complement(num: int, n: int, chi_j: int, chi: int, j: int) -> SubsheafProfile:
-    return SubsheafProfile(
-        multirank=(n,) * (j - 1) + (0,) + (n,) * (num - j),
-        euler=chi - chi_j,
-        label=f"tilde-E_{j}",
-    )
+def _complement(num: int, n: int, chi_j: int, chi: int, j: int) -> ToothWitness:
+    return ToothWitness(f"tilde-E_{j}", j, num, 0, n, chi - chi_j)
 
 
 def _witness_slope(euler: int, weighted: Fraction) -> Fraction:

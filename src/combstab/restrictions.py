@@ -169,6 +169,22 @@ def _walk_length(n: int, chis: Sequence[int], chi: int, w: Polarization) -> int:
     return total
 
 
+def _pairs_beside_walk(n: int, chis: Sequence[int], chi: int, w: Polarization) -> int:
+    """Bound on the (rank, euler) pairs the classifiers list outside the walk.
+
+    A tooth with w_j*chi an integer lists nothing.  Otherwise, with n | chi_j
+    each rank k keeps at most k - 1 pairs, at most n(n-1)/2 in all;
+    without it rank 1 keeps at most one pair and the ranks k >= 2 are the
+    walk that :func:`_walk_length` counts.
+    """
+    per_tooth = n * (n - 1) // 2
+    return sum(
+        per_tooth if chi_j % n == 0 else 1
+        for w_j, chi_j in zip(w.weights, chis[:-1])
+        if not _integral_wchi(w_j, chi)
+    )
+
+
 def _inconclusive(j: int, w_j: Fraction, chi: int) -> RestrictionVerdict:
     wchi = w_j.numerator * chi // w_j.denominator
     return RestrictionVerdict(

@@ -10,8 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from combstab.cli import main
+from combstab.cli import _any_int_length, _json_text, main
 from combstab.documents import DocumentError, load_document
+from combstab.model import ToothWitness
 
 I1 = {
     "curve": {"genera": [2, 2]},
@@ -135,6 +136,14 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", write_doc(doc))
         assert code == 2
         assert "polarization" in err
+
+    @pytest.mark.parametrize("flag", ["", ","])
+    def test_empty_polarization_flag_is_input_error(self, capsys, write_doc, flag):
+        # An explicit empty value is refused, not replaced by the document's weights.
+        code, out, err = run_cli(capsys, "analyze", write_doc(I1), "--polarization", flag)
+        assert code == 2
+        assert out == ""
+        assert "bad --polarization" in err
 
     def test_invalid_polarization_is_input_error(self, capsys, write_doc):
         code, _, err = run_cli(
@@ -363,6 +372,35 @@ class TestInputBoundary:
         assert out == ""
         assert "more than 10000000" in err
 
+    def test_component_count_is_bounded(self, capsys, write_doc):
+        doc = {"curve": {"genera": [0] * 100_000}}
+        assert run_cli(capsys, "validate", write_doc(doc))[0] == 0
+        doc["curve"]["genera"].append(0)
+        code, out, err = run_cli(capsys, "validate", write_doc(doc))
+        assert code == 2
+        assert out == ""
+        assert "curve.genera has 100001 components, at most 100000" in err
+
+    def test_analyze_listing_is_bounded(self, capsys, write_doc):
+        # Rank 1, equal weights, every tooth fails its upper side: under
+        # --json each of the 3162 witnesses lists 3163 multirank entries,
+        # 10001406 in all, just above the bound of 10^7.
+        num = 3163
+        doc = {
+            "curve": {"genera": [0] * num},
+            "bundle": {"rank": 1, "multidegree": [10] * (num - 1) + [0]},
+            "polarization": {"weights": [f"1/{num}"] * num},
+        }
+        path = write_doc(doc)
+        code, out, err = run_cli(capsys, "analyze", path, "--json")
+        assert code == 2
+        assert out == ""
+        assert "would enumerate or list 10001406 entries, more than 10000000" in err
+        # The text report lists no multirank, so it stays under the bound.
+        code, out, _ = run_cli(capsys, "analyze", path)
+        assert code == 1
+        assert out.count("upper FAILED") == num - 1
+
     @settings(max_examples=200, deadline=None)
     @given(raw=fuzzed_documents(), as_json=st.booleans())
     def test_exit_code_contract_on_arbitrary_input(self, fuzz_path, raw, as_json):
@@ -416,3 +454,61 @@ class TestSelftest:
         assert code == 0
         assert payload["passed"] is True
         assert payload["total_run"] == payload["total_agreed"] > 0
+
+
+_STRINGS = st.text(st.characters(exclude_categories=[])) | st.sampled_from(
+    ["", "\x00\x1f\"\\/", "\u00e9\u20ac\U0001f600", "\ud800", "\x7f\n\t"]
+)
+# Some past 4300 digits: the renderer runs under the CLI's lifted limit.
+_INTS = st.integers() | st.builds(
+    lambda k, sign: sign * (10**k + 7), st.integers(4300, 5000), st.sampled_from([1, -1])
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INTS | _STRINGS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+def _dense(value):
+    """The value with every ToothWitness replaced by its multirank written out longhand."""
+    if isinstance(value, ToothWitness):
+        num, j = value.num_components, value.j
+        return [value.on_tooth if i == j else value.off_tooth for i in range(1, num + 1)]
+    if isinstance(value, dict):
+        return {key: _dense(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_dense(item) for item in value]
+    return value
+
+
+class TestJsonRenderer:
+    @settings(max_examples=300, deadline=None)
+    @given(value=_JSON)
+    def test_equals_the_standard_encoder(self, value):
+        with _any_int_length():
+            assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("num", [2, 3, 7])
+    @pytest.mark.parametrize("on, off", [(3, 0), (0, 3), (5, 0)])
+    def test_tooth_supported_multiranks(self, num, on, off):
+        # j = 1 and j = N - 1 are the first and last tooth, j = N the spine
+        # (a kernel witness); at N = 2 the first tooth is also the last.
+        for j in sorted({1, num - 1, num}):
+            witness = ToothWitness("w", j, num, on, off, -1)
+            for value in (witness, {"a": [{"multirank": witness}, 1]}, [[witness], witness]):
+                assert _json_text(value) == json.dumps(_dense(value), indent=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=_JSON, num=st.integers(2, 40), data=st.data())
+    def test_witnesses_inside_arbitrary_values(self, value, num, data):
+        j = data.draw(st.integers(1, num))
+        on, off = data.draw(st.sampled_from([(2, 0), (0, 2), (1, 0)]))
+        wrapped = {"x": value, "witness": {"multirank": ToothWitness("w", j, num, on, off, 0)}}
+        with _any_int_length():
+            assert _json_text(wrapped) == json.dumps(_dense(wrapped), indent=2)
+
+    def test_refuses_what_json_cannot_hold(self):
+        for value in (1.5, {1: 2}, (1, 2), object()):
+            with pytest.raises(TypeError):
+                _json_text(value)

@@ -13,6 +13,7 @@ from combstab import (
     kernel_data,
     kernel_polarization,
     restriction_unstable,
+    slope,
     strong_unstability,
     total_euler,
     validate_pair,
@@ -123,6 +124,25 @@ class TestRestrictionUnstable:
         assert witness.label == "trivial-kernel-part"
         # slope 0 of the trivial part beats -d_1/(l-n) = -3/2
         assert Fraction(0) > Fraction(-3, 2)
+
+    def test_witnesses_match_the_dense_longhand(self):
+        # Generated pairs up to N = 200: every witness, spine ones included.
+        bounds = InstanceBounds(max_components=200, max_weight_denominator=200, seed=4)
+        seen = set()
+        for curve, pair in pair_stream(bounds, 40):
+            num = curve.num_components
+            w = kernel_polarization(curve, pair)
+            for j in range(1, num + 1):
+                witness = restriction_unstable(curve, pair, j)
+                if witness is None:
+                    continue
+                k = pair.kernel_dims[j - 1]
+                assert list(witness.multirank) == [k if i == j else 0 for i in range(1, num + 1)]
+                assert witness.euler == k * (1 - curve.genera[j - 1])
+                assert restriction_unstable(curve, pair, j) == witness
+                assert slope(witness, w) == Fraction(witness.euler) / (k * w.weights[j - 1])
+                seen.add(j == num)
+        assert seen == {False, True}
 
     def test_no_kernel_no_witness(self):
         pair = GeneratedPairData(1, 3, (3, 3), (1, 0))

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from combstab import (
     BundleData,
     CombCurve,
+    GeneratedPairData,
     IntervalQ,
     Polarization,
     SufficiencyVerdict,
@@ -15,6 +17,7 @@ from combstab import (
     feasible_region,
     necessary_check,
     pick_simplest_rational,
+    restriction_unstable,
     slope,
     sufficiency_verdict,
     synthesize_polarization,
@@ -178,6 +181,53 @@ class TestNecessaryCheck:
             assert sum(check.witness.multirank) == n * (1 if check.lower_ok else num - 1)
         for check in failing[::50]:
             assert check.witness_slope == slope(check.witness, w)
+
+
+def _wide(seed: int, num: int, n: int) -> tuple[CombCurve, BundleData, Polarization]:
+    """Random genera 0..3 and degrees -20..20, weights with a common denominator."""
+    rng = random.Random(seed)
+    curve = CombCurve(tuple(rng.randint(0, 3) for _ in range(num)))
+    bundle = BundleData(n, tuple(rng.randint(-20, 20) for _ in range(num)))
+    den = rng.randint(num, 8 * num)
+    cuts = sorted(rng.sample(range(1, den), num - 1))
+    return curve, bundle, Polarization(tuple(Fraction(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])))
+
+
+class TestToothWitness:
+    @pytest.mark.parametrize("num, n", [(2, 2), (3, 1), (30, 4), (300, 2), (1000, 3)])
+    def test_wide_witnesses_match_the_dense_longhand(self, num, n):
+        curve, bundle, w = _wide(num + n, num, n)
+        verdict = necessary_check(curve, bundle, w)
+        failing = [c for c in verdict.components if c.witness is not None]
+        assert failing
+        for check in failing:
+            j = check.j
+            if not check.lower_ok:
+                dense = [0 if i == j else n for i in range(1, num + 1)]
+            else:
+                dense = [n if i == j else 0 for i in range(1, num + 1)]
+            assert list(check.witness.multirank) == dense
+            restricted, complement = canonical_witnesses(curve, bundle, j)
+            rebuilt = complement if not check.lower_ok else restricted
+            assert rebuilt is not check.witness
+            assert rebuilt == check.witness and hash(rebuilt) == hash(check.witness)
+            assert slope(check.witness, w) == check.witness_slope
+
+    def test_witness_holds_no_n_entry_container(self):
+        # At N = 10^4 a witness stores a handful of scalars, never the
+        # multirank itself; .multirank is built on request.
+        num = 10**4
+        curve, bundle, w = _wide(7, num, 3)
+        witnesses = [c.witness for c in necessary_check(curve, bundle, w).components if c.witness]
+        assert {wt.label[0] for wt in witnesses} == {"E", "t"}
+        witnesses += canonical_witnesses(curve, bundle, num - 1)
+        pair = GeneratedPairData(1, 3, (3,) * num, (1,) + (0,) * (num - 2) + (1,))
+        witnesses.append(restriction_unstable(CombCurve((2,) * num), pair, num))
+        for witness in witnesses:
+            assert not hasattr(witness, "__dict__")
+            parts = [p for p in gc.get_referents(witness) if p is not type(witness)]
+            assert all(not hasattr(p, "__len__") or len(p) < 100 for p in parts)
+        assert len(witnesses[-1].multirank) == num
 
 
 class TestFeasibleRegion:
