@@ -26,7 +26,6 @@ from .model import (
     BundleData,
     CombCurve,
     Polarization,
-    Rational,
     SubsheafProfile,
     ToothWitness,
     component_euler,
@@ -74,7 +73,6 @@ __all__ = [
     "NecessaryVerdict",
     "PairAssumptions",
     "Polarization",
-    "Rational",
     "RestrictionCase",
     "RestrictionVerdict",
     "StrongUnstabilityKind",

@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: analyze, region, polarize, kernel, validate, selftest.  Input
-is a JSON instance document; output is a text report or, with --json, a
-machine-readable object with the same content.  Exit codes are uniform
-across commands: 0 for an affirmative verdict, 1 for a negative one
-(failed check, infeasible region, strongly unstable kernel, selftest
-disagreement), 2 for any input error.
+is a JSON instance document.  Each command builds one payload, the object
+--json prints, and renders its text report from it; only text lines that
+echo input the JSON omits (the bundle of region and polarize, the pair of
+kernel) also read the parsed document.  Exit codes are uniform across
+commands: 0 for an affirmative verdict, 1 for a negative one (failed check,
+infeasible region, strongly unstable kernel, selftest disagreement), 2 for
+any input error.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from .documents import DocumentError, InstanceDocument, load_document, render_document
 from .kernel_bundles import (
     CharacterizationKind,
+    GeneratedPairData,
     _restriction_witness,
     characterize,
     kernel_data,
@@ -37,9 +40,8 @@ from .model import (
     validate_polarization,
 )
 from .oracles import InstanceBounds, run_selftest
-from .polarization import feasible_region, necessary_check, synthesize_polarization
+from .polarization import IntervalQ, feasible_region, necessary_check, synthesize_polarization
 from .restrictions import _pairs_beside_walk, _walk_length, classify_restriction
-from . import kernels
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -56,12 +58,13 @@ class CliInputError(Exception):
     """User input problem that is not a document parse error."""
 
 
-def _emit(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict, render, *inputs) -> int:
+    """Print the payload as JSON or as the lines ``render(payload, *inputs)`` yields."""
     if args.json:
         print(_json_text(payload))
     else:
-        for line in lines:
-            print(line)
+        print("\n".join(render(payload, *inputs)))
+    return payload["exit"]
 
 
 def _json_text(value: object) -> str:
@@ -71,20 +74,23 @@ def _json_text(value: object) -> str:
     generator step per item.  Here a flat list of ints or of strings is one
     C-level join, and a :class:`ToothWitness` is written as its multirank
     list by repeating one precomputed line block, so no N-entry list is
-    built.  Accepts str-keyed dicts, lists, str, int, bool and None (exact
-    types; subclasses of str and int are refused).
+    built.  Accepts str-keyed dicts, lists, str, int, bool, None and
+    Fraction, which is written as the quoted :func:`format_rational` string
+    (exact types; subclasses of str and int are refused).
     """
     chunks: list[str] = []
     _encode(value, "\n", chunks.append)
     return "".join(chunks)
 
 
-# Writers for the scalars, by exact type; bool indexes the pair.
+# Writers for the scalars, by exact type; bool indexes the pair.  A rational
+# needs no escaping: it is digits, '-' and '/'.
 _SCALARS = {
     str: _quote,
     int: int.__repr__,
     bool: ("false", "true").__getitem__,
     type(None): lambda _: "null",
+    Fraction: lambda q: '"' + format_rational(q) + '"',
 }
 
 
@@ -141,15 +147,22 @@ def _bundle_payload(curve: CombCurve, bundle: BundleData) -> dict:
     }
 
 
-def _bundle_lines(payload: dict, title: str = "bundle") -> list[str]:
-    return [
-        f"{title}: rank {payload['rank']}, multidegree {tuple(payload['multidegree'])}, "
-        f"component eulers {tuple(payload['component_eulers'])}, total euler {payload['euler']}"
-    ]
+def _witness_payload(witness: ToothWitness | None) -> dict | None:
+    if witness is None:
+        return None
+    # The record itself stands in the payload: _json_text writes it as its multirank.
+    return {"label": witness.label, "multirank": witness, "euler": witness.euler}
 
 
-def _weights_text(w: Polarization) -> str:
-    return "(" + ", ".join(format_rational(x) for x in w.weights) + ")"
+def _bundle_line(bundle: dict, title: str = "bundle") -> str:
+    return (
+        f"{title}: rank {bundle['rank']}, multidegree {tuple(bundle['multidegree'])}, "
+        f"component eulers {tuple(bundle['component_eulers'])}, total euler {bundle['euler']}"
+    )
+
+
+def _weights_text(weights: list[Fraction]) -> str:
+    return "(" + ", ".join(map(format_rational, weights)) + ")"
 
 
 def _resolve_polarization(args: argparse.Namespace, doc: InstanceDocument) -> Polarization:
@@ -180,9 +193,12 @@ def _require_bundle(doc: InstanceDocument) -> BundleData:
     return doc.bundle
 
 
-def _require_pair(doc: InstanceDocument):
+def _require_valid_pair(doc: InstanceDocument) -> GeneratedPairData:
     if doc.pair is None:
         raise CliInputError("this command needs a pair section in the document")
+    violations = validate_pair(doc.curve, doc.pair)
+    if violations:
+        raise CliInputError("invalid pair: " + "; ".join(violations))
     return doc.pair
 
 
@@ -204,224 +220,168 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"the report would enumerate or list {listing} entries, more than {_MAX_LISTING}"
         )
 
-    lines = [
-        f"curve: {curve.num_components} components, genera {tuple(curve.genera)}, "
-        f"arithmetic genus {curve.arithmetic_genus}",
-        *_bundle_lines(bundle_payload),
-        f"polarization: {_weights_text(w)}",
-        "necessary inequalities at the teeth (w_j*chi <= chi_j <= w_j*chi + n):",
-    ]
-    comp_payload = []
-    mu = format_rational(Fraction(chi, n))
+    components = []
     for check in verdict.components:
-        wchi = w.weights[check.j - 1] * chi
-        status_bits = []
-        if not check.lower_ok:
-            status_bits.append("lower FAILED")
-        if not check.upper_ok:
-            status_bits.append("upper FAILED")
-        status = ", ".join(status_bits) if status_bits else "ok"
-        line = (
-            f"  j={check.j}: {format_rational(wchi)} <= {chis[check.j - 1]} <= "
-            f"{format_rational(wchi + n)} : {status}"
+        witness = _witness_payload(check.witness)
+        if witness is not None:
+            witness["slope"] = check.witness_slope
+        components.append(
+            {"j": check.j, "lower_ok": check.lower_ok, "upper_ok": check.upper_ok, "witness": witness}
         )
-        witness_payload = None
-        if check.witness is not None:
-            slope_text = format_rational(check.witness_slope)
-            line += f"; witness {check.witness.label} with slope {slope_text} > {mu} (= chi/n)"
-            witness_payload = {
-                "label": check.witness.label,
-                "multirank": check.witness,  # rendered as its multirank
-                "euler": check.witness.euler,
-                "slope": slope_text,
-            }
-        lines.append(line)
-        comp_payload.append(
-            {
-                "j": check.j,
-                "lower_ok": check.lower_ok,
-                "upper_ok": check.upper_ok,
-                "witness": witness_payload,
-            }
-        )
-    lines.append("overall: " + ("PASS" if verdict.overall_pass else "FAIL"))
-
-    classification_payload = None
+    classification = None
     if n >= 2:
-        lines.append(
-            "restriction classification (conditional on semistability of the whole bundle):"
-        )
-        classification_payload = []
+        classification = []
         for j in range(1, curve.num_components):
             rv = classify_restriction(curve, bundle, w, j)
-            entry = {
-                "j": j,
-                "case": rv.case.value,
-                "forced_destabilizers": [list(t) for t in rv.forced_destabilizers],
-                "notes": rv.notes,
-            }
-            classification_payload.append(entry)
-            line = f"  j={j}: {rv.case.value}"
-            if rv.forced_destabilizers:
-                forced = ", ".join(f"({k}, {c})" for k, c in rv.forced_destabilizers)
-                line += f"; admissible destabilizers (rank, euler): {forced}"
-            if rv.notes:
-                line += f" [{rv.notes}]"
-            lines.append(line)
-    else:
-        lines.append(
-            "restriction classification: rank 1, restrictions are line bundles and "
-            "semistable outright"
-        )
-
-    code = EXIT_OK if verdict.overall_pass else EXIT_NEGATIVE
+            classification.append(
+                {
+                    "j": j,
+                    "case": rv.case.value,
+                    "forced_destabilizers": [list(t) for t in rv.forced_destabilizers],
+                    "notes": rv.notes,
+                }
+            )
     payload = {
         "command": "analyze",
         "curve": {"genera": list(curve.genera)},
         "bundle": bundle_payload,
-        "polarization": {"weights": [format_rational(x) for x in w.weights]},
-        "necessary": {"overall_pass": verdict.overall_pass, "components": comp_payload},
-        "classification": classification_payload,
-        "exit": code,
+        "polarization": {"weights": list(w.weights)},
+        "necessary": {"overall_pass": verdict.overall_pass, "components": components},
+        "classification": classification,
+        "exit": EXIT_OK if verdict.overall_pass else EXIT_NEGATIVE,
     }
-    _emit(args, payload, lines)
-    return code
+    return _emit(args, payload, _analyze_text)
+
+
+def _analyze_text(payload: dict):
+    genera = payload["curve"]["genera"]
+    bundle = payload["bundle"]
+    weights = payload["polarization"]["weights"]
+    chis, chi, n = bundle["component_eulers"], bundle["euler"], bundle["rank"]
+    # The components of a comb meet in a tree: the arithmetic genus is the sum.
+    yield (
+        f"curve: {len(genera)} components, genera {tuple(genera)}, "
+        f"arithmetic genus {sum(genera)}"
+    )
+    yield _bundle_line(bundle)
+    yield f"polarization: {_weights_text(weights)}"
+    yield "necessary inequalities at the teeth (w_j*chi <= chi_j <= w_j*chi + n):"
+    mu = format_rational(Fraction(chi, n))
+    for check in payload["necessary"]["components"]:
+        j = check["j"]
+        wchi = weights[j - 1] * chi
+        failed = [f"{side} FAILED" for side in ("lower", "upper") if not check[side + "_ok"]]
+        line = (
+            f"  j={j}: {format_rational(wchi)} <= {chis[j - 1]} <= "
+            f"{format_rational(wchi + n)} : {', '.join(failed) or 'ok'}"
+        )
+        witness = check["witness"]
+        if witness is not None:
+            slope_text = format_rational(witness["slope"])
+            line += f"; witness {witness['label']} with slope {slope_text} > {mu} (= chi/n)"
+        yield line
+    yield "overall: " + ("PASS" if payload["necessary"]["overall_pass"] else "FAIL")
+
+    if payload["classification"] is None:
+        yield (
+            "restriction classification: rank 1, restrictions are line bundles and "
+            "semistable outright"
+        )
+        return
+    yield "restriction classification (conditional on semistability of the whole bundle):"
+    for entry in payload["classification"]:
+        line = f"  j={entry['j']}: {entry['case']}"
+        if entry["forced_destabilizers"]:
+            forced = ", ".join(f"({k}, {c})" for k, c in entry["forced_destabilizers"])
+            line += f"; admissible destabilizers (rank, euler): {forced}"
+        if entry["notes"]:
+            line += f" [{entry['notes']}]"
+        yield line
 
 
 def cmd_region(args: argparse.Namespace) -> int:
     doc = load_document(args.file)
-    curve = doc.curve
     bundle = _require_bundle(doc)
-    region = feasible_region(curve, bundle, strict=args.strict)
-    lines = _bundle_lines(_bundle_payload(curve, bundle))
-    interval_payload = []
-    for j, iv in enumerate(region.intervals, start=1):
-        if iv.is_empty:
-            lines.append(f"  w_{j}: empty")
-        else:
-            lines.append(f"  w_{j} in {iv.render()}")
-        interval_payload.append(
-            {
-                "j": j,
-                "empty": iv.is_empty,
-                "lo": format_rational(iv.lo),
-                "hi": format_rational(iv.hi),
-                "lo_open": iv.lo_open,
-                "hi_open": iv.hi_open,
-            }
-        )
-    lines.append("feasible" if region.feasible else "infeasible")
-    code = EXIT_OK if region.feasible else EXIT_NEGATIVE
+    region = feasible_region(doc.curve, bundle, strict=args.strict)
     payload = {
         "command": "region",
         "strict": region.strict,
-        "intervals": interval_payload,
+        "intervals": [
+            {
+                "j": j,
+                "empty": iv.is_empty,
+                "lo": iv.lo,
+                "hi": iv.hi,
+                "lo_open": iv.lo_open,
+                "hi_open": iv.hi_open,
+            }
+            for j, iv in enumerate(region.intervals, start=1)
+        ],
         "feasible": region.feasible,
-        "exit": code,
+        "exit": EXIT_OK if region.feasible else EXIT_NEGATIVE,
     }
-    _emit(args, payload, lines)
-    return code
+    return _emit(args, payload, _region_text, doc.curve, bundle)
+
+
+def _region_text(payload: dict, curve: CombCurve, bundle: BundleData):
+    yield _bundle_line(_bundle_payload(curve, bundle))
+    for iv in payload["intervals"]:
+        if iv["empty"]:
+            yield f"  w_{iv['j']}: empty"
+        else:
+            interval = IntervalQ(iv["lo"], iv["hi"], iv["lo_open"], iv["hi_open"])
+            yield f"  w_{iv['j']} in {interval.render()}"
+    yield "feasible" if payload["feasible"] else "infeasible"
 
 
 def cmd_polarize(args: argparse.Namespace) -> int:
     doc = load_document(args.file)
-    curve = doc.curve
     if doc.bundle is not None:
-        bundle = doc.bundle
-        w = synthesize_polarization(curve, bundle)
+        w = synthesize_polarization(doc.curve, doc.bundle)
     elif doc.pair is not None:
-        violations = validate_pair(curve, doc.pair)
-        if violations:
-            raise CliInputError("invalid pair: " + "; ".join(violations))
-        bundle = kernel_data(curve, doc.pair)
-        w = kernel_polarization(curve, doc.pair)
+        w = kernel_polarization(doc.curve, _require_valid_pair(doc))
     else:
         raise CliInputError("polarize needs a bundle or a pair section")
-    lines = _bundle_lines(_bundle_payload(curve, bundle), title="target bundle")
-    if w is None:
-        lines.append("no polarization: the strict feasibility region is empty")
-        payload = {"command": "polarize", "weights": None, "exit": EXIT_NEGATIVE}
-        _emit(args, payload, lines)
-        return EXIT_NEGATIVE
-    lines.append(f"polarization: {_weights_text(w)}")
     payload = {
         "command": "polarize",
-        "weights": [format_rational(x) for x in w.weights],
-        "exit": EXIT_OK,
+        "weights": None if w is None else list(w.weights),
+        "exit": EXIT_NEGATIVE if w is None else EXIT_OK,
     }
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return _emit(args, payload, _polarize_text, doc)
+
+
+def _polarize_text(payload: dict, doc: InstanceDocument):
+    # The target of the pair route is the pair's kernel bundle.
+    bundle = doc.bundle if doc.bundle is not None else kernel_data(doc.curve, doc.pair)
+    yield _bundle_line(_bundle_payload(doc.curve, bundle), title="target bundle")
+    if payload["weights"] is None:
+        yield "no polarization: the strict feasibility region is empty"
+    else:
+        yield f"polarization: {_weights_text(payload['weights'])}"
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
     doc = load_document(args.file)
     curve = doc.curve
-    pair = _require_pair(doc)
-    violations = validate_pair(curve, pair)
-    if violations:
-        raise CliInputError("invalid pair: " + "; ".join(violations))
-    m = kernel_data(curve, pair)
-    kernel_payload = _bundle_payload(curve, m)
-    lines = [
-        f"pair: rank {pair.rank}, sections {pair.sections}, multidegree "
-        f"{tuple(pair.multidegree)}, kernel dims {tuple(pair.kernel_dims)}",
-        *_bundle_lines(kernel_payload, title="kernel bundle"),
-        "restriction witnesses:",
+    pair = _require_valid_pair(doc)
+    kernel_payload = _bundle_payload(curve, kernel_data(curve, pair))
+    witnesses = [
+        {"j": j, "witness": _witness_payload(_restriction_witness(curve, pair, j))}
+        for j in range(1, curve.num_components + 1)
     ]
-    witness_payload = []
-    for j in range(1, curve.num_components + 1):
-        profile = _restriction_witness(curve, pair, j)
-        k = pair.kernel_dims[j - 1]
-        d = pair.multidegree[j - 1]
-        if profile is not None:
-            mu = format_rational(Fraction(-d, m.rank))
-            lines.append(
-                f"  j={j}: trivial kernel subbundle of rank {k}, slope 0 > {mu} "
-                f"(restricted kernel-bundle slope); restriction unstable"
-            )
-            witness_payload.append(
-                {
-                    "j": j,
-                    "witness": {
-                        "label": profile.label,
-                        "multirank": profile,  # rendered as its multirank
-                        "euler": profile.euler,
-                    },
-                }
-            )
-        elif k > 0:
-            lines.append(
-                f"  j={j}: none; kernel dimension {k} but degree 0, the slope "
-                f"comparison degenerates (both slopes 0)"
-            )
-            witness_payload.append({"j": j, "witness": None})
-        else:
-            lines.append(f"  j={j}: none (kernel dimension 0)")
-            witness_payload.append({"j": j, "witness": None})
     try:
         su = strong_unstability(curve, pair)
         report = characterize(curve, pair)
     except ValueError as exc:
         raise CliInputError(str(exc)) from exc
-    at = f" at j={su.triggering_j}" if su.triggering_j is not None else ""
-    lines.append(f"strong unstability: {su.verdict.value}{at} [{su.reason}]")
-    line = f"characterization: {report.verdict.value}"
-    if report.polarization is not None:
-        line += f" with w = {_weights_text(report.polarization)}"
-    if report.triggering_j is not None:
-        line += f" (j={report.triggering_j})"
-    lines.append(line)
-    for note in report.notes:
-        lines.append(f"  note: {note}")
     negative = report.verdict in (
         CharacterizationKind.STRONGLY_UNSTABLE,
         CharacterizationKind.DIVISIBILITY_CONTRADICTION,
     )
-    code = EXIT_NEGATIVE if negative else EXIT_OK
     payload = {
         "command": "kernel",
         "kernel_bundle": kernel_payload,
-        "restriction_witnesses": witness_payload,
+        "restriction_witnesses": witnesses,
         "strong_unstability": {
             "verdict": su.verdict.value,
             "triggering_j": su.triggering_j,
@@ -431,15 +391,52 @@ def cmd_kernel(args: argparse.Namespace) -> int:
             "verdict": report.verdict.value,
             "polarization": None
             if report.polarization is None
-            else [format_rational(x) for x in report.polarization.weights],
+            else list(report.polarization.weights),
             "triggering_j": report.triggering_j,
             "missing_assumptions": list(report.missing_assumptions),
             "notes": list(report.notes),
         },
-        "exit": code,
+        "exit": EXIT_NEGATIVE if negative else EXIT_OK,
     }
-    _emit(args, payload, lines)
-    return code
+    return _emit(args, payload, _kernel_text, pair)
+
+
+def _kernel_text(payload: dict, pair: GeneratedPairData):
+    kernel = payload["kernel_bundle"]
+    yield (
+        f"pair: rank {pair.rank}, sections {pair.sections}, multidegree "
+        f"{tuple(pair.multidegree)}, kernel dims {tuple(pair.kernel_dims)}"
+    )
+    yield _bundle_line(kernel, title="kernel bundle")
+    yield "restriction witnesses:"
+    for entry in payload["restriction_witnesses"]:
+        j = entry["j"]
+        k = pair.kernel_dims[j - 1]
+        if entry["witness"] is not None:
+            mu = format_rational(Fraction(kernel["multidegree"][j - 1], kernel["rank"]))
+            yield (
+                f"  j={j}: trivial kernel subbundle of rank {k}, slope 0 > {mu} "
+                f"(restricted kernel-bundle slope); restriction unstable"
+            )
+        elif k > 0:
+            yield (
+                f"  j={j}: none; kernel dimension {k} but degree 0, the slope "
+                f"comparison degenerates (both slopes 0)"
+            )
+        else:
+            yield f"  j={j}: none (kernel dimension 0)"
+    su = payload["strong_unstability"]
+    at = f" at j={su['triggering_j']}" if su["triggering_j"] is not None else ""
+    yield f"strong unstability: {su['verdict']}{at} [{su['reason']}]"
+    report = payload["characterization"]
+    line = f"characterization: {report['verdict']}"
+    if report["polarization"] is not None:
+        line += f" with w = {_weights_text(report['polarization'])}"
+    if report["triggering_j"] is not None:
+        line += f" (j={report['triggering_j']})"
+    yield line
+    for note in report["notes"]:
+        yield f"  note: {note}"
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -447,25 +444,20 @@ def cmd_validate(args: argparse.Namespace) -> int:
     problems: list[str] = []
     if doc.polarization is not None:
         problems += [f"polarization: {v}" for v in validate_polarization(doc.polarization)]
-        if len(doc.polarization.weights) != doc.curve.num_components:
-            problems.append("polarization: weight count does not match the curve")
     if doc.pair is not None:
         problems += [f"pair: {v}" for v in validate_pair(doc.curve, doc.pair)]
-    lines = []
-    if problems:
-        lines.append("violations:")
-        lines.extend(f"  {p}" for p in problems)
-    else:
-        lines.append("ok")
-    code = EXIT_NEGATIVE if problems else EXIT_OK
     payload = {
         "command": "validate",
         "document": render_document(doc),
         "violations": problems,
-        "exit": code,
+        "exit": EXIT_NEGATIVE if problems else EXIT_OK,
     }
-    _emit(args, payload, lines)
-    return code
+    return _emit(args, payload, _validate_text)
+
+
+def _validate_text(payload: dict):
+    problems = payload["violations"]
+    return ["violations:", *(f"  {p}" for p in problems)] if problems else ["ok"]
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
@@ -483,12 +475,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     if args.count < 0:
         raise CliInputError("--count must be nonnegative")
     report = run_selftest(bounds, args.count)
-    lines = [f"kernel backend: {kernels.BACKEND}"]
-    lines += report.render_lines()
-    code = EXIT_OK if report.passed else EXIT_NEGATIVE
     payload = {
         "command": "selftest",
-        "backend": kernels.BACKEND,
         "seed": report.seed,
         "count": report.count,
         "checks": {
@@ -499,10 +487,21 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         "total_agreed": report.total_agreed,
         "first_failure": report.first_failure,
         "passed": report.passed,
-        "exit": code,
+        "exit": EXIT_OK if report.passed else EXIT_NEGATIVE,
     }
-    _emit(args, payload, lines)
-    return code
+    return _emit(args, payload, _selftest_text)
+
+
+def _selftest_text(payload: dict):
+    seed, count = payload["seed"], payload["count"]
+    yield f"selftest: seed {seed}, {count} instances"
+    for name, stat in payload["checks"].items():
+        yield f"  {name}: {stat['agreed']}/{stat['run']}"
+    yield f"oracle agreements: {payload['total_agreed']}/{payload['total_run']}"
+    if payload["first_failure"] is not None:
+        yield f"first counterexample: {payload['first_failure']}"
+        yield f"replay with: combstab selftest --seed {seed} --count {count}"
+    yield "result: " + ("PASS" if payload["passed"] else "FAIL")
 
 
 def build_parser() -> argparse.ArgumentParser:

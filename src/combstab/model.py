@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from combstab.cli import _any_int_length, _json_text, main
-from combstab.documents import DocumentError, load_document
-from combstab.model import ToothWitness
+from combstab.documents import DocumentError, InstanceDocument, load_document, render_document
+from combstab.model import ToothWitness, format_rational
+from combstab.oracles import InstanceBounds, instance_stream, pair_stream
 
 I1 = {
     "curve": {"genera": [2, 2]},
@@ -42,6 +43,12 @@ KERNEL_OK = {
         "assumptions": {"general_linear_series": True},
     },
 }
+# Tooth 1 has a nonzero kernel but degree 0: the slope comparison degenerates.
+KERNEL_DEGENERATE = {
+    "curve": {"genera": [2, 3]},
+    "pair": {"rank": 1, "sections": 4, "multidegree": [0, 5], "kernel_dims": [1, 0]},
+}
+VIOLATIONS = {"curve": {"genera": [2, 2]}, "polarization": {"weights": ["1/2", "1/3"]}}
 
 
 @pytest.fixture
@@ -311,6 +318,87 @@ class TestValidate:
         assert "unknown" in err
 
 
+_PINNED = [
+    ("region", I1, 0,
+     "2bb2e005ea51cb7e3d0741f1374411351b67e3c472ffd1a9eb04569bee4b5cc2",
+     "a84046ba96128f8ad94caab31077db4467440a2d519748c1be7747be76258d3a"),
+    ("region --strict", I1, 0,
+     "4e64402e65bce4bbe8600bb41c685342a1532a9298c461640701168a9388b9aa",
+     "8f5dc53181d7605ba4c8211f95c56b70d38a25ac2c4d448743a1c875a0d24734"),
+    ("region", I1_FAIL, 1,
+     "5e54a2a71e61afc06f6fa46ed3a6f1da55215adb522f3afc2dc021bf9d9f142a",
+     "3b88d96adb6e1cf245e805d31ed26ab8bab148628bd12026de2455acfd531159"),
+    ("polarize", I1, 0,
+     "3fa625ebbdec237bc681d08b3737a85a14ae59decb9c4139d80c9c3b1dd38cb2",
+     "d0a566cdaacfe7247000395c2ddf787167ceda97a8a0b834f75afaddf88c169c"),
+    ("polarize", KERNEL_OK, 0,
+     "8eed564d1161087478d84bc4dabeea226c46b1ccc0e8b76f1e4c46bd23b57947",
+     "0676daa75da06e9b4d7a93d7cc4b7d100083aff3ec0a99f5b7142bee11feda26"),
+    ("polarize", I1_FAIL, 1,
+     "8e20b1c5e68627c12f684d482eb5673ca80cba929bf1787833152549f0d27d2e",
+     "d841240290d826111e6e41cd3b14531f5825834e1356c37c3661a9cec92effb7"),
+    ("kernel", KERNEL_SU, 1,
+     "7fd1d1688c1bed26d7d33f4dc093614cf4a91a384b15f4b5fb8c17655e575df1",
+     "e411c157ee060d8c6da3bfe0f9a32bac620284102dbaf6e410acc7ba5e42c6d1"),
+    ("kernel", KERNEL_GAP, 0,
+     "80ee4c31421a63391a083dbc489d6c87a8f1dec128fac37d10606e8e308d1b27",
+     "510edc9b06ca1216cfc60ad2bfd0b0f19b747a6878243ed1188e3c358ef68cc9"),
+    ("kernel", KERNEL_OK, 0,
+     "1ba8dc8d1bedea7816ebfb4da87db251b912ebb9bb1e65361d215c0ce5fb0170",
+     "ebc625230876629f8013ec93652ffcb45884df087fa70b86498285556db69cd6"),
+    ("kernel", KERNEL_DEGENERATE, 0,
+     "80e75c70f849ae89baf776700ded06ffdae698604d1948ffdcc38efe4a75e7c2",
+     "697257f263950943e245e21db2771073025cc285a211f756f8f290ba2b3ae2cb"),
+    ("validate", I1, 0,
+     "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
+     "d052059d2408ccbc7de62a8d8e7ebc1cb95586fa8a666b98aaa6427f5d50dd04"),
+    ("validate", VIOLATIONS, 1,
+     "3dfbc881b6aa772a00859dd0c3f397ce73ccf2cd9541680782f0c8e02ee613ef",
+     "bfeda56e8c314a21aa0e229d3b57faf8cf8754f7cdcedf6c27e932d46d025b66"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, doc, code, text_digest, json_digest",
+    _PINNED,
+    ids=[f"{case[0]}-{i}" for i, case in enumerate(_PINNED)],
+)
+def test_small_document_output_is_pinned(capsys, write_doc, command, doc, code, text_digest, json_digest):
+    # Text and --json stdout of every command besides analyze, byte for byte.
+    name, *flags = command.split()
+    path = write_doc(doc)
+    for extra, digest in (([], text_digest), (["--json"], json_digest)):
+        got, out, err = run_cli(capsys, name, path, *flags, *extra)
+        assert (got, err) == (code, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _stream_documents():
+    bundles = instance_stream(InstanceBounds(seed=5), 50)
+    pairs = pair_stream(InstanceBounds(seed=6), 50)
+    yield from (InstanceDocument(curve, bundle=b, polarization=w) for curve, b, w in bundles)
+    yield from (InstanceDocument(curve, pair=pair) for curve, pair in pairs)
+
+
+@pytest.mark.parametrize(
+    "command", ["analyze", "region", "region --strict", "polarize", "kernel", "validate"]
+)
+def test_text_and_json_runs_agree_on_the_exit_code(capsys, tmp_path, command):
+    # The exit code is the payload's, whichever rendering is printed; an input
+    # error (a bundle document given to kernel, say) prints no payload at all.
+    name, *flags = command.split()
+    path = tmp_path / "doc.json"
+    for doc in _stream_documents():
+        path.write_text(json.dumps(render_document(doc)), encoding="utf-8")
+        text_code, text_out, _ = run_cli(capsys, name, str(path), *flags)
+        json_code, json_out, _ = run_cli(capsys, name, str(path), *flags, "--json")
+        assert text_code == json_code
+        if json_code == 2:
+            assert text_out == json_out == ""
+        else:
+            assert json.loads(json_out)["exit"] == json_code
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize(
         "raw",
@@ -464,14 +552,16 @@ _INTS = st.integers() | st.builds(
     lambda k, sign: sign * (10**k + 7), st.integers(4300, 5000), st.sampled_from([1, -1])
 )
 _JSON = st.recursive(
-    st.none() | st.booleans() | _INTS | _STRINGS,
+    st.none() | st.booleans() | _INTS | _STRINGS | st.fractions(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_STRINGS, inner, max_size=4),
     max_leaves=30,
 )
 
 
 def _dense(value):
-    """The value with every ToothWitness replaced by its multirank written out longhand."""
+    """The value with every ToothWitness written out longhand and every Fraction as "p/q"."""
+    if type(value) is Fraction:
+        return format_rational(value)
     if isinstance(value, ToothWitness):
         num, j = value.num_components, value.j
         return [value.on_tooth if i == j else value.off_tooth for i in range(1, num + 1)]
@@ -487,7 +577,7 @@ class TestJsonRenderer:
     @given(value=_JSON)
     def test_equals_the_standard_encoder(self, value):
         with _any_int_length():
-            assert _json_text(value) == json.dumps(value, indent=2)
+            assert _json_text(value) == json.dumps(_dense(value), indent=2)
 
     @pytest.mark.parametrize("num", [2, 3, 7])
     @pytest.mark.parametrize("on, off", [(3, 0), (0, 3), (5, 0)])
