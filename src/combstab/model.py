@@ -11,7 +11,7 @@ banned throughout the package.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -69,10 +69,12 @@ class CombCurve:
     """Numerical shape of a comb-like curve: one genus per component.
 
     Component indices are 1-based; the last index N is the spine.
-    The arithmetic genus of the comb is the plain sum of the g_j.
+    The arithmetic genus of the comb is the plain sum of the g_j, taken
+    once on construction; it takes no part in equality, hashing or repr.
     """
 
     genera: tuple[int, ...]
+    arithmetic_genus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "genera", tuple(self.genera))
@@ -82,22 +84,24 @@ class CombCurve:
             _check_int(g, f"genus of component {j}")
             if g < 0:
                 raise ValueError(f"genus of component {j} is negative: {g}")
+        object.__setattr__(self, "arithmetic_genus", sum(self.genera))
 
     @property
     def num_components(self) -> int:
         return len(self.genera)
 
-    @property
-    def arithmetic_genus(self) -> int:
-        return sum(self.genera)
-
 
 @dataclass(frozen=True, slots=True)
 class BundleData:
-    """Rank and multidegree of a bundle on the comb (same rank on every component)."""
+    """Rank and multidegree of a bundle on the comb (same rank on every component).
+
+    The total degree, the plain sum of the multidegree, is taken once on
+    construction; it takes no part in equality, hashing or repr.
+    """
 
     rank: int
     multidegree: tuple[int, ...]
+    total_degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "multidegree", tuple(self.multidegree))
@@ -106,6 +110,7 @@ class BundleData:
             raise ValueError(f"rank must be positive, got {self.rank}")
         for j, d in enumerate(self.multidegree, start=1):
             _check_int(d, f"degree on component {j}")
+        object.__setattr__(self, "total_degree", sum(self.multidegree))
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,7 +238,7 @@ def total_euler(curve: CombCurve, bundle: BundleData) -> int:
 
 def _total_euler(curve: CombCurve, bundle: BundleData) -> int:
     _check_lengths(curve, bundle.multidegree, "multidegree")
-    return sum(bundle.multidegree) + bundle.rank * (1 - curve.arithmetic_genus)
+    return bundle.total_degree + bundle.rank * (1 - curve.arithmetic_genus)
 
 
 def slope(profile: SubsheafProfile | ToothWitness, polarization: Polarization) -> Fraction:

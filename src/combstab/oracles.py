@@ -6,6 +6,10 @@ longhand, destabilizer windows swept integer by integer with deliberate
 padding, simplest rationals found by scanning denominators.  The oracles
 never call the kernels they check.  Agreement is exact or it is a failure;
 there are no tolerances anywhere.
+
+The selftest sweeps each checked tooth's padded window once: the one raw
+candidate list is compared with the fast range and then replayed through
+the divisibility filters.
 """
 
 from __future__ import annotations
@@ -205,6 +209,7 @@ def oracle_destabilizer_enumeration(
     chi_j = chis[j - 1]
     w_j = w.weights[j - 1]
     mu_bundle = Fraction(chi, n)
+    mu_j = Fraction(chi_j, n)
     found = []
     for k in range(1, n):
         ceiling = Fraction(k * w_j.numerator * chi, w_j.denominator * n) + k
@@ -212,10 +217,11 @@ def oracle_destabilizer_enumeration(
         hi = max(
             -((-k * chi_j) // n), -((-ceiling.numerator) // ceiling.denominator)
         ) + n * k + 1
+        weighted_rank = k * w_j
         for chi_l in range(lo, hi + 1):
-            if not Fraction(chi_l, k) > Fraction(chi_j, n):
+            if not Fraction(chi_l, k) > mu_j:
                 continue
-            if not Fraction(chi_l - k) / (k * w_j) <= mu_bundle:
+            if not Fraction(chi_l - k) / weighted_rank <= mu_bundle:
                 continue
             if not lo < chi_l < hi:
                 raise RuntimeError(f"padded window [{lo}, {hi}] clipped candidate {chi_l}")
@@ -231,9 +237,16 @@ def oracle_filtered_destabilizers(
     Written independently of the classifier: the allowed euler values are
     built as explicit sets and membership-tested.
     """
+    raw = oracle_destabilizer_enumeration(curve, bundle, w, j)
+    return _replay_filters(curve, bundle, j, raw)
+
+
+def _replay_filters(
+    curve: CombCurve, bundle: BundleData, j: int, raw: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The pairs of the raw tooth-j enumeration that survive the divisibility filters."""
     n = bundle.rank
     chi_j = (bundle.multidegree[j - 1]) + n * (1 - curve.genera[j - 1])
-    raw = oracle_destabilizer_enumeration(curve, bundle, w, j)
     kept = []
     for k, chi_l in raw:
         if chi_j % n == 0:
@@ -312,18 +325,6 @@ class SelftestReport:
     def passed(self) -> bool:
         return self.total_agreed == self.total_run
 
-    def render_lines(self) -> list[str]:
-        lines = [f"selftest: seed {self.seed}, {self.count} instances"]
-        for name in sorted(self.checks):
-            stat = self.checks[name]
-            lines.append(f"  {name}: {stat.agreed}/{stat.run}")
-        lines.append(f"oracle agreements: {self.total_agreed}/{self.total_run}")
-        if self.first_failure is not None:
-            lines.append(f"first counterexample: {self.first_failure}")
-            lines.append(f"replay with: combstab selftest --seed {self.seed} --count {self.count}")
-        lines.append("result: " + ("PASS" if self.passed else "FAIL"))
-        return lines
-
 
 def _describe_instance(curve: CombCurve, bundle: BundleData, w: Polarization) -> str:
     weights = ",".join(format_rational(x) for x in w.weights)
@@ -359,7 +360,7 @@ def run_selftest(bounds: InstanceBounds, count: int) -> SelftestReport:
                     "destabilizer-range", raw_fast == raw_oracle, f"{where} j={j}"
                 )
                 verdict = classify_restriction(curve, bundle, w, j)
-                filtered = oracle_filtered_destabilizers(curve, bundle, w, j)
+                filtered = _replay_filters(curve, bundle, j, raw_oracle)
                 if verdict.case.is_semistable:
                     report.record(
                         "classifier-consistency", not filtered, f"{where} j={j}"

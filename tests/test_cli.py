@@ -543,6 +543,19 @@ class TestSelftest:
         assert payload["passed"] is True
         assert payload["total_run"] == payload["total_agreed"] > 0
 
+    @pytest.mark.parametrize(
+        "extra, digest",
+        [
+            ([], "e3a606e346b3da5861cf7d9d1de27d8dde4086f40f4ea5a44e94d8a55f506e37"),
+            (["--json"], "ef227d242e3e0b1e2e1e12fc2e11b99f068ca43dac404a07256049e77427d55b"),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, extra, digest):
+        # 400 instances reach every check; both renderings stay byte for byte.
+        code, out, err = run_cli(capsys, "selftest", "--count", "400", "--seed", "7", *extra)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 _STRINGS = st.text(st.characters(exclude_categories=[])) | st.sampled_from(
     ["", "\x00\x1f\"\\/", "\u00e9\u20ac\U0001f600", "\ud800", "\x7f\n\t"]

@@ -193,3 +193,16 @@ def test_format_rational_integers_are_plain():
     assert format_rational(Fraction(4, 2)) == "2"
     assert format_rational(Fraction(-3, 1)) == "-3"
     assert format_rational(Fraction(-3, 4)) == "-3/4"
+
+
+def test_cached_totals_stay_out_of_equality_hash_and_repr():
+    curve = CombCurve([2, 0, 3])
+    bundle = BundleData(2, [4, -1, 5])
+    assert (curve.arithmetic_genus, bundle.total_degree) == (5, 8)
+    same_curve, same_bundle = CombCurve((2, 0, 3)), BundleData(2, (4, -1, 5))
+    assert curve == same_curve and hash(curve) == hash(same_curve)
+    assert bundle == same_bundle and hash(bundle) == hash(same_bundle)
+    assert CombCurve((3, 0, 2)) != curve
+    assert BundleData(2, (5, -1, 4)) != bundle
+    assert repr(curve) == "CombCurve(genera=(2, 0, 3))"
+    assert repr(bundle) == "BundleData(rank=2, multidegree=(4, -1, 5))"

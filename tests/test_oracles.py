@@ -7,6 +7,7 @@ from combstab import (
     Polarization,
     validate_polarization,
 )
+from combstab.cli import main
 from combstab.polarization import IntervalQ
 from combstab import oracles
 from combstab.oracles import (
@@ -113,21 +114,26 @@ class TestSimplestOracle:
         ) == Fraction(1, 2)
 
 
+def selftest_text(capsys, seed: int, count: int) -> str:
+    main(["selftest", "--seed", str(seed), "--count", str(count)])
+    return capsys.readouterr().out
+
+
 class TestSelftest:
-    def test_small_run_passes(self):
+    def test_small_run_passes(self, capsys):
         report = run_selftest(InstanceBounds(seed=13), 100)
         assert report.passed
         assert report.total_run == report.total_agreed > 0
-        lines = report.render_lines()
+        lines = selftest_text(capsys, 13, 100).splitlines()
         assert lines[-1] == "result: PASS"
-        assert any("oracle agreements" in line for line in lines)
+        assert f"oracle agreements: {report.total_agreed}/{report.total_run}" in lines
 
     def test_zero_count_is_vacuous(self):
         report = run_selftest(InstanceBounds(seed=13), 0)
         assert report.passed
         assert report.total_run == 0
 
-    def test_injected_fault_is_caught_with_replay_seed(self, monkeypatch):
+    def test_injected_fault_is_caught_with_replay_seed(self, capsys, monkeypatch):
         # Shift every candidate window by one: the oracle must notice.
         real = oracles.destabilizer_candidates
         monkeypatch.setattr(
@@ -139,6 +145,28 @@ class TestSelftest:
         assert not report.passed
         assert report.first_failure is not None
         assert "destabilizer-range" in report.first_failure
-        text = "\n".join(report.render_lines())
+        text = selftest_text(capsys, 13, 60)
         assert "--seed 13" in text
         assert "result: FAIL" in text
+
+    def test_one_enumeration_per_checked_tooth(self, monkeypatch):
+        # The range check and the filter replay share one padded-window sweep.
+        bounds = InstanceBounds(seed=21)
+        checked = 0
+        for curve, bundle, w in instance_stream(bounds, 150):
+            chi = sum(bundle.multidegree) + bundle.rank * (1 - sum(curve.genera))
+            if bundle.rank >= 2:
+                checked += sum((w_j * chi).denominator != 1 for w_j in w.weights[:-1])
+        calls = []
+        real = oracles.oracle_destabilizer_enumeration
+
+        def counting(curve, bundle, w, j):
+            calls.append(j)
+            return real(curve, bundle, w, j)
+
+        monkeypatch.setattr(oracles, "oracle_destabilizer_enumeration", counting)
+        report = run_selftest(bounds, 150)
+        assert report.passed
+        assert checked > 50
+        assert len(calls) == checked
+        assert report.checks["destabilizer-range"].run == checked

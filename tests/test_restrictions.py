@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from fractions import Fraction
 
@@ -248,3 +250,29 @@ def test_classifier_matches_fraction_longhand_on_a_grid():
         for name in names
         for sign in (-1, 1)
     }
+
+
+def test_wide_classification_matches_longhand_chi():
+    # N = 2000, rank 3: chi comes from totals the records keep, so every
+    # tooth's verdict is checked against chi summed here entry by entry.
+    rng = random.Random(2000)
+    num, n = 2000, 3
+    curve = CombCurve(tuple(rng.randint(0, 3) for _ in range(num)))
+    bundle = BundleData(n, tuple(rng.randint(-20, 20) for _ in range(num)))
+    den = rng.randint(num, 8 * num)
+    cuts = sorted(rng.sample(range(1, den), num - 1))
+    w = Polarization(tuple(Fraction(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])))
+    chis = [d + n * (1 - g) for g, d in zip(curve.genera, bundle.multidegree)]
+    chi = sum(chis) - n * (num - 1)
+    assert total_euler(curve, bundle) == chi
+    cases = set()
+    for j in range(1, num):
+        verdict = classify_restriction(curve, bundle, w, j)
+        oracle = oracle_filtered_destabilizers(curve, bundle, w, j)
+        case = _longhand_case(n, chis[j - 1], chi, w.weights[j - 1], oracle)
+        assert verdict.case is case, j
+        assert list(verdict.forced_destabilizers) == (
+            oracle if case is RestrictionCase.POSSIBLY_UNSTABLE else []
+        )
+        cases.add(case)
+    assert len(cases) >= 3
