@@ -10,11 +10,25 @@ there are no tolerances anywhere.
 The selftest sweeps each checked tooth's padded window once: the one raw
 candidate list is compared with the fast range and then replayed through
 the divisibility filters.
+
+The selftest cuts its count into contiguous instance ranges, one per CPU the
+process may use and at least ``_MIN_RANGE`` instances each.  The calling
+process checks the first range; forked children check the others, each
+regenerating the seeded streams up to its start, and send back agreement
+counts and first failures as builtins.  Merging runs in range order,
+instance phase before pair phase, so the report, and the CLI text and JSON
+rendered from it, are the same on any number of CPUs.  Without ``os.fork``,
+or with other threads running, every range runs in the calling process.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import marshal
+import os
 import random
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -334,10 +348,21 @@ def _describe_instance(curve: CombCurve, bundle: BundleData, w: Polarization) ->
     )
 
 
-def run_selftest(bounds: InstanceBounds, count: int) -> SelftestReport:
-    """Cross-check every fast routine against its oracle on seeded instances."""
-    report = SelftestReport(seed=bounds.seed, count=count)
-    for curve, bundle, w in instance_stream(bounds, count):
+# A range is forked off only when every range holds at least this many
+# instances, so small sweeps stay in the calling process.
+_MIN_RANGE = 250
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _check_instances(report: SelftestReport, instances) -> None:
+    for curve, bundle, w in instances:
         where = _describe_instance(curve, bundle, w)
         report.record(
             "necessary-equivalence",
@@ -390,7 +415,10 @@ def run_selftest(bounds: InstanceBounds, count: int) -> SelftestReport:
                 )
         else:
             report.record("region-synthesis", w_built is None, where)
-    for curve, pair in pair_stream(bounds, count):
+
+
+def _check_pairs(report: SelftestReport, pairs) -> None:
+    for curve, pair in pairs:
         where = (
             f"genera={list(curve.genera)} rank={pair.rank} sections={pair.sections} "
             f"multidegree={list(pair.multidegree)} kernel_dims={list(pair.kernel_dims)}"
@@ -408,4 +436,103 @@ def run_selftest(bounds: InstanceBounds, count: int) -> SelftestReport:
             w_pair is not None and not validate_polarization(w_pair),
             where,
         )
+
+
+def _run_range(bounds: InstanceBounds, start: int, stop: int) -> list:
+    """Check instances and pairs ``start..stop-1`` of the seeded streams.
+
+    Returns builtins only, one ``([(check, run, agreed), ...], first_failure)``
+    entry per phase (instances, then pairs), so a forked child can marshal it.
+    """
+    phases = []
+    for check, stream in ((_check_instances, instance_stream), (_check_pairs, pair_stream)):
+        part = SelftestReport(seed=bounds.seed, count=stop - start)
+        check(part, itertools.islice(stream(bounds, stop), start, None))
+        stats = [(name, stat.run, stat.agreed) for name, stat in part.checks.items()]
+        phases.append((stats, part.first_failure))
+    return phases
+
+
+def _fork_range(bounds: InstanceBounds, start: int, stop: int) -> tuple[int, int]:
+    """Run one range in a forked child; returns its pid and the read end of its pipe.
+
+    The child marshals ``("ok", phases)`` or ``("error", type name, message)``
+    into the pipe and leaves through ``os._exit``: it never returns into the
+    caller's stack, runs its ``finally`` blocks or flushes its stdout.  A
+    child interrupted before it writes leaves the pipe empty.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                message = ("ok", _run_range(bounds, start, stop))
+            except Exception as exc:
+                message = ("error", type(exc).__name__, str(exc))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(marshal.dumps(message))
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _run_ranges(bounds: InstanceBounds, cuts: list[int]) -> list:
+    """Ranges ``cuts[i]..cuts[i+1]-1``: the first here, every other in a forked child."""
+    import signal
+
+    children: list[tuple[int, int]] = []
+    try:
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            children.append(_fork_range(bounds, start, stop))
+        results = [_run_range(bounds, cuts[0], cuts[1])]
+        for pid, read_fd in children:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            if not data:
+                raise RuntimeError(f"selftest worker {pid} exited without a result")
+            message = marshal.loads(data)
+            if message[0] != "ok":
+                raise RuntimeError(f"selftest worker {pid} failed: {message[1]}: {message[2]}")
+            results.append(message[1])
+        return results
+    finally:
+        for pid, read_fd in children:
+            os.close(read_fd)
+            # A worker still running was abandoned by a failure above.  Both
+            # calls fail only if the caller had children reaped automatically.
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def run_selftest(bounds: InstanceBounds, count: int) -> SelftestReport:
+    """Cross-check every fast routine against its oracle on seeded instances.
+
+    The instances are cut into contiguous ranges, one per usable CPU with at
+    least ``_MIN_RANGE`` instances each; the calling process checks the first
+    and forked children check the others.  The ranges are merged in order,
+    instance phase before pair phase, so the report equals the serial one.
+    """
+    ranges = max(1, min(_usable_cpus(), count // _MIN_RANGE))
+    if ranges > 1 and (not hasattr(os, "fork") or threading.active_count() > 1):
+        ranges = 1  # no fork here, or one that other threads' locks could deadlock
+    cuts = [count * i // ranges for i in range(ranges + 1)]
+    results = _run_ranges(bounds, cuts) if ranges > 1 else [_run_range(bounds, 0, count)]
+    report = SelftestReport(seed=bounds.seed, count=count)
+    for phase in range(2):
+        for phases in results:
+            stats, failure = phases[phase]
+            for name, run, agreed in stats:
+                stat = report._stat(name)
+                stat.run += run
+                stat.agreed += agreed
+            if report.first_failure is None:
+                report.first_failure = failure
     return report

@@ -1,5 +1,10 @@
-import pytest
+import contextlib
+import os
+import signal
+import time
 from fractions import Fraction
+
+import pytest
 
 from combstab import (
     BundleData,
@@ -170,3 +175,150 @@ class TestSelftest:
         assert checked > 50
         assert len(calls) == checked
         assert report.checks["destabilizer-range"].run == checked
+
+
+# Two ranges: the calling process checks the first, one forked worker the second.
+SPLIT_COUNT = 2 * oracles._MIN_RANGE
+
+
+def force_cpus(monkeypatch, cpus: int) -> list[int]:
+    """Pretend ``cpus`` usable CPUs; returns the list the forked worker pids go to."""
+    monkeypatch.setattr(oracles, "_usable_cpus", lambda: cpus)
+    pids = []
+    real = oracles._fork_range
+
+    def recording(*args):
+        pid, read_fd = real(*args)
+        pids.append(pid)
+        return pid, read_fd
+
+    monkeypatch.setattr(oracles, "_fork_range", recording)
+    return pids
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail a block that runs longer than ``seconds`` instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_reaped(pids: list[int]) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+class TestParallelSelftest:
+    @pytest.mark.parametrize("seed", [13, 20260808])
+    def test_split_run_equals_serial_run(self, capsys, monkeypatch, seed):
+        outputs = {}
+        for cpus in (1, 2):
+            pids = force_cpus(monkeypatch, cpus)
+            with deadline(120):
+                report = run_selftest(InstanceBounds(seed=seed), SPLIT_COUNT)
+                text = selftest_text(capsys, seed, SPLIT_COUNT)
+                main(["selftest", "--json", "--seed", str(seed), "--count", str(SPLIT_COUNT)])
+            outputs[cpus] = (report, text, capsys.readouterr().out)
+            assert len(pids) == 3 * (cpus - 1)
+            assert_reaped(pids)
+        assert outputs[1][0].passed
+        assert outputs[2] == outputs[1]
+
+    def test_small_runs_stay_in_process(self, monkeypatch):
+        pids = force_cpus(monkeypatch, 64)
+        report = run_selftest(InstanceBounds(seed=13), SPLIT_COUNT - 1)
+        assert report.passed
+        assert pids == []
+
+    def test_first_failure_follows_serial_order(self, monkeypatch):
+        # Range 0 fails in its pair phase, the last range in its instance
+        # phase; the serial sweep meets the instance failure first.
+        bounds = InstanceBounds(seed=13)
+        instances = list(instance_stream(bounds, SPLIT_COUNT))
+        late = instances[-1]
+        assert late not in instances[:-1]
+        first_pair = next(pair_stream(bounds, 1))
+        real_necessary = oracles.oracle_necessary_equivalence
+        real_kernel = oracles.kernel_polarization
+        monkeypatch.setattr(
+            oracles,
+            "oracle_necessary_equivalence",
+            lambda c, b, w: (c, b, w) != late and real_necessary(c, b, w),
+        )
+        monkeypatch.setattr(
+            oracles,
+            "kernel_polarization",
+            lambda c, p: None if (c, p) == first_pair else real_kernel(c, p),
+        )
+        reports = {}
+        for cpus in (1, 2):
+            pids = force_cpus(monkeypatch, cpus)
+            with deadline(60):
+                reports[cpus] = run_selftest(bounds, SPLIT_COUNT)
+            assert len(pids) == cpus - 1
+        serial = reports[1]
+        assert reports[2] == serial
+        assert serial.first_failure == (
+            "necessary-equivalence: " + oracles._describe_instance(*late)
+        )
+        assert serial.checks["kernel-polarization"].agreed < SPLIT_COUNT
+
+    def test_worker_exception_raises_promptly_and_leaves_no_child(self, monkeypatch):
+        caller = os.getpid()
+        real = oracles.oracle_simplest_rational
+
+        def faulty(interval, max_denominator):
+            if os.getpid() != caller:
+                raise ZeroDivisionError("injected in a worker")
+            return real(interval, max_denominator)
+
+        monkeypatch.setattr(oracles, "oracle_simplest_rational", faulty)
+        pids = force_cpus(monkeypatch, 2)
+        with deadline(60), pytest.raises(
+            RuntimeError, match="failed: ZeroDivisionError: injected in a worker"
+        ):
+            run_selftest(InstanceBounds(seed=13), SPLIT_COUNT)
+        assert len(pids) == 1
+        assert_reaped(pids)
+
+    def test_worker_dying_without_result_is_reported(self, monkeypatch):
+        caller = os.getpid()
+        real = oracles.oracle_simplest_rational
+
+        def dying(interval, max_denominator):
+            if os.getpid() != caller:
+                os._exit(3)
+            return real(interval, max_denominator)
+
+        monkeypatch.setattr(oracles, "oracle_simplest_rational", dying)
+        pids = force_cpus(monkeypatch, 2)
+        with deadline(60), pytest.raises(RuntimeError, match="exited without a result"):
+            run_selftest(InstanceBounds(seed=13), SPLIT_COUNT)
+        assert_reaped(pids)
+
+    def test_caller_failure_stops_running_workers(self, monkeypatch):
+        # The worker would sleep far past the deadline; the caller's own
+        # failure must kill and reap it rather than wait for it.
+        caller = os.getpid()
+
+        def stalling(interval, max_denominator):
+            if os.getpid() != caller:
+                time.sleep(600)
+            raise ValueError("injected in the caller")
+
+        monkeypatch.setattr(oracles, "oracle_simplest_rational", stalling)
+        pids = force_cpus(monkeypatch, 2)
+        with deadline(60), pytest.raises(ValueError, match="injected in the caller"):
+            run_selftest(InstanceBounds(seed=13), SPLIT_COUNT)
+        assert len(pids) == 1
+        assert_reaped(pids)
