@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -40,8 +41,19 @@ from .model import (
     validate_polarization,
 )
 from .oracles import InstanceBounds, run_selftest
-from .polarization import IntervalQ, feasible_region, necessary_check, synthesize_polarization
-from .restrictions import _pairs_beside_walk, _walk_length, classify_restriction
+from .polarization import (
+    ComponentCheck,
+    IntervalQ,
+    feasible_region,
+    necessary_check,
+    synthesize_polarization,
+)
+from .restrictions import (
+    RestrictionVerdict,
+    _pairs_beside_walk,
+    _walk_length,
+    classify_restriction,
+)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -72,11 +84,15 @@ def _json_text(value: object) -> str:
 
     With ``indent`` set the standard encoder runs in pure Python, one
     generator step per item.  Here a flat list of ints or of strings is one
-    C-level join, and a :class:`ToothWitness` is written as its multirank
-    list by repeating one precomputed line block, so no N-entry list is
-    built.  Accepts str-keyed dicts, lists, str, int, bool, None and
-    Fraction, which is written as the quoted :func:`format_rational` string
-    (exact types; subclasses of str and int are refused).
+    C-level join, and each report record is filled into one precomputed
+    template per indent level: a :class:`ToothWitness` is written as its
+    multirank list by repeating one line block, so no N-entry list is built;
+    a :class:`ComponentCheck` as its ``j``, sides and witness object (label,
+    multirank, euler, slope, or null); a :class:`RestrictionVerdict` as its
+    ``j``, case value, forced destabilizer pairs and notes.  Accepts str-keyed
+    dicts, lists, str, int, bool, None and Fraction, which is written as the
+    quoted :func:`format_rational` string (exact types; subclasses of str
+    and int are refused).
     """
     chunks: list[str] = []
     _encode(value, "\n", chunks.append)
@@ -85,12 +101,79 @@ def _json_text(value: object) -> str:
 
 # Writers for the scalars, by exact type; bool indexes the pair.  A rational
 # needs no escaping: it is digits, '-' and '/'.
+_BOOLS = ("false", "true")
 _SCALARS = {
     str: _quote,
     int: int.__repr__,
-    bool: ("false", "true").__getitem__,
+    bool: _BOOLS.__getitem__,
     type(None): lambda _: "null",
     Fraction: lambda q: '"' + format_rational(q) + '"',
+}
+
+
+@functools.cache
+def _object_template(newline: str, *keys: str) -> str:
+    """``%s`` template of a JSON object with these keys; ``newline`` ends in its indent."""
+    inner = newline + "  "
+    return "{" + ",".join(f"{inner}{_quote(key)}: %s" for key in keys) + newline + "}"
+
+
+def _multirank_text(witness: ToothWitness, newline: str) -> str:
+    item = "," + newline + "  "
+    off = item + int.__repr__(witness.off_tooth)
+    on = item + int.__repr__(witness.on_tooth)
+    entries = off * (witness.j - 1) + on + off * (witness.num_components - witness.j)
+    return "[" + entries[1:] + newline + "]"
+
+
+def _check_text(check: ComponentCheck, newline: str) -> str:
+    witness = check.witness
+    if witness is None:
+        witness_text = "null"
+    else:
+        inner = newline + "  "
+        witness_text = _object_template(inner, "label", "multirank", "euler", "slope") % (
+            _quote(witness.label),
+            _multirank_text(witness, inner + "  "),
+            witness.euler,
+            _SCALARS[Fraction](check.witness_slope),
+        )
+    return _object_template(newline, "j", "lower_ok", "upper_ok", "witness") % (
+        check.j,
+        _BOOLS[check.lower_ok],
+        _BOOLS[check.upper_ok],
+        witness_text,
+    )
+
+
+@functools.cache
+def _pair_template(newline: str) -> str:
+    """``%d`` template of a two-int JSON list; ``newline`` ends in its indent."""
+    inner = newline + "  "
+    return "[" + inner + "%d," + inner + "%d" + newline + "]"
+
+
+def _verdict_text(verdict: RestrictionVerdict, newline: str) -> str:
+    forced = "[]"
+    if verdict.forced_destabilizers:
+        outer = newline + "  "
+        inner = outer + "  "
+        pair = _pair_template(inner)
+        items = ("," + inner).join(pair % p for p in verdict.forced_destabilizers)
+        forced = "[" + inner + items + outer + "]"
+    return _object_template(newline, "j", "case", "forced_destabilizers", "notes") % (
+        verdict.j,
+        _quote(verdict.case.value),
+        forced,
+        _quote(verdict.notes),
+    )
+
+
+# Writers for the report records, by exact type.
+_RECORDS = {
+    ToothWitness: _multirank_text,
+    ComponentCheck: _check_text,
+    RestrictionVerdict: _verdict_text,
 }
 
 
@@ -99,6 +182,8 @@ def _encode(value: object, newline: str, put) -> None:
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         put(scalar(value))
+    elif (record := _RECORDS.get(type(value))) is not None:
+        put(record(value, newline))
     elif isinstance(value, dict):
         if not value:
             put("{}")
@@ -127,12 +212,6 @@ def _encode(value: object, newline: str, put) -> None:
                 _encode(item, inner, put)
                 sep = "," + inner
             put(newline + "]")
-    elif isinstance(value, ToothWitness):
-        item = "," + newline + "  "
-        off = item + int.__repr__(value.off_tooth)
-        on = item + int.__repr__(value.on_tooth)
-        entries = off * (value.j - 1) + on + off * (value.num_components - value.j)
-        put("[" + entries[1:] + newline + "]")
     else:
         raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
@@ -220,33 +299,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             f"the report would enumerate or list {listing} entries, more than {_MAX_LISTING}"
         )
 
-    components = []
-    for check in verdict.components:
-        witness = _witness_payload(check.witness)
-        if witness is not None:
-            witness["slope"] = check.witness_slope
-        components.append(
-            {"j": check.j, "lower_ok": check.lower_ok, "upper_ok": check.upper_ok, "witness": witness}
-        )
+    # The records themselves stand in the payload; _json_text writes them.
     classification = None
     if n >= 2:
-        classification = []
-        for j in range(1, curve.num_components):
-            rv = classify_restriction(curve, bundle, w, j)
-            classification.append(
-                {
-                    "j": j,
-                    "case": rv.case.value,
-                    "forced_destabilizers": [list(t) for t in rv.forced_destabilizers],
-                    "notes": rv.notes,
-                }
-            )
+        classification = [
+            classify_restriction(curve, bundle, w, j) for j in range(1, curve.num_components)
+        ]
     payload = {
         "command": "analyze",
         "curve": {"genera": list(curve.genera)},
         "bundle": bundle_payload,
         "polarization": {"weights": list(w.weights)},
-        "necessary": {"overall_pass": verdict.overall_pass, "components": components},
+        "necessary": {
+            "overall_pass": verdict.overall_pass,
+            "components": list(verdict.components),
+        },
         "classification": classification,
         "exit": EXIT_OK if verdict.overall_pass else EXIT_NEGATIVE,
     }
@@ -268,17 +335,17 @@ def _analyze_text(payload: dict):
     yield "necessary inequalities at the teeth (w_j*chi <= chi_j <= w_j*chi + n):"
     mu = format_rational(Fraction(chi, n))
     for check in payload["necessary"]["components"]:
-        j = check["j"]
+        j = check.j
         wchi = weights[j - 1] * chi
-        failed = [f"{side} FAILED" for side in ("lower", "upper") if not check[side + "_ok"]]
+        sides = (("lower", check.lower_ok), ("upper", check.upper_ok))
+        failed = [f"{side} FAILED" for side, ok in sides if not ok]
         line = (
             f"  j={j}: {format_rational(wchi)} <= {chis[j - 1]} <= "
             f"{format_rational(wchi + n)} : {', '.join(failed) or 'ok'}"
         )
-        witness = check["witness"]
-        if witness is not None:
-            slope_text = format_rational(witness["slope"])
-            line += f"; witness {witness['label']} with slope {slope_text} > {mu} (= chi/n)"
+        if check.witness is not None:
+            slope_text = format_rational(check.witness_slope)
+            line += f"; witness {check.witness.label} with slope {slope_text} > {mu} (= chi/n)"
         yield line
     yield "overall: " + ("PASS" if payload["necessary"]["overall_pass"] else "FAIL")
 
@@ -289,13 +356,13 @@ def _analyze_text(payload: dict):
         )
         return
     yield "restriction classification (conditional on semistability of the whole bundle):"
-    for entry in payload["classification"]:
-        line = f"  j={entry['j']}: {entry['case']}"
-        if entry["forced_destabilizers"]:
-            forced = ", ".join(f"({k}, {c})" for k, c in entry["forced_destabilizers"])
+    for verdict in payload["classification"]:
+        line = f"  j={verdict.j}: {verdict.case.value}"
+        if verdict.forced_destabilizers:
+            forced = ", ".join(f"({k}, {c})" for k, c in verdict.forced_destabilizers)
             line += f"; admissible destabilizers (rank, euler): {forced}"
-        if entry["notes"]:
-            line += f" [{entry['notes']}]"
+        if verdict.notes:
+            line += f" [{verdict.notes}]"
         yield line
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
@@ -248,21 +249,50 @@ def slope(profile: SubsheafProfile | ToothWitness, polarization: Polarization) -
             f"multirank has {len(profile.multirank)} entries, polarization has "
             f"{len(polarization.weights)}"
         )
-    denom = sum(w * r for w, r in zip(polarization.weights, profile.multirank))
+    denom = _exact_sum(w * r for w, r in zip(polarization.weights, profile.multirank))
     if denom <= 0:
         raise ValueError(f"weighted multirank must be positive, got {denom}")
     return Fraction(profile.euler) / denom
 
 
+def _exact_sum(terms: Iterable[Fraction]) -> Fraction:
+    """Exact sum of rationals, added pairwise on integer numerators and denominators.
+
+    Each pass adds neighbours over the lcm of their two denominators (equal
+    denominators need no gcd), so every operand stays as small as the partial
+    sum it carries and the multiplications stay balanced.  Numerator and
+    denominator are reduced once, at the end.  Summing one by one with
+    ``Fraction`` instead reduces after every term, against a denominator that
+    keeps growing.
+    """
+    pairs = [(q.numerator, q.denominator) for q in terms]
+    while len(pairs) > 1:
+        merged = []
+        for (a, b), (c, d) in zip(pairs[::2], pairs[1::2]):
+            if b == d:
+                merged.append((a + c, b))
+            else:
+                g = gcd(b, d)
+                merged.append((a * (d // g) + c * (b // g), b // g * d))
+        if len(pairs) % 2:
+            merged.append(pairs[-1])
+        pairs = merged
+    return Fraction(*pairs[0]) if pairs else Fraction(0)
+
+
 def validate_polarization(polarization: Polarization) -> list[str]:
-    """Check 0 < w_j < 1 for every j and exact sum 1; return violations (empty = ok)."""
+    """Check 0 < w_j < 1 for every j and exact sum 1; return violations (empty = ok).
+
+    With w_j = p/q in lowest terms, q > 0, the bounds read 0 < p < q.
+    """
     violations: list[str] = []
     for j, w in enumerate(polarization.weights, start=1):
-        if not w > 0:
+        p, q = w.numerator, w.denominator
+        if not p > 0:
             violations.append(f"w_{j} = {format_rational(w)} is not > 0")
-        if not w < 1:
+        if not p < q:
             violations.append(f"w_{j} = {format_rational(w)} is not < 1")
-    total = sum(polarization.weights, Fraction(0))
+    total = _exact_sum(polarization.weights)
     if total != 1:
         violations.append(f"weights sum to {format_rational(total)}, not 1")
     return violations

@@ -10,6 +10,15 @@ a failed check is a certificate, not just a boolean.  Solving the same
 inequalities for w_j yields a rational interval per tooth; picking the
 simplest rational in each strict interval and completing on the spine
 constructs a polarization whenever one exists.
+
+Predicates are decided on integers: each side of the inequality, each
+witness slope's sign condition and the synthesis re-pick's comparison are
+cross-multiplications of numerators and denominators.
+``Fraction`` holds the reported values (witness slopes, interval ends,
+picks), each built once from integers.  Every N-term sum (the weight sum,
+the slack, the pick totals) is the pairwise integer sum of
+:func:`~combstab.model._exact_sum`, reduced once at the end.  The interval
+ends and their clipping to (0, 1) stay ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NoReturn
 
 from . import kernels
 from .model import (
@@ -25,6 +35,7 @@ from .model import (
     Polarization,
     ToothWitness,
     _euler_numbers,
+    _exact_sum,
     format_rational,
     validate_polarization,
 )
@@ -121,13 +132,6 @@ def _complement(num: int, n: int, chi_j: int, chi: int, j: int) -> ToothWitness:
     return ToothWitness(f"tilde-E_{j}", j, num, 0, n, chi - chi_j)
 
 
-def _witness_slope(euler: int, weighted: Fraction) -> Fraction:
-    """euler / weighted, refusing a weighted multirank <= 0 exactly as model.slope does."""
-    if weighted <= 0:
-        raise ValueError(f"weighted multirank must be positive, got {weighted}")
-    return euler / weighted
-
-
 def _tooth_sides(w_j: Fraction, chi_j: int, chi: int, n: int, strict: bool = False) -> tuple[bool, bool]:
     """Lower and upper side of w_j*chi <= chi_j <= w_j*chi + n (strict: with <).
 
@@ -149,7 +153,10 @@ def necessary_check(curve: CombCurve, bundle: BundleData, w: Polarization) -> Ne
     polarized slope strictly above chi/n.  Only the reported witness is
     built.  Its slope needs no N-term sum: the twisted restriction has
     weighted multirank n*w_j and the complement n*(S - w_j), S the weight
-    sum, taken once per call.
+    sum, taken once per call.  With w_j = p/q and S = P/Q the slopes are
+    euler*q/(n*p) and euler*Q*q/(n*(P*q - p*Q)), each one ``Fraction`` of
+    integers; a weighted multirank <= 0 raises the ValueError of
+    :func:`~combstab.model.slope`.
     """
     n = bundle.rank
     num = curve.num_components
@@ -163,14 +170,21 @@ def necessary_check(curve: CombCurve, bundle: BundleData, w: Polarization) -> Ne
         lower_ok, upper_ok = _tooth_sides(w_j, chi_j, chi, n)
         witness = None
         witness_slope = None
+        p, q = w_j.numerator, w_j.denominator
         if not lower_ok:
             if total is None:
-                total = sum(w.weights)
+                total = _exact_sum(w.weights)
             witness = _complement(num, n, chi_j, chi, j)
-            witness_slope = _witness_slope(witness.euler, n * (total - w_j))
+            big_p, big_q = total.numerator, total.denominator
+            rest = big_p * q - p * big_q  # (S - w_j)*Q*q
+            if rest <= 0:
+                _refuse_weighted(n * (total - w_j))
+            witness_slope = Fraction(witness.euler * big_q * q, n * rest)
         elif not upper_ok:
             witness = _restricted(num, n, chi_j, j)
-            witness_slope = _witness_slope(witness.euler, n * w_j)
+            if p <= 0:
+                _refuse_weighted(n * w_j)
+            witness_slope = Fraction(witness.euler * q, n * p)
         checks.append(
             ComponentCheck(
                 j=j,
@@ -184,6 +198,10 @@ def necessary_check(curve: CombCurve, bundle: BundleData, w: Polarization) -> Ne
         components=tuple(checks),
         overall_pass=all(c.lower_ok and c.upper_ok for c in checks),
     )
+
+
+def _refuse_weighted(weighted: Fraction) -> NoReturn:
+    raise ValueError(f"weighted multirank must be positive, got {weighted}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,7 +251,7 @@ def _region(chis: tuple[int, ...], chi: int, n: int, strict: bool) -> FeasibleRe
 
 def _slack(intervals: tuple[IntervalQ, ...]) -> Fraction:
     """1 - sum(lo_j): the weight left for the spine with every tooth at its lower end."""
-    return 1 - sum(iv.lo for iv in intervals)
+    return 1 - _exact_sum(iv.lo for iv in intervals)
 
 
 def pick_simplest_rational(interval: IntervalQ) -> Fraction:
@@ -277,7 +295,8 @@ def synthesize_polarization(curve: CombCurve, bundle: BundleData) -> Polarizatio
     sum(lo_j) + s = 1, so a feasible region (s > 0) always yields a
     polarization.  A first pick already inside its share is kept: the
     simplest rational of an interval is also that of any subinterval
-    holding it.
+    holding it.  The re-pick compares by cross-multiplication and hands the
+    integer ends to :func:`kernels.simplest_between`.
     """
     n = bundle.rank
     chis, chi = _euler_numbers(curve, bundle)
@@ -286,19 +305,33 @@ def synthesize_polarization(curve: CombCurve, bundle: BundleData) -> Polarizatio
         return None
     intervals = region.intervals
     picks = [pick_simplest_rational(iv) for iv in intervals]
-    total = sum(picks)
+    total = _exact_sum(picks)
     if total >= 1:
-        share = _slack(intervals) / len(intervals)
+        slack = _slack(intervals)
         picks = [
-            p if p < iv.lo + share
-            else pick_simplest_rational(iv.intersect(IntervalQ.open(iv.lo, iv.lo + share)))
-            for p, iv in zip(picks, intervals)
+            _repick(pick, iv.lo, slack.numerator, slack.denominator * len(intervals))
+            for pick, iv in zip(picks, intervals)
         ]
-        total = sum(picks)
+        total = _exact_sum(picks)
     w = Polarization(tuple(picks) + (1 - total,))
     if validate_polarization(w) or not _strict_inequalities_hold(chis, chi, n, w):
         raise RuntimeError("synthesized polarization violates the strict inequalities")
     return w
+
+
+def _repick(pick: Fraction, lo: Fraction, share_p: int, share_q: int) -> Fraction:
+    """``pick`` if below lo + share_p/share_q, else the simplest rational in (lo, lo + share).
+
+    ``pick`` lies inside its open tooth interval (lo, hi), so a re-picked
+    tooth has lo + share <= pick < hi: its share ends below hi and is the
+    whole interval (lo, min(hi, lo + share)).  With lo = a/b the end is
+    (a*share_q + share_p*b)/(b*share_q), left unreduced.
+    """
+    a, b = lo.numerator, lo.denominator
+    top_p, top_q = a * share_q + share_p * b, b * share_q
+    if pick.numerator * top_q < top_p * pick.denominator:
+        return pick
+    return Fraction(*kernels.simplest_between(a, b, top_p, top_q))
 
 
 class SufficiencyVerdict(Enum):

@@ -14,6 +14,8 @@ from combstab.cli import _any_int_length, _json_text, main
 from combstab.documents import DocumentError, InstanceDocument, load_document, render_document
 from combstab.model import ToothWitness, format_rational
 from combstab.oracles import InstanceBounds, instance_stream, pair_stream
+from combstab.polarization import ComponentCheck, necessary_check
+from combstab.restrictions import RestrictionVerdict, classify_restriction
 
 I1 = {
     "curve": {"genera": [2, 2]},
@@ -115,6 +117,21 @@ def fuzz_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.json"
 
 
+def _wide_document(num):
+    """Rank 3, genera 0..3, degrees -20..20 and weights over one denominator, seeded by N."""
+    rng = random.Random(num)
+    doc = {
+        "curve": {"genera": [rng.randint(0, 3) for _ in range(num)]},
+        "bundle": {"rank": 3, "multidegree": [rng.randint(-20, 20) for _ in range(num)]},
+    }
+    den = rng.randint(num, 8 * num)
+    cuts = sorted(rng.sample(range(1, den), num - 1))
+    doc["polarization"] = {
+        "weights": [str(Fraction(b - a, den)) for a, b in zip([0, *cuts], [*cuts, den])]
+    }
+    return doc
+
+
 class TestAnalyze:
     def test_pass_with_forced_destabilizer(self, capsys, write_doc):
         code, out, _ = run_cli(capsys, "analyze", write_doc(I1))
@@ -193,20 +210,17 @@ class TestAnalyze:
     def test_wide_document_output_is_pinned(self, capsys, write_doc, as_json, digest):
         # N = 60, rank 3, random degrees: 57 teeth fail and most restrictions
         # list destabilizers.  Both renderings must stay byte for byte.
-        rng = random.Random(60)
-        num = 60
-        doc = {
-            "curve": {"genera": [rng.randint(0, 3) for _ in range(num)]},
-            "bundle": {"rank": 3, "multidegree": [rng.randint(-20, 20) for _ in range(num)]},
-        }
-        den = rng.randint(num, 8 * num)
-        cuts = sorted(rng.sample(range(1, den), num - 1))
-        doc["polarization"] = {
-            "weights": [str(Fraction(b - a, den)) for a, b in zip([0, *cuts], [*cuts, den])]
-        }
-        argv = ["analyze", write_doc(doc)] + (["--json"] if as_json else [])
+        argv = ["analyze", write_doc(_wide_document(60))] + (["--json"] if as_json else [])
         code, out, _ = run_cli(capsys, *argv)
         assert code == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_large_json_output_is_pinned(self, capsys, write_doc):
+        # N = 300, rank 3, random degrees: most teeth fail, and the JSON
+        # carries the witness and classification records of every tooth.
+        code, out, _ = run_cli(capsys, "analyze", write_doc(_wide_document(300)), "--json")
+        assert code == 1
+        digest = "614be3cf9eeab25d13b28dae4a97f4f323a0d0abd8b34053ea7bddcfbc301bae"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -250,6 +264,30 @@ class TestPolarize:
         code, _, err = run_cli(capsys, "polarize", write_doc({"curve": {"genera": [2, 2]}}))
         assert code == 2
         assert "bundle or a pair" in err
+
+    @pytest.mark.parametrize(
+        "num, big, text_digest, json_digest",
+        [
+            (120, 2**64,
+             "aa2827871e02d21e9b181ac902075d3c265dc3c0992590ce092504726e0e07c5",
+             "66543d3213a239d9416f5317777fc64b92f9dca6d3f3aa2ce3ed03fc1bc7b557"),
+            (12, 10**299,
+             "6a4ca0a3942428b9267f37d150022c8bbcf3848350488b172ac4d0e9a1156313",
+             "10519841bd4b200761c9af6ba2d501d8214b9c71990b49bcf166adabb0f1a0b3"),
+        ],
+    )
+    def test_repicked_output_is_pinned(self, capsys, write_doc, num, big, text_digest, json_digest):
+        # The tight family: genera 0, rank 1, tooth degrees near -big, spine
+        # degree N - 3.  The first picks overshoot the simplex, so every
+        # tooth is picked again in its share of the slack.
+        rng = random.Random(num)
+        degrees = [-big - rng.randint(0, 999) for _ in range(num - 1)] + [num - 3]
+        doc = {"curve": {"genera": [0] * num}, "bundle": {"rank": 1, "multidegree": degrees}}
+        path = write_doc(doc)
+        for extra, digest in (([], text_digest), (["--json"], json_digest)):
+            code, out, err = run_cli(capsys, "polarize", path, *extra)
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestKernel:
@@ -572,12 +610,29 @@ _JSON = st.recursive(
 
 
 def _dense(value):
-    """The value with every ToothWitness written out longhand and every Fraction as "p/q"."""
+    """The value with every record written out longhand and every Fraction as "p/q"."""
     if type(value) is Fraction:
         return format_rational(value)
     if isinstance(value, ToothWitness):
         num, j = value.num_components, value.j
         return [value.on_tooth if i == j else value.off_tooth for i in range(1, num + 1)]
+    if isinstance(value, ComponentCheck):
+        witness = value.witness
+        if witness is not None:
+            witness = {
+                "label": witness.label,
+                "multirank": _dense(witness),
+                "euler": witness.euler,
+                "slope": format_rational(value.witness_slope),
+            }
+        return {"j": value.j, "lower_ok": value.lower_ok, "upper_ok": value.upper_ok, "witness": witness}
+    if isinstance(value, RestrictionVerdict):
+        return {
+            "j": value.j,
+            "case": value.case.value,
+            "forced_destabilizers": [list(pair) for pair in value.forced_destabilizers],
+            "notes": value.notes,
+        }
     if isinstance(value, dict):
         return {key: _dense(item) for key, item in value.items()}
     if isinstance(value, list):
@@ -610,6 +665,25 @@ class TestJsonRenderer:
         wrapped = {"x": value, "witness": {"multirank": ToothWitness("w", j, num, on, off, 0)}}
         with _any_int_length():
             assert _json_text(wrapped) == json.dumps(_dense(wrapped), indent=2)
+
+    def test_report_records_at_any_depth(self):
+        # Checks with and without witnesses, verdicts with and without
+        # forced destabilizers, each alone, in a list and deep in a dict.
+        records = []
+        for curve, bundle, w in instance_stream(InstanceBounds(seed=11), 60):
+            records += necessary_check(curve, bundle, w).components
+            if bundle.rank >= 2:
+                records += [
+                    classify_restriction(curve, bundle, w, j) for j in range(1, curve.num_components)
+                ]
+        shapes = {
+            (type(r), bool(r.witness if type(r) is ComponentCheck else r.forced_destabilizers))
+            for r in records
+        }
+        assert len(shapes) == 4
+        for record in records:
+            for value in (record, [record, 1], {"a": [{"b": record}], "c": [record]}):
+                assert _json_text(value) == json.dumps(_dense(value), indent=2)
 
     def test_refuses_what_json_cannot_hold(self):
         for value in (1.5, {1: 2}, (1, 2), object()):

@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from combstab import (
     BundleData,
@@ -16,6 +16,7 @@ from combstab import (
     total_euler,
     validate_polarization,
 )
+from combstab.model import _exact_sum
 
 
 @pytest.mark.parametrize(
@@ -134,6 +135,77 @@ def test_validate_polarization():
     assert any("w_1" in v for v in degenerate)
     assert any("w_2" in v for v in degenerate)
     assert len(degenerate) == 2
+
+
+# Small, 30-digit and 1000-digit denominators; numerators of either sign.
+_DENOMINATORS = st.integers(1, 60) | st.integers(1, 10**30) | st.integers(10**999, 10**1000)
+_NUMERATORS = st.integers(-(10**40), 10**40) | st.integers(-(10**1000), 10**1000)
+
+
+@st.composite
+def rational_lists(draw):
+    size = draw(st.integers(0, 40))
+    if draw(st.booleans()):  # one denominator for every entry
+        den = draw(_DENOMINATORS)
+        dens = [den] * size
+    else:
+        dens = draw(st.lists(_DENOMINATORS, min_size=size, max_size=size))
+    return [Fraction(draw(_NUMERATORS), d) for d in dens]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_lists())
+def test_exact_sum_equals_the_fraction_sum(xs):
+    total = _exact_sum(xs)
+    assert type(total) is Fraction
+    assert total == sum(xs, Fraction(0))
+    assert _exact_sum(iter(xs)) == total
+
+
+def _violations_longhand(weights):
+    """validate_polarization written out with Fraction comparisons and a running sum."""
+    found = []
+    for j, w in enumerate(weights, start=1):
+        if w <= Fraction(0):
+            found.append(f"w_{j} = {w} is not > 0")
+        if w >= Fraction(1):
+            found.append(f"w_{j} = {w} is not < 1")
+    total = Fraction(0)
+    for w in weights:
+        total += w
+    if total != Fraction(1):
+        found.append(f"weights sum to {total}, not 1")
+    return found
+
+
+_EDGE_WEIGHTS = st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(-1), Fraction(-1, 3), Fraction(3, 2), Fraction(1, 2)]
+)
+
+
+@st.composite
+def near_normalized_weights(draw):
+    """Positive parts over their sum, then one weight moved by 0 or +-10^-k."""
+    parts = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=12))
+    weights = [Fraction(a, sum(parts)) for a in parts]
+    j = draw(st.integers(0, len(weights) - 1))
+    k = draw(st.integers(1, 60))
+    weights[j] += draw(st.sampled_from([0, 1, -1])) * Fraction(1, 10**k)
+    return weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_EDGE_WEIGHTS | st.fractions(-2, 2, max_denominator=10**9), max_size=12)
+    | near_normalized_weights()
+)
+def test_validate_polarization_matches_the_longhand(weights):
+    assert validate_polarization(Polarization(tuple(weights))) == _violations_longhand(weights)
+
+
+def test_validate_polarization_on_no_weights():
+    assert validate_polarization(Polarization(())) == _violations_longhand([])
+    assert _violations_longhand([]) == ["weights sum to 0, not 1"]
 
 
 def test_structural_validation():

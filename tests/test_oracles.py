@@ -154,6 +154,22 @@ class TestSelftest:
         assert "--seed 13" in text
         assert "result: FAIL" in text
 
+    def test_polarization_off_the_simplex_is_caught(self, monkeypatch):
+        # The synthesis checks add the weights longhand: a spine weight
+        # moved by 10^-30 fails them.
+        def nudged(w):
+            if w is None:
+                return None
+            return Polarization(w.weights[:-1] + (w.weights[-1] + Fraction(1, 10**30),))
+
+        synthesis, kernel = oracles.synthesize_polarization, oracles.kernel_polarization
+        monkeypatch.setattr(oracles, "synthesize_polarization", lambda c, b: nudged(synthesis(c, b)))
+        monkeypatch.setattr(oracles, "kernel_polarization", lambda c, p: nudged(kernel(c, p)))
+        report = run_selftest(InstanceBounds(seed=13), 60)
+        for name in ("region-synthesis", "kernel-polarization"):
+            assert report.checks[name].agreed < report.checks[name].run
+        assert report.first_failure.startswith("region-synthesis: ")
+
     def test_one_enumeration_per_checked_tooth(self, monkeypatch):
         # The range check and the filter replay share one padded-window sweep.
         bounds = InstanceBounds(seed=21)

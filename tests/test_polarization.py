@@ -380,6 +380,27 @@ class TestSynthesizePolarization:
         assert validate_polarization(w) == []
         assert_strict_inequalities(curve, bundle, w)
 
+    @pytest.mark.parametrize("num", [80, 120, 2000])
+    def test_tight_family_repick_matches_the_longhand(self, num):
+        # Tooth degrees near -2^64: every first pick is re-picked or kept in
+        # its slack share.  The longhand intersects IntervalQs and sums
+        # Fractions one by one.
+        rng = random.Random(num)
+        degrees = tuple(-(2**64) - rng.randint(0, 999) for _ in range(num - 1)) + (num - 3,)
+        curve, bundle = CombCurve((0,) * num), BundleData(1, degrees)
+        intervals = feasible_region(curve, bundle, strict=True).intervals
+        picks = [pick_simplest_rational(iv) for iv in intervals]
+        assert sum(picks, Fraction(0)) >= 1
+        share = (1 - sum((iv.lo for iv in intervals), Fraction(0))) / len(intervals)
+        repicked = [
+            p if p < iv.lo + share
+            else pick_simplest_rational(iv.intersect(IntervalQ.open(iv.lo, iv.lo + share)))
+            for p, iv in zip(picks, intervals)
+        ]
+        assert repicked != picks
+        w = synthesize_polarization(curve, bundle)
+        assert w.weights == (*repicked, 1 - sum(repicked, Fraction(0)))
+
     @given(curve_bundle_polarization())
     def test_output_contract(self, cbw):
         curve, bundle, _ = cbw
