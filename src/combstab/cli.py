@@ -59,15 +59,31 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 
-# analyze refuses a report that would enumerate or list more entries than
-# this: the destabilizer candidates its classification walks (a tooth far
-# below its lower inequality, or tens of teeth at rank 1000) or lists, plus
-# under --json the N multirank entries of each failing tooth's witness.
+# analyze and kernel refuse a report that would enumerate or list more
+# entries than this: the destabilizer candidates analyze's classification
+# walks (a tooth far below its lower inequality, or tens of teeth at rank
+# 1000) or lists, plus under --json the N multirank entries of each listed
+# witness (a failing tooth's, or a tooth's with kernel and positive degree).
 _MAX_LISTING = 10**7
 
 
 class CliInputError(Exception):
     """User input problem that is not a document parse error."""
+
+
+def _refuse_long_listing(
+    args: argparse.Namespace, num_components: int, witnesses: int, walked: int = 0
+) -> None:
+    """Raise the input error of a report over ``_MAX_LISTING`` entries, before it is built.
+
+    ``walked`` counts the candidates a classification walks or lists; under
+    --json each of the ``witnesses`` lists its N-entry multirank.
+    """
+    listing = walked + (num_components * witnesses if args.json else 0)
+    if listing > _MAX_LISTING:
+        raise CliInputError(
+            f"the report would enumerate or list {listing} entries, more than {_MAX_LISTING}"
+        )
 
 
 def _emit(args: argparse.Namespace, payload: dict, render, *inputs) -> int:
@@ -291,13 +307,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     chis = bundle_payload["component_eulers"]
     chi = bundle_payload["euler"]
     n = bundle.rank
-    listing = _walk_length(n, chis, chi, w) + _pairs_beside_walk(n, chis, chi, w)
-    if args.json:
-        listing += curve.num_components * sum(c.witness is not None for c in verdict.components)
-    if listing > _MAX_LISTING:
-        raise CliInputError(
-            f"the report would enumerate or list {listing} entries, more than {_MAX_LISTING}"
-        )
+    _refuse_long_listing(
+        args,
+        curve.num_components,
+        sum(c.witness is not None for c in verdict.components),
+        _walk_length(n, chis, chi, w) + _pairs_beside_walk(n, chis, chi, w),
+    )
 
     # The records themselves stand in the payload; _json_text writes them.
     classification = None
@@ -431,10 +446,12 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     doc = load_document(args.file)
     curve = doc.curve
     pair = _require_valid_pair(doc)
+    restricted = [_restriction_witness(curve, pair, j) for j in range(1, curve.num_components + 1)]
+    _refuse_long_listing(args, curve.num_components, sum(x is not None for x in restricted))
     kernel_payload = _bundle_payload(curve, kernel_data(curve, pair))
     witnesses = [
-        {"j": j, "witness": _witness_payload(_restriction_witness(curve, pair, j))}
-        for j in range(1, curve.num_components + 1)
+        {"j": j, "witness": _witness_payload(witness)}
+        for j, witness in enumerate(restricted, start=1)
     ]
     try:
         su = strong_unstability(curve, pair)

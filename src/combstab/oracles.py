@@ -1,11 +1,18 @@
 """Brute-force oracles and seeded instance generation.
 
 Every fast routine in the package has a desk-scale counterpart here that
-recomputes the same answer from definitions: slope comparisons written out
-longhand, destabilizer windows swept integer by integer with deliberate
-padding, simplest rationals found by scanning denominators.  The oracles
-never call the kernels they check.  Agreement is exact or it is a failure;
-there are no tolerances anywhere.
+recomputes the same answer from definitions: each slope comparison is a
+cross-multiplied integer predicate, destabilizer windows are swept integer
+by integer with deliberate padding, simplest rationals are found by
+scanning denominators.  ``Fraction`` appears only where a reported value
+(a witness slope, a picked weight, a weight sum) is compared.  The oracles
+stay independent of the fast path: they test every candidate one by one
+where the fast path computes closed-form floor-division ranges, and they
+import none of its private helpers and nothing from ``kernels``, so a
+shared mistake cannot make both sides agree.  Weights are cross-multiplied
+only inside (0, 1), where the multiplier is positive; anything else is a
+ValueError.  Agreement is exact or it is a failure; there are no
+tolerances anywhere.
 
 The selftest sweeps each checked tooth's padded window once: the one raw
 candidate list is compared with the fast range and then replayed through
@@ -29,6 +36,7 @@ import marshal
 import os
 import random
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -151,30 +159,54 @@ def pair_stream(bounds: InstanceBounds, count: int):
         yield _draw_pair(rng, bounds)
 
 
+def _weight_terms(w_j: Fraction, j: int) -> tuple[int, int]:
+    """Numerator and denominator of a weight that the oracles may cross-multiply by.
+
+    Multiplying an inequality through by w_j or 1 - w_j keeps its direction
+    only when both are positive, so a weight outside (0, 1) is refused
+    instead of silently flipping or voiding a comparison.
+    """
+    p, q = w_j.numerator, w_j.denominator
+    if not 0 < p < q:
+        raise ValueError(f"weight {j} is {format_rational(w_j)}, not strictly between 0 and 1")
+    return p, q
+
+
+def _violated_sides(p: int, q: int, chi_j: int, chi: int, n: int) -> tuple[bool, bool]:
+    """Whether tooth j's complement and twisted restriction have slope above chi/n.
+
+    The complement (full rank off the tooth, euler chi - chi_j) has slope
+    (chi - chi_j)/(n*(1 - w_j)), the twisted restriction (supported on the
+    tooth, euler chi_j - n) has (chi_j - n)/(n*w_j).  With w_j = p/q in
+    (0, 1) both denominators are positive, so the comparisons read
+    (chi - chi_j)*q > chi*(q - p) and (chi_j - n)*q > chi*p.
+    """
+    return (chi - chi_j) * q > chi * (q - p), (chi_j - n) * q > chi * p
+
+
 def oracle_necessary_equivalence(curve: CombCurve, bundle: BundleData, w: Polarization) -> bool:
     """Recompute the necessary check from raw slope comparisons and compare.
 
-    The two witness profiles are rebuilt here from scratch and their slopes
-    written out as explicit quotients; the failure pattern must match the
-    fast check side for side at every tooth.  The reported witness (the
-    complement on a lower failure, else the twisted restriction, none on a
-    pass) must match its rebuilt profile in label, multirank and euler, and
-    its slope must equal the euler over the weighted multirank summed
-    entry by entry.
+    The two witness profiles are rebuilt here from scratch and each side is
+    decided by the cross-multiplied integer predicates of
+    :func:`_violated_sides`; the failure pattern must match the fast check
+    side for side at every tooth.  The reported witness (the complement on
+    a lower failure, else the twisted restriction, none on a pass) must
+    match its rebuilt profile in label, multirank and euler, and its slope,
+    a reported value, must equal the euler over the weighted multirank
+    summed entry by entry as ``Fraction``s.  Raises ValueError on a tooth
+    weight outside (0, 1).
     """
     n = bundle.rank
     num = curve.num_components
     chis = [d + n * (1 - g) for g, d in zip(curve.genera, bundle.multidegree)]
     chi = sum(chis) - n * (num - 1)
-    mu_bundle = Fraction(chi, n)
+    terms = [_weight_terms(w_j, j) for j, w_j in enumerate(w.weights[: num - 1], start=1)]
     verdict = necessary_check(curve, bundle, w)
     for check in verdict.components:
         j = check.j
-        w_j = w.weights[j - 1]
-        # Twisted restriction: supported on the tooth, euler chi_j - n.
-        upper_violated = Fraction(chis[j - 1] - n) / (w_j * n) > mu_bundle
-        # Complement: full rank off the tooth, euler chi - chi_j.
-        lower_violated = Fraction(chi - chis[j - 1]) / ((1 - w_j) * n) > mu_bundle
+        chi_j = chis[j - 1]
+        lower_violated, upper_violated = _violated_sides(*terms[j - 1], chi_j, chi, n)
         if check.upper_ok != (not upper_violated):
             return False
         if check.lower_ok != (not lower_violated):
@@ -182,11 +214,11 @@ def oracle_necessary_equivalence(curve: CombCurve, bundle: BundleData, w: Polari
         if lower_violated:
             label = f"tilde-E_{j}"
             multirank = [0 if i == j else n for i in range(1, num + 1)]
-            euler = chi - chis[j - 1]
+            euler = chi - chi_j
         elif upper_violated:
             label = f"E_{j}(-p_{j})"
             multirank = [n if i == j else 0 for i in range(1, num + 1)]
-            euler = chis[j - 1] - n
+            euler = chi_j - n
         else:
             if check.witness is not None or check.witness_slope is not None:
                 return False
@@ -210,31 +242,30 @@ def oracle_destabilizer_enumeration(
     """Sweep a padded integer window with the raw subsheaf inequality.
 
     Keeps (k, chi_L) when chi_L/k > chi_j/n and the twisted subsheaf slope
-    (chi_L - k)/(k*w_j) stays at most chi/n.  The scan window is padded by
-    n*k + 1 beyond both true bounds (the slope threshold below, the
-    weighted ceiling above) so an off-by-one in the fast range arithmetic
-    surfaces as a disagreement instead of getting masked; kept candidates
-    never touch the window edges, which is checked.
+    (chi_L - k)/(k*w_j) stays at most chi/n, each tested on every candidate
+    as a cross-multiplied integer predicate: with w_j = p/q, chi_L*n > chi_j*k
+    and (chi_L - k)*q*n <= chi*k*p.  The scan window is padded by n*k + 1
+    beyond both true bounds (the slope threshold below, the weighted
+    ceiling (k*p*chi + k*q*n)/(q*n) above) so an off-by-one in the fast
+    range arithmetic surfaces as a disagreement instead of getting masked;
+    kept candidates never touch the window edges, which is checked.
+    Raises ValueError when w_j is outside (0, 1).
     """
     n = bundle.rank
     chis = [d + n * (1 - g) for g, d in zip(curve.genera, bundle.multidegree)]
     chi = sum(chis) - n * (curve.num_components - 1)
     chi_j = chis[j - 1]
-    w_j = w.weights[j - 1]
-    mu_bundle = Fraction(chi, n)
-    mu_j = Fraction(chi_j, n)
+    p, q = _weight_terms(w.weights[j - 1], j)
+    qn = q * n
     found = []
     for k in range(1, n):
-        ceiling = Fraction(k * w_j.numerator * chi, w_j.denominator * n) + k
-        lo = min((k * chi_j) // n, (ceiling.numerator // ceiling.denominator)) - n * k - 1
-        hi = max(
-            -((-k * chi_j) // n), -((-ceiling.numerator) // ceiling.denominator)
-        ) + n * k + 1
-        weighted_rank = k * w_j
+        top = k * (p * chi + qn)  # the weighted ceiling is top/qn
+        lo = min((k * chi_j) // n, top // qn) - n * k - 1
+        hi = max(-((-k * chi_j) // n), -((-top) // qn)) + n * k + 1
+        slope_bar = chi_j * k
+        twisted_bar = chi * k * p
         for chi_l in range(lo, hi + 1):
-            if not Fraction(chi_l, k) > mu_j:
-                continue
-            if not Fraction(chi_l - k) / weighted_rank <= mu_bundle:
+            if chi_l * n <= slope_bar or (chi_l - k) * qn > twisted_bar:
                 continue
             if not lo < chi_l < hi:
                 raise RuntimeError(f"padded window [{lo}, {hi}] clipped candidate {chi_l}")
@@ -248,7 +279,8 @@ def oracle_filtered_destabilizers(
     """Replay the divisibility filters over the brute-forced candidate list.
 
     Written independently of the classifier: the allowed euler values are
-    built as explicit sets and membership-tested.
+    built as explicit sets and membership-tested.  Raises ValueError when
+    w_j is outside (0, 1), as the enumeration does.
     """
     raw = oracle_destabilizer_enumeration(curve, bundle, w, j)
     return _replay_filters(curve, bundle, j, raw)
@@ -271,7 +303,8 @@ def _replay_filters(
                 continue
         elif chi_l % k == 0:
             q, r = divmod(chi_j, n)
-            if Fraction(chi_l, k) != Fraction(chi_j, n) + Fraction(n - r, n):
+            # chi_L/k must be chi_j/n + (n - r)/n, cross-multiplied.
+            if chi_l * n != (chi_j + n - r) * k:
                 continue
             if q + 1 != chi_l // k:
                 raise RuntimeError(f"pinned quotient {chi_l // k} is not chi_j // n + 1 = {q + 1}")
@@ -282,20 +315,25 @@ def _replay_filters(
 def oracle_simplest_rational(interval: IntervalQ, max_denominator: int) -> Fraction | None:
     """Scan denominators 1..max_denominator for the first admissible fraction.
 
-    For each denominator the smallest admissible numerator is tried; the
-    first hit is automatically in lowest terms and matches the
-    (denominator, numerator) ordering of the fast picker.
+    For each denominator the smallest admissible numerator is tried, both
+    endpoints compared by cross-multiplication; the first hit is
+    automatically in lowest terms and matches the (denominator, numerator)
+    ordering of the fast picker.
     """
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
     if interval.is_empty:
         return None
+    a, b = interval.lo.numerator, interval.lo.denominator
+    c, d = interval.hi.numerator, interval.hi.denominator
     for q in range(1, max_denominator + 1):
-        # Smallest p with p/q above (or at, when closed) the lower endpoint.
-        p = -((-interval.lo.numerator * q) // interval.lo.denominator)
-        if interval.lo_open and Fraction(p, q) == interval.lo:
+        # Smallest p with p/q above (or at, when closed) the lower endpoint a/b.
+        p = -((-a * q) // b)
+        if interval.lo_open and p * b == a * q:
             p += 1
-        if interval.contains(Fraction(p, q)):
+        above = p * b > a * q if interval.lo_open else p * b >= a * q
+        below = p * d < c * q if interval.hi_open else p * d <= c * q
+        if above and below:
             return Fraction(p, q)
     return None
 
@@ -328,13 +366,17 @@ class SelftestReport:
     def _stat(self, name: str) -> CheckStat:
         return self.checks.setdefault(name, CheckStat())
 
-    def record(self, name: str, ok: bool, detail: str = "") -> None:
+    def record(self, name: str, ok: bool, describe: Callable[[], str] | None = None) -> None:
+        """Count one check; the first disagreement is kept as ``name: describe()``.
+
+        ``describe`` builds the counterexample text, so it runs only then.
+        """
         stat = self._stat(name)
         stat.run += 1
         if ok:
             stat.agreed += 1
         elif self.first_failure is None:
-            self.first_failure = f"{name}: {detail}" if detail else name
+            self.first_failure = f"{name}: {describe()}" if describe else name
 
     @property
     def total_run(self) -> int:
@@ -372,17 +414,19 @@ def _usable_cpus() -> int:
 
 def _check_instances(report: SelftestReport, instances) -> None:
     for curve, bundle, w in instances:
-        where = _describe_instance(curve, bundle, w)
+
+        def where(suffix: str = "") -> str:
+            return _describe_instance(curve, bundle, w) + suffix
+
         report.record(
-            "necessary-equivalence",
-            oracle_necessary_equivalence(curve, bundle, w),
-            where,
+            "necessary-equivalence", oracle_necessary_equivalence(curve, bundle, w), where
         )
         chi = total_euler(curve, bundle)
         n = bundle.rank
         for j in range(1, curve.num_components):
-            if (w.weights[j - 1] * chi).denominator == 1:
-                continue
+            w_j = w.weights[j - 1]
+            if (w_j.numerator * chi) % w_j.denominator == 0:
+                continue  # w_j*chi is an integer
             if n >= 2:
                 raw_fast = [
                     (k, c)
@@ -390,20 +434,20 @@ def _check_instances(report: SelftestReport, instances) -> None:
                     for c in destabilizer_candidates(curve, bundle, w, j, k)
                 ]
                 raw_oracle = oracle_destabilizer_enumeration(curve, bundle, w, j)
-                report.record(
-                    "destabilizer-range", raw_fast == raw_oracle, f"{where} j={j}"
-                )
+
+                def at_tooth() -> str:
+                    return where(f" j={j}")
+
+                report.record("destabilizer-range", raw_fast == raw_oracle, at_tooth)
                 verdict = classify_restriction(curve, bundle, w, j)
                 filtered = _replay_filters(curve, bundle, j, raw_oracle)
                 if verdict.case.is_semistable:
-                    report.record(
-                        "classifier-consistency", not filtered, f"{where} j={j}"
-                    )
+                    report.record("classifier-consistency", not filtered, at_tooth)
                 else:
                     report.record(
                         "destabilizer-filter",
                         list(verdict.forced_destabilizers) == filtered,
-                        f"{where} j={j}",
+                        at_tooth,
                     )
         strict = feasible_region(curve, bundle, strict=True)
         closed = feasible_region(curve, bundle, strict=False)
@@ -420,7 +464,7 @@ def _check_instances(report: SelftestReport, instances) -> None:
                 fast = pick_simplest_rational(iv)
                 slow = oracle_simplest_rational(iv, fast.denominator)
                 report.record(
-                    "simplest-rational", slow == fast, f"{where} interval={iv.render()}"
+                    "simplest-rational", slow == fast, lambda: where(f" interval={iv.render()}")
                 )
         else:
             report.record("region-synthesis", w_built is None, where)
@@ -428,10 +472,13 @@ def _check_instances(report: SelftestReport, instances) -> None:
 
 def _check_pairs(report: SelftestReport, pairs) -> None:
     for curve, pair in pairs:
-        where = (
-            f"genera={list(curve.genera)} rank={pair.rank} sections={pair.sections} "
-            f"multidegree={list(pair.multidegree)} kernel_dims={list(pair.kernel_dims)}"
-        )
+
+        def where() -> str:
+            return (
+                f"genera={list(curve.genera)} rank={pair.rank} sections={pair.sections} "
+                f"multidegree={list(pair.multidegree)} kernel_dims={list(pair.kernel_dims)}"
+            )
+
         ok = not validate_pair(curve, pair)
         m = kernel_data(curve, pair)
         bundle_e = BundleData(rank=pair.rank, multidegree=pair.multidegree)

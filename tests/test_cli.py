@@ -527,6 +527,53 @@ class TestInputBoundary:
         assert code == 1
         assert out.count("upper FAILED") == num - 1
 
+    def test_kernel_listing_is_bounded(self, capsys, write_doc):
+        # Rank 1, sections 2: every tooth but the spine has a one-dimensional
+        # kernel and degree 2, so under --json each of the 3162 trivial
+        # kernel parts lists 3163 multirank entries, 10001406 in all.
+        num = 3163
+        doc = {
+            "curve": {"genera": [2] * num},
+            "pair": {
+                "rank": 1,
+                "sections": 2,
+                "multidegree": [2] * (num - 1) + [0],
+                "kernel_dims": [1] * (num - 1) + [0],
+            },
+        }
+        path = write_doc(doc)
+        code, out, err = run_cli(capsys, "kernel", path, "--json")
+        assert code == 2
+        assert out == ""
+        assert "would enumerate or list 10001406 entries, more than 10000000" in err
+        # The text report lists no multirank, so it stays under the bound.
+        code, out, _ = run_cli(capsys, "kernel", path)
+        assert code in (0, 1)
+        assert out.count("trivial kernel subbundle of rank 1") == num - 1
+
+    @pytest.mark.parametrize("command", ["analyze", "kernel"])
+    def test_maximum_document_json_is_refused_before_output(self, capsys, write_doc, command):
+        # 100000 components, the document limit; about one second each.
+        # analyze: rank 1, equal weights, every tooth fails its upper side.
+        # kernel: every third component has a kernel and positive degree.
+        num = 100_000
+        doc = {"curve": {"genera": [2] * num}}
+        if command == "analyze":
+            doc["bundle"] = {"rank": 1, "multidegree": [10] * (num - 1) + [0]}
+            doc["polarization"] = {"weights": [f"1/{num}"] * num}
+        else:
+            doc["pair"] = {
+                "rank": 2,
+                "sections": 5,
+                "multidegree": [5 + j % 7 for j in range(num)],
+                "kernel_dims": [int(j % 3 == 0) for j in range(num)],
+            }
+        code, out, err = run_cli(capsys, command, write_doc(doc), "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the report would enumerate or list ")
+        assert err.rstrip().endswith("entries, more than 10000000")
+
     @settings(max_examples=200, deadline=None)
     @given(raw=fuzzed_documents(), as_json=st.booleans())
     def test_exit_code_contract_on_arbitrary_input(self, fuzz_path, raw, as_json):

@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import math
 import os
 import signal
 import time
@@ -13,7 +15,7 @@ from combstab import (
     validate_polarization,
 )
 from combstab.cli import main
-from combstab.polarization import IntervalQ
+from combstab.polarization import IntervalQ, necessary_check
 from combstab import oracles
 from combstab.oracles import (
     InstanceBounds,
@@ -98,6 +100,153 @@ class TestDestabilizerOracle:
         assert oracle_filtered_destabilizers(c, b3, w, 1) == []
 
 
+# Definition-level reference: the slope predicates written as ``Fraction``
+# comparisons, one candidate at a time, as the oracles once decided them.
+
+
+def reference_sides(w_j, chi_j, chi, n):
+    """(lower violated, upper violated) of tooth j, slopes as quotients."""
+    mu_bundle = Fraction(chi, n)
+    lower = Fraction(chi - chi_j) / ((1 - w_j) * n) > mu_bundle
+    upper = Fraction(chi_j - n) / (w_j * n) > mu_bundle
+    return lower, upper
+
+
+def reference_enumeration(w_j, chi_j, chi, n):
+    """Every (k, chi_L) with chi_L/k > chi_j/n and (chi_L - k)/(k*w_j) <= chi/n."""
+    mu_j, mu_bundle = Fraction(chi_j, n), Fraction(chi, n)
+    found = []
+    for k in range(1, n):
+        # Below floor(k*chi_j/n) the first predicate fails, above the
+        # weighted ceiling k*w_j*chi/n + k the second; scan one beyond each.
+        weighted_rank = k * w_j
+        lo = math.floor(k * mu_j) - 1
+        hi = math.floor(weighted_rank * mu_bundle + k) + 1
+        for chi_l in range(lo, hi + 1):
+            if Fraction(chi_l, k) > mu_j and (chi_l - k) / weighted_rank <= mu_bundle:
+                found.append((k, chi_l))
+    return found
+
+
+def reference_filters(chi_j, n, raw):
+    """The divisibility filters with the pinned quotient tested as a ``Fraction``."""
+    kept = []
+    for k, chi_l in raw:
+        if chi_j % n == 0:
+            if chi_l not in {k * (chi_j // n) + a for a in range(1, k)} or chi_l % k == 0:
+                continue
+        elif chi_l % k == 0:
+            r = chi_j % n
+            if Fraction(chi_l, k) != Fraction(chi_j, n) + Fraction(n - r, n):
+                continue
+        kept.append((k, chi_l))
+    return kept
+
+
+def reference_simplest(interval, max_denominator):
+    """First p/q, q ascending then p ascending, that ``IntervalQ.contains``."""
+    if interval.is_empty:
+        return None
+    for q in range(1, max_denominator + 1):
+        p = math.ceil(interval.lo * q)
+        if interval.lo_open and Fraction(p, q) == interval.lo:
+            p += 1
+        if interval.contains(Fraction(p, q)):
+            return Fraction(p, q)
+    return None
+
+
+def small_weights(max_q=12):
+    return sorted({Fraction(p, q) for q in range(2, max_q + 1) for p in range(1, q)})
+
+
+def two_component_instance(n, chi_j, chi, w_j):
+    """A comb of two genus-0 components with chi_1 = chi_j, total euler chi, w_1 = w_j."""
+    curve = CombCurve((0, 0))
+    bundle = BundleData(n, (chi_j - n, chi - chi_j))
+    return curve, bundle, Polarization((w_j, 1 - w_j))
+
+
+class TestIntegerOraclesAgainstReference:
+    """Exhaustive over n in 2..4, chi_j and chi in [-12, 12], w_j = p/q with q <= 12."""
+
+    def test_sweep_sides_and_filters(self):
+        weights = small_weights()
+        compared = kept = 0
+        for n in range(2, 5):
+            for chi_j in range(-12, 13):
+                for chi in range(-12, 13):
+                    for w_j in weights:
+                        p, q = w_j.numerator, w_j.denominator
+                        assert oracles._violated_sides(p, q, chi_j, chi, n) == reference_sides(
+                            w_j, chi_j, chi, n
+                        )
+                        curve, bundle, w = two_component_instance(n, chi_j, chi, w_j)
+                        expected = reference_enumeration(w_j, chi_j, chi, n)
+                        raw = oracle_destabilizer_enumeration(curve, bundle, w, 1)
+                        assert raw == expected, (n, chi_j, chi, w_j)
+                        filtered = oracles._replay_filters(curve, bundle, 1, raw)
+                        assert filtered == reference_filters(chi_j, n, expected)
+                        compared += 1
+                        kept += len(filtered)
+        assert compared == 3 * 25 * 25 * len(weights)
+        assert kept > 0
+
+    def test_necessary_equivalence_on_every_instance(self):
+        # The fast check agrees with the reference sides on every instance,
+        # so the integer oracle must accept every instance.
+        for n in range(2, 5):
+            for chi_j in range(-12, 13, 3):
+                for chi in range(-12, 13):
+                    for w_j in small_weights():
+                        curve, bundle, w = two_component_instance(n, chi_j, chi, w_j)
+                        check = necessary_check(curve, bundle, w).components[0]
+                        lower, upper = reference_sides(w_j, chi_j, chi, n)
+                        assert (check.lower_ok, check.upper_ok) == (not lower, not upper)
+                        assert oracle_necessary_equivalence(curve, bundle, w)
+
+    def test_simplest_scan_on_every_endpoint_kind(self):
+        ends = sorted({Fraction(p, q) for q in range(1, 7) for p in range(-q, 2 * q + 1)})
+        scanned = 0
+        for lo in ends:
+            for hi in ends:
+                if hi < lo:
+                    continue
+                for lo_open in (False, True):
+                    for hi_open in (False, True):
+                        iv = IntervalQ(lo, hi, lo_open=lo_open, hi_open=hi_open)
+                        for max_den in (1, 5, 12):
+                            assert oracle_simplest_rational(iv, max_den) == reference_simplest(
+                                iv, max_den
+                            ), (iv, max_den)
+                            scanned += 1
+        assert scanned > 8000
+
+
+class TestWeightPrecondition:
+    """Cross-multiplying by a weight outside (0, 1) would flip or void a comparison."""
+
+    BAD = [Fraction(0), Fraction(1), Fraction(-1, 3), Fraction(4, 3), Fraction(7, 2)]
+
+    @pytest.mark.parametrize("w_1", BAD, ids=str)
+    def test_necessary_equivalence(self, w_1):
+        curve, bundle, w = two_component_instance(2, 3, 1, w_1)
+        with pytest.raises(ValueError, match="weight 1 is .* not strictly between 0 and 1"):
+            oracle_necessary_equivalence(curve, bundle, w)
+
+    @pytest.mark.parametrize("w_1", BAD, ids=str)
+    def test_destabilizer_enumeration(self, w_1):
+        curve, bundle, w = two_component_instance(3, -3, -5, w_1)
+        with pytest.raises(ValueError, match="weight 1 is .* not strictly between 0 and 1"):
+            oracle_destabilizer_enumeration(curve, bundle, w, 1)
+
+    @pytest.mark.parametrize("w_1", BAD, ids=str)
+    def test_filtered_destabilizers(self, w_1):
+        curve, bundle, w = two_component_instance(3, -3, -5, w_1)
+        with pytest.raises(ValueError, match="weight 1 is .* not strictly between 0 and 1"):
+            oracle_filtered_destabilizers(curve, bundle, w, 1)
+
+
 class TestSimplestOracle:
     def test_worked(self):
         assert oracle_simplest_rational(
@@ -151,6 +300,28 @@ class TestSelftest:
         assert report.first_failure is not None
         assert "destabilizer-range" in report.first_failure
         text = selftest_text(capsys, 13, 60)
+        assert "--seed 13" in text
+        assert "result: FAIL" in text
+
+    def test_necessary_fault_is_caught_with_replay_seed(self, capsys, monkeypatch):
+        # Flip the upper side of each instance's first tooth: the oracle
+        # decides that side on its own and must notice.
+        real = oracles.necessary_check
+
+        def flipped(curve, bundle, w):
+            verdict = real(curve, bundle, w)
+            first, *rest = verdict.components
+            first = dataclasses.replace(first, upper_ok=not first.upper_ok)
+            return dataclasses.replace(verdict, components=(first, *rest))
+
+        monkeypatch.setattr(oracles, "necessary_check", flipped)
+        report = run_selftest(InstanceBounds(seed=13), 60)
+        assert not report.passed
+        stat = report.checks["necessary-equivalence"]
+        assert stat.run == 60 and stat.agreed == 0
+        assert report.first_failure.startswith("necessary-equivalence: genera=")
+        text = selftest_text(capsys, 13, 60)
+        assert "first counterexample: necessary-equivalence: genera=" in text
         assert "--seed 13" in text
         assert "result: FAIL" in text
 
