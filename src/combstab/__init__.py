@@ -28,7 +28,6 @@ from .model import (
     Polarization,
     SubsheafProfile,
     ToothWitness,
-    component_euler,
     component_eulers,
     format_rational,
     parse_rational,
@@ -40,12 +39,10 @@ from .polarization import (
     FeasibleRegion,
     IntervalQ,
     NecessaryVerdict,
-    SufficiencyVerdict,
     canonical_witnesses,
     feasible_region,
     necessary_check,
     pick_simplest_rational,
-    sufficiency_verdict,
     synthesize_polarization,
 )
 from .restrictions import (
@@ -55,7 +52,6 @@ from .restrictions import (
     classify_rankn,
     classify_restriction,
     destabilizer_candidates,
-    divisibility_exclusion,
     euclidean_remainder,
     filtered_destabilizer_candidates,
 )
@@ -78,17 +74,14 @@ __all__ = [
     "StrongUnstabilityKind",
     "StrongUnstabilityVerdict",
     "SubsheafProfile",
-    "SufficiencyVerdict",
     "ToothWitness",
     "canonical_witnesses",
     "characterize",
     "classify_rank2",
     "classify_rankn",
     "classify_restriction",
-    "component_euler",
     "component_eulers",
     "destabilizer_candidates",
-    "divisibility_exclusion",
     "euclidean_remainder",
     "feasible_region",
     "filtered_destabilizer_candidates",
@@ -101,7 +94,6 @@ __all__ = [
     "restriction_unstable",
     "slope",
     "strong_unstability",
-    "sufficiency_verdict",
     "synthesize_polarization",
     "total_euler",
     "validate_pair",

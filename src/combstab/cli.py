@@ -44,6 +44,7 @@ from .oracles import InstanceBounds, run_selftest
 from .polarization import (
     ComponentCheck,
     IntervalQ,
+    _tooth_sides,
     feasible_region,
     necessary_check,
     synthesize_polarization,
@@ -302,17 +303,23 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     curve = doc.curve
     bundle = _require_bundle(doc)
     w = _resolve_polarization(args, doc)
-    verdict = necessary_check(curve, bundle, w)
     bundle_payload = _bundle_payload(curve, bundle)
     chis = bundle_payload["component_eulers"]
     chi = bundle_payload["euler"]
     n = bundle.rank
+    # Every failing tooth lists a witness; count them before any is built.
+    failing = 0
+    if args.json:
+        failing = sum(
+            not all(_tooth_sides(w_j, chi_j, chi, n)) for w_j, chi_j in zip(w.weights, chis[:-1])
+        )
     _refuse_long_listing(
         args,
         curve.num_components,
-        sum(c.witness is not None for c in verdict.components),
+        failing,
         _walk_length(n, chis, chi, w) + _pairs_beside_walk(n, chis, chi, w),
     )
+    verdict = necessary_check(curve, bundle, w)
 
     # The records themselves stand in the payload; _json_text writes them.
     classification = None

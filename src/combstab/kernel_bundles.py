@@ -21,7 +21,6 @@ from .model import (
     Polarization,
     ToothWitness,
     _check_int,
-    component_euler,
     total_euler,
 )
 from .polarization import synthesize_polarization
@@ -247,7 +246,7 @@ def _strong_unstability(curve: CombCurve, pair: GeneratedPairData) -> StrongUnst
         d = pair.multidegree[j - 1]
         if k == 0:
             continue
-        chi_j_m = component_euler(curve.genera[j - 1], m, -d)
+        chi_j_m = -d + m * (1 - curve.genera[j - 1])
         r = euclidean_remainder(chi_j_m, m)
         if r == 0 and d > 0:
             return StrongUnstabilityVerdict(

@@ -129,10 +129,6 @@ class Polarization:
         coerced = tuple(_as_fraction(w, f"weight {j}") for j, w in enumerate(self.weights, start=1))
         object.__setattr__(self, "weights", coerced)
 
-    @classmethod
-    def from_strings(cls, items: Iterable[str]) -> "Polarization":
-        return cls(tuple(parse_rational(s) for s in items))
-
 
 @dataclass(frozen=True, slots=True)
 class SubsheafProfile:
@@ -188,18 +184,6 @@ class ToothWitness:
         return off * (self.j - 1) + (self.on_tooth,) + off * (self.num_components - self.j)
 
 
-def component_euler(genus: int, rank: int, degree: int) -> int:
-    """Euler characteristic d + n(1 - g) of a rank-n, degree-d bundle on a genus-g curve."""
-    _check_int(genus, "genus")
-    _check_int(rank, "rank")
-    _check_int(degree, "degree")
-    if genus < 0:
-        raise ValueError(f"genus must be >= 0, got {genus}")
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
-    return degree + rank * (1 - genus)
-
-
 def _check_lengths(curve: CombCurve, values: Sequence[object], what: str) -> None:
     if len(values) != curve.num_components:
         raise ValueError(
@@ -219,13 +203,12 @@ def component_eulers(curve: CombCurve, bundle: BundleData) -> tuple[int, ...]:
 
 
 def _euler_numbers(curve: CombCurve, bundle: BundleData) -> tuple[tuple[int, ...], int]:
-    """(chi_j per component, chi) from a single pass over the components.
+    """(chi_j per component, chi): one pass over the components, chi in closed form.
 
     Public entry points derive these once per call and hand them to their
     private helpers.
     """
-    chis = component_eulers(curve, bundle)
-    return chis, sum(chis) - bundle.rank * (curve.num_components - 1)
+    return component_eulers(curve, bundle), _total_euler(curve, bundle)
 
 
 def total_euler(curve: CombCurve, bundle: BundleData) -> int:

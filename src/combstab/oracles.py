@@ -107,11 +107,6 @@ def _draw_instance(
     return curve, bundle, w
 
 
-def random_instance(bounds: InstanceBounds) -> tuple[CombCurve, BundleData, Polarization]:
-    """First instance of the stream for these bounds (deterministic in the seed)."""
-    return _draw_instance(random.Random(bounds.seed), bounds)
-
-
 def instance_stream(bounds: InstanceBounds, count: int):
     """Yield ``count`` reproducible (curve, bundle, polarization) triples."""
     rng = random.Random(bounds.seed)
@@ -145,11 +140,6 @@ def _draw_pair(rng: random.Random, bounds: InstanceBounds) -> tuple[CombCurve, G
         kernel_dims=tuple(kernel_dims),
     )
     return curve, pair
-
-
-def random_pair(bounds: InstanceBounds) -> tuple[CombCurve, GeneratedPairData]:
-    """First generated pair of the stream for these bounds; always passes validation."""
-    return _draw_pair(random.Random(bounds.seed), bounds)
 
 
 def pair_stream(bounds: InstanceBounds, count: int):

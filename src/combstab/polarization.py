@@ -17,14 +17,15 @@ cross-multiplications of numerators and denominators.
 ``Fraction`` holds the reported values (witness slopes, interval ends,
 picks), each built once from integers.  Every N-term sum (the weight sum,
 the slack, the pick totals) is the pairwise integer sum of
-:func:`~combstab.model._exact_sum`, reduced once at the end.  The interval
-ends and their clipping to (0, 1) stay ``Fraction`` arithmetic.
+:func:`~combstab.model._exact_sum`, reduced once at the end.  The slack is
+taken once, where the region decides feasibility, and synthesis re-picks
+from that same value.  The interval ends and their clipping to (0, 1) stay
+``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import NoReturn
 
@@ -53,10 +54,6 @@ class IntervalQ:
     hi: Fraction
     lo_open: bool = False
     hi_open: bool = False
-
-    @classmethod
-    def closed(cls, lo: Fraction, hi: Fraction) -> "IntervalQ":
-        return cls(lo, hi, lo_open=False, hi_open=False)
 
     @classmethod
     def open(cls, lo: Fraction, hi: Fraction) -> "IntervalQ":
@@ -239,19 +236,24 @@ def feasible_region(curve: CombCurve, bundle: BundleData, strict: bool = False) 
     1 - sum(lo_j) is positive.
     """
     chis, chi = _euler_numbers(curve, bundle)
-    return _region(chis, chi, bundle.rank, strict)
+    return _region(chis, chi, bundle.rank, strict)[0]
 
 
-def _region(chis: tuple[int, ...], chi: int, n: int, strict: bool) -> FeasibleRegion:
+def _region(
+    chis: tuple[int, ...], chi: int, n: int, strict: bool
+) -> tuple[FeasibleRegion, Fraction | None]:
+    """The region and its slack 1 - sum(lo_j), taken once.
+
+    The slack is the weight left for the spine with every tooth at its lower
+    end; it is None when some interval is empty.
+    """
     unit = IntervalQ.open(Fraction(0), Fraction(1))
     intervals = tuple(_tooth_interval(chi_j, chi, n, strict).intersect(unit) for chi_j in chis[:-1])
-    feasible = all(not iv.is_empty for iv in intervals) and _slack(intervals) > 0
-    return FeasibleRegion(intervals=intervals, feasible=feasible, strict=strict)
-
-
-def _slack(intervals: tuple[IntervalQ, ...]) -> Fraction:
-    """1 - sum(lo_j): the weight left for the spine with every tooth at its lower end."""
-    return 1 - _exact_sum(iv.lo for iv in intervals)
+    slack = None
+    if all(not iv.is_empty for iv in intervals):
+        slack = 1 - _exact_sum(iv.lo for iv in intervals)
+    feasible = slack is not None and slack > 0
+    return FeasibleRegion(intervals=intervals, feasible=feasible, strict=strict), slack
 
 
 def pick_simplest_rational(interval: IntervalQ) -> Fraction:
@@ -300,14 +302,13 @@ def synthesize_polarization(curve: CombCurve, bundle: BundleData) -> Polarizatio
     """
     n = bundle.rank
     chis, chi = _euler_numbers(curve, bundle)
-    region = _region(chis, chi, n, strict=True)
+    region, slack = _region(chis, chi, n, strict=True)
     if not region.feasible:
         return None
     intervals = region.intervals
     picks = [pick_simplest_rational(iv) for iv in intervals]
     total = _exact_sum(picks)
     if total >= 1:
-        slack = _slack(intervals)
         picks = [
             _repick(pick, iv.lo, slack.numerator, slack.denominator * len(intervals))
             for pick, iv in zip(picks, intervals)
@@ -332,29 +333,3 @@ def _repick(pick: Fraction, lo: Fraction, share_p: int, share_q: int) -> Fractio
     if pick.numerator * top_q < top_p * pick.denominator:
         return pick
     return Fraction(*kernels.simplest_between(a, b, top_p, top_q))
-
-
-class SufficiencyVerdict(Enum):
-    W_SEMISTABLE = "WSemistable"
-    UNKNOWN = "Unknown"
-
-
-def sufficiency_verdict(
-    curve: CombCurve,
-    bundle: BundleData,
-    w: Polarization,
-    components_semistable: tuple[bool, ...] | list[bool],
-) -> SufficiencyVerdict:
-    """Sufficiency only: semistable components plus the inequalities imply w-semistability.
-
-    Anything short of that yields UNKNOWN; this function never claims
-    instability.
-    """
-    flags = tuple(components_semistable)
-    if len(flags) != curve.num_components:
-        raise ValueError(
-            f"expected {curve.num_components} component flags, got {len(flags)}"
-        )
-    if all(flags) and necessary_check(curve, bundle, w).overall_pass:
-        return SufficiencyVerdict.W_SEMISTABLE
-    return SufficiencyVerdict.UNKNOWN

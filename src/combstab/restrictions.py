@@ -108,18 +108,6 @@ def _candidate_range(k: int, n: int, chi_j: int, chi: int, w_j: Fraction) -> ran
     return range(lo, hi + 1)
 
 
-def divisibility_exclusion(n: int, chi_j: int, k: int, chi_l: int) -> bool:
-    """True when the pair is excluded outright: n | chi_j and k | chi_L.
-
-    Under the subsheaf ceiling such a pair satisfies chi_L/k <= chi_j/n, so
-    it cannot destabilize; in particular line subbundles never destabilize
-    a restriction with n | chi_j.
-    """
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"destabilizer rank must be in 1..{n - 1}, got {k}")
-    return chi_j % n == 0 and chi_l % k == 0
-
-
 def filtered_destabilizer_candidates(
     curve: CombCurve, bundle: BundleData, w: Polarization, j: int
 ) -> tuple[tuple[int, int], ...]:

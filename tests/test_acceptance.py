@@ -114,7 +114,7 @@ def test_criterion_2_destabilizer_enumeration():
 def test_criterion_3_rank2_forced_destabilizer():
     curve = CombCurve((2, 2))
     bundle = BundleData(2, (1, 1))
-    w = Polarization.from_strings(["1/3", "2/3"])
+    w = Polarization(("1/3", "2/3"))
     verdict = classify_restriction(curve, bundle, w, 1)
     assert verdict.case is RestrictionCase.POSSIBLY_UNSTABLE
     assert verdict.forced_destabilizers == ((1, 0),)

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from combstab import cli
 from combstab.cli import _any_int_length, _json_text, main
 from combstab.documents import DocumentError, InstanceDocument, load_document, render_document
 from combstab.model import ToothWitness, format_rational
@@ -573,6 +574,23 @@ class TestInputBoundary:
         assert out == ""
         assert err.startswith("error: the report would enumerate or list ")
         assert err.rstrip().endswith("entries, more than 10000000")
+
+    def test_maximum_analyze_json_is_refused_before_the_check(self, capsys, write_doc, monkeypatch):
+        # The failing teeth are counted before necessary_check builds a witness.
+        def not_reached(*args):
+            raise AssertionError("necessary_check ran before the listing bound")
+
+        monkeypatch.setattr(cli, "necessary_check", not_reached)
+        num = 100_000
+        doc = {
+            "curve": {"genera": [2] * num},
+            "bundle": {"rank": 1, "multidegree": [10] * (num - 1) + [0]},
+            "polarization": {"weights": [f"1/{num}"] * num},
+        }
+        code, out, err = run_cli(capsys, "analyze", write_doc(doc), "--json")
+        assert code == 2
+        assert out == ""
+        assert "would enumerate or list 9999900000 entries, more than 10000000" in err
 
     @settings(max_examples=200, deadline=None)
     @given(raw=fuzzed_documents(), as_json=st.booleans())

@@ -8,7 +8,6 @@ from combstab import (
     CombCurve,
     Polarization,
     SubsheafProfile,
-    component_euler,
     component_eulers,
     format_rational,
     parse_rational,
@@ -19,25 +18,19 @@ from combstab import (
 from combstab.model import _exact_sum
 
 
-@pytest.mark.parametrize(
-    "genus,rank,degree,expected",
-    [
-        (2, 2, 1, -1),
-        (0, 1, 0, 1),   # structure sheaf of a rational curve
-        (1, 3, 0, 0),   # degree-0 bundle on a genus-1 curve
-        (3, 2, 7, 3),
-    ],
-)
-def test_component_euler(genus, rank, degree, expected):
-    assert component_euler(genus, rank, degree) == expected
-
-
 def test_total_euler_worked():
     curve = CombCurve((2, 2))
     assert component_eulers(curve, BundleData(2, (1, 1))) == (-1, -1)
     assert total_euler(curve, BundleData(2, (1, 1))) == -4
     assert component_eulers(curve, BundleData(2, (5, 1))) == (3, -1)
     assert total_euler(curve, BundleData(2, (5, 1))) == 0
+    # chi_j = d_j + n*(1 - g_j) on genus 2 and 3, 0 (O on a rational curve) and 1.
+    assert component_eulers(CombCurve((2, 3)), BundleData(2, (1, 7))) == (-1, 3)
+    assert total_euler(CombCurve((2, 3)), BundleData(2, (1, 7))) == 0
+    assert component_eulers(CombCurve((0, 0)), BundleData(1, (0, 0))) == (1, 1)
+    assert total_euler(CombCurve((0, 0)), BundleData(1, (0, 0))) == 1
+    assert component_eulers(CombCurve((1, 1)), BundleData(3, (0, 0))) == (0, 0)
+    assert total_euler(CombCurve((1, 1)), BundleData(3, (0, 0))) == -3
 
 
 def test_total_euler_length_mismatch():
@@ -116,7 +109,7 @@ def test_full_rank_slope_is_total_over_rank(cbw):
 
 
 def test_slope_worked():
-    w = Polarization.from_strings(["1/2", "1/2"])
+    w = Polarization(("1/2", "1/2"))
     assert slope(SubsheafProfile((2, 2), -4), w) == -2
     assert slope(SubsheafProfile((1, 2), 0), w) == 0
 
@@ -128,8 +121,8 @@ def test_slope_rejects_zero_weighted_rank():
 
 
 def test_validate_polarization():
-    assert validate_polarization(Polarization.from_strings(["1/2", "1/2"])) == []
-    bad_sum = validate_polarization(Polarization.from_strings(["1/2", "1/3"]))
+    assert validate_polarization(Polarization(("1/2", "1/2"))) == []
+    bad_sum = validate_polarization(Polarization(("1/2", "1/3")))
     assert bad_sum == ["weights sum to 5/6, not 1"]
     degenerate = validate_polarization(Polarization((Fraction(1), Fraction(0))))
     assert any("w_1" in v for v in degenerate)

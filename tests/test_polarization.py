@@ -12,14 +12,12 @@ from combstab import (
     GeneratedPairData,
     IntervalQ,
     Polarization,
-    SufficiencyVerdict,
     canonical_witnesses,
     feasible_region,
     necessary_check,
     pick_simplest_rational,
     restriction_unstable,
     slope,
-    sufficiency_verdict,
     synthesize_polarization,
     total_euler,
     validate_polarization,
@@ -30,7 +28,7 @@ from test_model import curve_bundle_polarization
 C22 = CombCurve((2, 2))
 B11 = BundleData(2, (1, 1))
 B51 = BundleData(2, (5, 1))
-W_HALF = Polarization.from_strings(["1/2", "1/2"])
+W_HALF = Polarization(("1/2", "1/2"))
 C000 = CombCurve((0, 0, 0))
 B_NARROW = BundleData(1, (-51, -51, 0))
 
@@ -83,7 +81,7 @@ class TestNecessaryCheck:
         assert check.witness is None and check.witness_slope is None
 
     def test_upper_failure_is_weight_independent_at_chi_zero(self):
-        for w in (W_HALF, Polarization.from_strings(["1/5", "4/5"])):
+        for w in (W_HALF, Polarization(("1/5", "4/5"))):
             verdict = necessary_check(C22, B51, w)
             assert not verdict.overall_pass
             (check,) = verdict.components
@@ -138,7 +136,7 @@ class TestNecessaryCheck:
     def test_nonpositive_weight_raises_like_slope(self, weights):
         # chis (3, -1), chi 0: the upper side fails at any weight, and the
         # twisted restriction has weighted multirank 2*w_1 <= 0.
-        w = Polarization.from_strings(weights)
+        w = Polarization(weights)
         restricted, _ = canonical_witnesses(C22, B51, 1)
         with pytest.raises(ValueError) as expected:
             slope(restricted, w)
@@ -151,7 +149,7 @@ class TestNecessaryCheck:
         # chis (1, 6), chi 6: w_1 >= 1 makes w_1*chi > chi_1, a lower failure
         # whose complement has weighted multirank w_2 <= 0.
         curve, bundle = CombCurve((0, 0)), BundleData(1, (0, 5))
-        w = Polarization.from_strings(weights)
+        w = Polarization(weights)
         _, complement = canonical_witnesses(curve, bundle, 1)
         with pytest.raises(ValueError) as expected:
             slope(complement, w)
@@ -302,11 +300,11 @@ class TestIntervalQ:
     def test_empty_flagging(self):
         assert IntervalQ.empty().is_empty
         assert IntervalQ.open(Fraction(1, 2), Fraction(1, 2)).is_empty
-        assert not IntervalQ.closed(Fraction(1, 2), Fraction(1, 2)).is_empty
+        assert not IntervalQ(Fraction(1, 2), Fraction(1, 2)).is_empty
         assert IntervalQ(Fraction(2), Fraction(1)).is_empty
 
     def test_render(self):
-        assert IntervalQ.closed(Fraction(1, 4), Fraction(3, 4)).render() == "[1/4, 3/4]"
+        assert IntervalQ(Fraction(1, 4), Fraction(3, 4)).render() == "[1/4, 3/4]"
         assert IntervalQ.open(Fraction(5, 19), Fraction(7, 19)).render() == "(5/19, 7/19)"
         assert IntervalQ.empty().render() == "(empty)"
 
@@ -325,16 +323,16 @@ class TestPickSimplestRational:
         assert pick_simplest_rational(IntervalQ.open(lo, hi)) == expected
 
     def test_closed_endpoint_wins(self):
-        iv = IntervalQ.closed(Fraction(1, 2), Fraction(3, 4))
+        iv = IntervalQ(Fraction(1, 2), Fraction(3, 4))
         assert pick_simplest_rational(iv) == Fraction(1, 2)
 
     def test_point_interval(self):
         assert pick_simplest_rational(
-            IntervalQ.closed(Fraction(3, 7), Fraction(3, 7))
+            IntervalQ(Fraction(3, 7), Fraction(3, 7))
         ) == Fraction(3, 7)
 
     def test_denominator_tie_breaks_to_smallest_numerator(self):
-        assert pick_simplest_rational(IntervalQ.closed(Fraction(0), Fraction(1))) == 0
+        assert pick_simplest_rational(IntervalQ(Fraction(0), Fraction(1))) == 0
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -414,19 +412,3 @@ class TestSynthesizePolarization:
         assert_strict_inequalities(curve, bundle, w)
         for j, iv in enumerate(strict.intervals, start=1):
             assert iv.contains(w.weights[j - 1])
-
-
-class TestSufficiencyVerdict:
-    def test_worked(self):
-        assert (
-            sufficiency_verdict(C22, B11, W_HALF, (True, True))
-            is SufficiencyVerdict.W_SEMISTABLE
-        )
-        assert (
-            sufficiency_verdict(C22, B11, W_HALF, (False, True))
-            is SufficiencyVerdict.UNKNOWN
-        )
-        assert (
-            sufficiency_verdict(C22, B51, W_HALF, (True, True))
-            is SufficiencyVerdict.UNKNOWN
-        )

@@ -13,7 +13,6 @@ from combstab import (
     classify_restriction,
     component_eulers,
     destabilizer_candidates,
-    divisibility_exclusion,
     euclidean_remainder,
     filtered_destabilizer_candidates,
     total_euler,
@@ -43,7 +42,7 @@ class TestEuclideanRemainder:
 
 class TestDestabilizerCandidates:
     def test_rank2_worked(self):
-        w = Polarization.from_strings(["1/3", "2/3"])
+        w = Polarization(("1/3", "2/3"))
         assert destabilizer_candidates(C22, B11, w, 1, 1) == [0]
 
     def test_rank3_worked(self):
@@ -51,12 +50,12 @@ class TestDestabilizerCandidates:
         bundle = BundleData(3, (-3, -5))  # chis (-6, -8), total -17
         assert component_eulers(curve, bundle) == (-6, -8)
         assert total_euler(curve, bundle) == -17
-        w = Polarization.from_strings(["2/5", "3/5"])
+        w = Polarization(("2/5", "3/5"))
         assert destabilizer_candidates(curve, bundle, w, 1, 2) == [-3]
         assert destabilizer_candidates(curve, bundle, w, 1, 1) == []
 
     def test_rank_bounds(self):
-        w = Polarization.from_strings(["1/3", "2/3"])
+        w = Polarization(("1/3", "2/3"))
         with pytest.raises(ValueError):
             destabilizer_candidates(C22, B11, w, 1, 2)
         with pytest.raises(ValueError):
@@ -64,25 +63,40 @@ class TestDestabilizerCandidates:
 
 
 class TestDivisibilityExclusion:
+    # The filters' divisibility rule on worked values: with n | chi_j a pair
+    # (k, chi_L) with k | chi_L is excluded outright; otherwise such a pair
+    # survives only at the pinned quotient chi_L/k = floor(chi_j/n) + 1.
+
+    @staticmethod
+    def raw_and_kept(chi_1):
+        # Rank 3 on genera (2, 2), spine degree 40, weights (1/2, 1/2).
+        bundle = BundleData(3, (chi_1 + 3, 40))
+        w = Polarization(("1/2", "1/2"))
+        raw = {(k, chi_l) for k in (1, 2) for chi_l in destabilizer_candidates(C22, bundle, w, 1, k)}
+        return raw, set(filtered_destabilizer_candidates(C22, bundle, w, 1))
+
     def test_worked(self):
-        assert divisibility_exclusion(3, -6, 1, 5) is True
-        assert divisibility_exclusion(3, -6, 2, -3) is False
-        assert divisibility_exclusion(3, -7, 1, -2) is False
+        raw, kept = self.raw_and_kept(-6)
+        assert (1, 5) in raw and (1, 5) not in kept
+        assert (2, -3) in kept
+        assert (1, -2) in self.raw_and_kept(-7)[1]
 
     def test_negative_euler_uses_euclidean_convention(self):
-        assert divisibility_exclusion(3, -9, 2, -4) is True
-        assert divisibility_exclusion(3, -8, 2, -4) is False
+        raw, kept = self.raw_and_kept(-9)
+        assert (2, -4) in raw and (2, -4) not in kept
+        # floor(-8/3) + 1 = -2 = -4/2; truncated division would pin -1.
+        assert (2, -4) in self.raw_and_kept(-8)[1]
 
 
 class TestClassifyRank2:
     def test_forced_destabilizer(self):
-        w = Polarization.from_strings(["1/3", "2/3"])
+        w = Polarization(("1/3", "2/3"))
         verdict = classify_rank2(C22, B11, w, 1)
         assert verdict.case is RestrictionCase.POSSIBLY_UNSTABLE
         assert verdict.forced_destabilizers == ((1, 0),)
 
     def test_integral_weight_chi_is_inconclusive(self):
-        w = Polarization.from_strings(["1/2", "1/2"])
+        w = Polarization(("1/2", "1/2"))
         verdict = classify_rank2(C22, B11, w, 1)
         assert verdict.case is RestrictionCase.INCONCLUSIVE_INTEGRAL_WCHI
         assert verdict.forced_destabilizers == ()
@@ -91,7 +105,7 @@ class TestClassifyRank2:
         # chis (-1, -3), total -6; w_1*chi = -3/2, window (-1/2, 1/2)... take
         # w so that chi_1 = -1 falls strictly inside (w_1*chi+1, w_1*chi+2).
         bundle = BundleData(2, (1, -1))
-        w = Polarization.from_strings(["2/5", "3/5"])
+        w = Polarization(("2/5", "3/5"))
         chi = total_euler(C22, bundle)
         assert w.weights[0] * chi + 1 < -1 < w.weights[0] * chi + 2
         verdict = classify_rank2(C22, bundle, w, 1)
@@ -99,14 +113,14 @@ class TestClassifyRank2:
 
     def test_even_euler_is_semistable(self):
         bundle = BundleData(2, (2, 3))  # chis (0, 1), total -1
-        w = Polarization.from_strings(["1/3", "2/3"])
+        w = Polarization(("1/3", "2/3"))
         assert (w.weights[0] * total_euler(C22, bundle)).denominator != 1
         verdict = classify_rank2(C22, bundle, w, 1)
         assert verdict.case is RestrictionCase.SEMISTABLE_BY_PARITY
 
     def test_requires_rank_two(self):
         with pytest.raises(ValueError):
-            classify_rank2(C22, BundleData(3, (1, 1)), Polarization.from_strings(["1/3", "2/3"]), 1)
+            classify_rank2(C22, BundleData(3, (1, 1)), Polarization(("1/3", "2/3")), 1)
 
 
 class TestClassifyRankN:
@@ -114,12 +128,12 @@ class TestClassifyRankN:
     BUNDLE = BundleData(3, (-3, -5))  # chis (-6, -8), total -17
 
     def test_window(self):
-        w = Polarization.from_strings(["1/2", "1/2"])
+        w = Polarization(("1/2", "1/2"))
         verdict = classify_rankn(self.CURVE, self.BUNDLE, w, 1)
         assert verdict.case is RestrictionCase.SEMISTABLE_BY_WINDOW
 
     def test_forced_list_excludes_line_subbundles(self):
-        w = Polarization.from_strings(["2/5", "3/5"])
+        w = Polarization(("2/5", "3/5"))
         verdict = classify_rankn(self.CURVE, self.BUNDLE, w, 1)
         assert verdict.case is RestrictionCase.POSSIBLY_UNSTABLE
         assert verdict.forced_destabilizers == ((2, -3),)
@@ -138,11 +152,11 @@ class TestClassifyRankN:
         curve = CombCurve((2, 2))
         bundle = BundleData(3, (-4, 0))
         assert component_eulers(curve, bundle) == (-7, -3)
-        w = Polarization.from_strings(["1/2", "1/2"])
+        w = Polarization(("1/2", "1/2"))
         verdict = classify_rankn(curve, bundle, w, 1)
         assert verdict.case is RestrictionCase.POSSIBLY_UNSTABLE
         assert verdict.forced_destabilizers == ((1, -2), (2, -4), (2, -3))
-        wider = Polarization.from_strings(["1/5", "4/5"])
+        wider = Polarization(("1/5", "4/5"))
         verdict = classify_rankn(curve, bundle, wider, 1)
         assert destabilizer_candidates(curve, bundle, wider, 1, 1) == [-2, -1, 0]
         assert destabilizer_candidates(curve, bundle, wider, 1, 2) == [-4, -3, -2, -1, 0]
@@ -152,14 +166,14 @@ class TestClassifyRankN:
         # 3 | chi_1 = 3, window fails, and the filters empty every rank.
         curve = CombCurve((2, 2))
         bundle = BundleData(3, (6, -2))  # chis (3, -5), total -5
-        w = Polarization.from_strings(["1/2", "1/2"])
+        w = Polarization(("1/2", "1/2"))
         verdict = classify_rankn(curve, bundle, w, 1)
         assert verdict.case is RestrictionCase.SEMISTABLE_BY_DIVISIBILITY
         assert filtered_destabilizer_candidates(curve, bundle, w, 1) == ()
 
     def test_semistable_verdicts_have_empty_filtered_sets(self):
         for w_str in (["1/2", "1/2"], ["3/7", "4/7"], ["2/5", "3/5"]):
-            w = Polarization.from_strings(w_str)
+            w = Polarization(w_str)
             verdict = classify_rankn(self.CURVE, self.BUNDLE, w, 1)
             if verdict.case.is_semistable:
                 assert filtered_destabilizer_candidates(self.CURVE, self.BUNDLE, w, 1) == ()
@@ -169,7 +183,7 @@ def test_filters_skip_huge_candidate_ranges():
     # chi_1 lies about 10^29 below w_1*chi, so each raw rank-k range is that
     # long; the survivors are the pinned line subbundle (n = 2) or the k - 1
     # eulers above k*chi_1/n (n | chi_1), and no range is walked.
-    w = Polarization.from_strings(["1/2", "1/2"])
+    w = Polarization(("1/2", "1/2"))
     assert filtered_destabilizer_candidates(C22, BundleData(2, (5, 10**30)), w, 1) == ((1, 2),)
     assert filtered_destabilizer_candidates(
         CombCurve((0, 0)), BundleData(4, (4, 10**30)), w, 1
@@ -177,9 +191,9 @@ def test_filters_skip_huge_candidate_ranges():
 
 
 def test_dispatch():
-    w = Polarization.from_strings(["1/3", "2/3"])
+    w = Polarization(("1/3", "2/3"))
     assert classify_restriction(C22, B11, w, 1).case is RestrictionCase.POSSIBLY_UNSTABLE
-    v = classify_restriction(CombCurve((2, 2)), BundleData(3, (-3, -5)), Polarization.from_strings(["1/2", "1/2"]), 1)
+    v = classify_restriction(CombCurve((2, 2)), BundleData(3, (-3, -5)), Polarization(("1/2", "1/2")), 1)
     assert v.case is RestrictionCase.SEMISTABLE_BY_WINDOW
     with pytest.raises(ValueError):
         classify_restriction(C22, BundleData(1, (1, 1)), w, 1)

@@ -1,11 +1,55 @@
 """Checks on the package source itself."""
 
 import ast
+import re
 from pathlib import Path
 
 import combstab
 
 PACKAGE = Path(combstab.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+PUBLIC = [
+    "BundleData",
+    "CharacterizationKind",
+    "CharacterizationReport",
+    "CombCurve",
+    "FeasibleRegion",
+    "GeneratedPairData",
+    "IntervalQ",
+    "NecessaryVerdict",
+    "PairAssumptions",
+    "Polarization",
+    "RestrictionCase",
+    "RestrictionVerdict",
+    "StrongUnstabilityKind",
+    "StrongUnstabilityVerdict",
+    "SubsheafProfile",
+    "ToothWitness",
+    "canonical_witnesses",
+    "characterize",
+    "classify_rank2",
+    "classify_rankn",
+    "classify_restriction",
+    "component_eulers",
+    "destabilizer_candidates",
+    "euclidean_remainder",
+    "feasible_region",
+    "filtered_destabilizer_candidates",
+    "format_rational",
+    "kernel_data",
+    "kernel_polarization",
+    "necessary_check",
+    "parse_rational",
+    "pick_simplest_rational",
+    "restriction_unstable",
+    "slope",
+    "strong_unstability",
+    "synthesize_polarization",
+    "total_euler",
+    "validate_pair",
+    "validate_polarization",
+]
 
 
 def test_no_assert_statements():
@@ -45,3 +89,15 @@ def test_oracles_stay_independent_of_the_fast_path():
         elif isinstance(node, ast.Attribute) and node.attr in reused:
             found.append(f"line {node.lineno}: uses {node.attr}")
     assert found == []
+
+
+def test_public_surface_is_pinned():
+    # Adding or dropping a public name is an API change: update this list with it.
+    assert sorted(combstab.__all__) == PUBLIC
+    assert [name for name in PUBLIC if not hasattr(combstab, name)] == []
+
+
+def test_readme_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    exec(compile(block.group(1), "README.md", "exec"), {})
