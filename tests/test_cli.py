@@ -104,8 +104,10 @@ def fuzzed_documents(draw):
     for _ in range(draw(st.integers(1, 3))):
         nodes = list(_paths(doc))
         leaves = [path for path, value in nodes if not isinstance(value, (dict, list))]
-        # Half the time a scalar, which keeps more of the documents valid.
-        path = draw(st.sampled_from(leaves) | st.sampled_from([path for path, _ in nodes]))
+        # Half the time a scalar, which keeps more of the documents valid. Earlier
+        # replacements by [] or {} can leave no scalar at all.
+        paths = st.sampled_from([path for path, _ in nodes])
+        path = draw(st.sampled_from(leaves) | paths if leaves else paths)
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
