@@ -51,8 +51,7 @@ from .polarization import (
 )
 from .restrictions import (
     RestrictionVerdict,
-    _pairs_beside_walk,
-    _walk_length,
+    _listing_length,
     classify_restriction,
 )
 
@@ -313,12 +312,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         failing = sum(
             not all(_tooth_sides(w_j, chi_j, chi, n)) for w_j, chi_j in zip(w.weights, chis[:-1])
         )
-    _refuse_long_listing(
-        args,
-        curve.num_components,
-        failing,
-        _walk_length(n, chis, chi, w) + _pairs_beside_walk(n, chis, chi, w),
-    )
+    _refuse_long_listing(args, curve.num_components, failing, _listing_length(n, chis, chi, w))
     verdict = necessary_check(curve, bundle, w)
 
     # The records themselves stand in the payload; _json_text writes them.
@@ -552,17 +546,7 @@ def _validate_text(payload: dict):
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    try:
-        bounds = InstanceBounds(
-            max_components=args.max_components,
-            max_genus=args.max_genus,
-            max_rank=args.max_rank,
-            degree_range=(args.degree_min, args.degree_max),
-            max_weight_denominator=args.max_weight_denominator,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    bounds = InstanceBounds(seed=args.seed)
     if args.count < 0:
         raise CliInputError("--count must be nonnegative")
     report = run_selftest(bounds, args.count)
@@ -636,12 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, with_file=False)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=10_000)
-    p.add_argument("--max-components", type=int, default=6)
-    p.add_argument("--max-genus", type=int, default=5)
-    p.add_argument("--max-rank", type=int, default=4)
-    p.add_argument("--degree-min", type=int, default=-20)
-    p.add_argument("--degree-max", type=int, default=20)
-    p.add_argument("--max-weight-denominator", type=int, default=64)
     p.set_defaults(func=cmd_selftest)
 
     return parser

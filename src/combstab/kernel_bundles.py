@@ -221,58 +221,45 @@ def _strong_unstability(curve: CombCurve, pair: GeneratedPairData) -> StrongUnst
             verdict=StrongUnstabilityKind.NOT_DETERMINED,
             reason="kernel bundle has rank 1; the unstability tests need rank >= 2",
         )
-    teeth = range(1, curve.num_components)
-    if m == 2:
-        for j in teeth:
-            if pair.kernel_dims[j - 1] > 0 and pair.multidegree[j - 1] > 0:
-                return StrongUnstabilityVerdict(
-                    verdict=StrongUnstabilityKind.STRONGLY_UNSTABLE,
-                    triggering_j=j,
-                    reason=(
-                        f"rank-2 kernel bundle with nonzero restriction kernel at tooth {j}: "
-                        f"a destabilizing line subbundle would force degree 1 on a globally "
-                        f"generated bundle, which is impossible"
-                    ),
-                )
-        return StrongUnstabilityVerdict(
-            verdict=StrongUnstabilityKind.NOT_DETERMINED,
-            reason=(
-                "every tooth with a nonzero kernel has degree 0, where the slope "
-                "comparison degenerates"
-            ),
-        )
-    for j in teeth:
+    for j in range(1, curve.num_components):
         k = pair.kernel_dims[j - 1]
         d = pair.multidegree[j - 1]
-        if k == 0:
+        if k == 0 or d == 0:
             continue
-        chi_j_m = -d + m * (1 - curve.genera[j - 1])
-        r = euclidean_remainder(chi_j_m, m)
-        if r == 0 and d > 0:
-            return StrongUnstabilityVerdict(
-                verdict=StrongUnstabilityKind.STRONGLY_UNSTABLE,
-                triggering_j=j,
-                reason=(
+        if m == 2:
+            reason = (
+                f"rank-2 kernel bundle with nonzero restriction kernel at tooth {j}: "
+                f"a destabilizing line subbundle would force degree 1 on a globally "
+                f"generated bundle, which is impossible"
+            )
+        else:
+            chi_j_m = -d + m * (1 - curve.genera[j - 1])
+            r = euclidean_remainder(chi_j_m, m)
+            if r == 0:
+                reason = (
                     f"divisibility contradiction at tooth {j}: m = {m} divides "
                     f"chi_{j}(M) = {chi_j_m}, which excludes the rank-{k} trivial kernel "
                     f"subbundle as a destabilizer under any polarization, yet it "
                     f"destabilizes the restriction"
-                ),
-            )
-        if r > 0 and d != m - r:
-            return StrongUnstabilityVerdict(
-                verdict=StrongUnstabilityKind.STRONGLY_UNSTABLE,
-                triggering_j=j,
-                reason=(
+                )
+            elif d != m - r:
+                reason = (
                     f"degree-remainder test at tooth {j}: d_{j} = {d} differs from "
                     f"m - r_{j} = {m - r} (m = {m}, chi_{j}(M) = {chi_j_m}, r_{j} = {r})"
-                ),
-            )
+                )
+            else:
+                continue
+        return StrongUnstabilityVerdict(
+            verdict=StrongUnstabilityKind.STRONGLY_UNSTABLE, triggering_j=j, reason=reason
+        )
     return StrongUnstabilityVerdict(
         verdict=StrongUnstabilityKind.NOT_DETERMINED,
         reason=(
-            "every tooth with a nonzero kernel has either d_j = m - r_j (the open gap "
-            "case) or the degenerate d_j = 0"
+            "every tooth with a nonzero kernel has degree 0, where the slope "
+            "comparison degenerates"
+            if m == 2
+            else "every tooth with a nonzero kernel has either d_j = m - r_j (the open "
+            "gap case) or the degenerate d_j = 0"
         ),
     )
 
@@ -351,35 +338,27 @@ def characterize(curve: CombCurve, pair: GeneratedPairData) -> CharacterizationR
             notes=tuple(notes),
         )
     su = _strong_unstability(curve, pair)
-    divides_all = m > 2 and all(d % m == 0 for d in pair.multidegree)
-    if divides_all:
-        trigger = next(
-            (
-                j
-                for j in range(1, curve.num_components)
-                if pair.kernel_dims[j - 1] > 0 and pair.multidegree[j - 1] > 0
-            ),
-            None,
-        )
-        if trigger is not None:
-            notes.append(
-                f"contradiction certificate: m = {m} divides every degree and every "
-                f"m*(1 - g_j), hence every restricted euler characteristic of the "
-                f"kernel bundle; a nonzero restriction kernel is then impossible for "
-                f"a polarization-semistable kernel bundle"
-            )
-            return CharacterizationReport(
-                verdict=CharacterizationKind.DIVISIBILITY_CONTRADICTION,
-                triggering_j=trigger,
-                notes=tuple(notes),
-            )
-    if su.verdict is StrongUnstabilityKind.STRONGLY_UNSTABLE:
+    if su.verdict is not StrongUnstabilityKind.STRONGLY_UNSTABLE:
         return CharacterizationReport(
-            verdict=CharacterizationKind.STRONGLY_UNSTABLE,
-            triggering_j=su.triggering_j,
+            verdict=CharacterizationKind.NOT_DETERMINED,
             notes=tuple(notes + [su.reason]),
         )
+    # When m divides every d_j it divides every chi_j(M), so the trigger is
+    # the first tooth with a nonzero kernel and a positive degree.
+    if m > 2 and all(d % m == 0 for d in pair.multidegree):
+        notes.append(
+            f"contradiction certificate: m = {m} divides every degree and every "
+            f"m*(1 - g_j), hence every restricted euler characteristic of the "
+            f"kernel bundle; a nonzero restriction kernel is then impossible for "
+            f"a polarization-semistable kernel bundle"
+        )
+        return CharacterizationReport(
+            verdict=CharacterizationKind.DIVISIBILITY_CONTRADICTION,
+            triggering_j=su.triggering_j,
+            notes=tuple(notes),
+        )
     return CharacterizationReport(
-        verdict=CharacterizationKind.NOT_DETERMINED,
+        verdict=CharacterizationKind.STRONGLY_UNSTABLE,
+        triggering_j=su.triggering_j,
         notes=tuple(notes + [su.reason]),
     )

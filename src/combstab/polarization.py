@@ -210,19 +210,25 @@ class FeasibleRegion:
     strict: bool
 
 
+# Every clipped end shares these immutable values.
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _tooth_interval(chi_j: int, chi: int, n: int, strict: bool) -> IntervalQ:
-    open_ends = strict
+    """The tooth's weight interval clipped to (0, 1); a clipped end is open."""
+    if chi == 0:
+        # The inequality no longer involves w_j at all.
+        ok = 0 < chi_j < n if strict else 0 <= chi_j <= n
+        return IntervalQ.open(_ZERO, _ONE) if ok else IntervalQ.empty()
+    lo, hi = Fraction(chi_j - n, chi), Fraction(chi_j, chi)
     if chi < 0:
-        lo = Fraction(chi_j, chi)
-        hi = Fraction(chi_j - n, chi)
-        return IntervalQ(lo, hi, lo_open=open_ends, hi_open=open_ends)
-    if chi > 0:
-        lo = Fraction(chi_j - n, chi)
-        hi = Fraction(chi_j, chi)
-        return IntervalQ(lo, hi, lo_open=open_ends, hi_open=open_ends)
-    # chi == 0: the inequality no longer involves w_j at all.
-    ok = 0 < chi_j < n if strict else 0 <= chi_j <= n
-    return IntervalQ.open(Fraction(0), Fraction(1)) if ok else IntervalQ.empty()
+        lo, hi = hi, lo
+    lo_open = hi_open = strict
+    if lo <= 0:
+        lo, lo_open = _ZERO, True
+    if hi >= 1:
+        hi, hi_open = _ONE, True
+    return IntervalQ(lo, hi, lo_open=lo_open, hi_open=hi_open)
 
 
 def feasible_region(curve: CombCurve, bundle: BundleData, strict: bool = False) -> FeasibleRegion:
@@ -247,8 +253,7 @@ def _region(
     The slack is the weight left for the spine with every tooth at its lower
     end; it is None when some interval is empty.
     """
-    unit = IntervalQ.open(Fraction(0), Fraction(1))
-    intervals = tuple(_tooth_interval(chi_j, chi, n, strict).intersect(unit) for chi_j in chis[:-1])
+    intervals = tuple(_tooth_interval(chi_j, chi, n, strict) for chi_j in chis[:-1])
     slack = None
     if all(not iv.is_empty for iv in intervals):
         slack = 1 - _exact_sum(iv.lo for iv in intervals)

@@ -141,36 +141,27 @@ def _filtered(n: int, chi_j: int, chi: int, w_j: Fraction) -> tuple[tuple[int, i
     return tuple(kept)
 
 
-def _walk_length(n: int, chis: Sequence[int], chi: int, w: Polarization) -> int:
-    """Candidates the classifiers enumerate one by one over all teeth.
-
-    Only ranks k >= 2 at a tooth with chi_j not a multiple of n and w_j*chi
-    not an integer are walked entry by entry; at least half of them are
-    listed.  Every other case takes O(n) steps.
-    """
-    total = 0
-    for w_j, chi_j in zip(w.weights, chis[:-1]):
-        if chi_j % n and not _integral_wchi(w_j, chi):
-            for k in range(2, n):
-                candidates = _candidate_range(k, n, chi_j, chi, w_j)
-                total += max(0, candidates.stop - candidates.start)
-    return total
-
-
-def _pairs_beside_walk(n: int, chis: Sequence[int], chi: int, w: Polarization) -> int:
-    """Bound on the (rank, euler) pairs the classifiers list outside the walk.
+def _listing_length(n: int, chis: Sequence[int], chi: int, w: Polarization) -> int:
+    """Bound on the entries the classifiers walk or list over all teeth.
 
     A tooth with w_j*chi an integer lists nothing.  Otherwise, with n | chi_j
-    each rank k keeps at most k - 1 pairs, at most n(n-1)/2 in all;
-    without it rank 1 keeps at most one pair and the ranks k >= 2 are the
-    walk that :func:`_walk_length` counts.
+    each rank k keeps at most k - 1 pairs, at most n(n-1)/2 in all; without
+    it rank 1 keeps at most one pair and the ranks k >= 2 are walked entry
+    by entry, at least half of them listed.
     """
     per_tooth = n * (n - 1) // 2
-    return sum(
-        per_tooth if chi_j % n == 0 else 1
-        for w_j, chi_j in zip(w.weights, chis[:-1])
-        if not _integral_wchi(w_j, chi)
-    )
+    total = 0
+    for w_j, chi_j in zip(w.weights, chis[:-1]):
+        if _integral_wchi(w_j, chi):
+            continue
+        if chi_j % n == 0:
+            total += per_tooth
+            continue
+        total += 1
+        for k in range(2, n):
+            candidates = _candidate_range(k, n, chi_j, chi, w_j)
+            total += max(0, candidates.stop - candidates.start)
+    return total
 
 
 def _inconclusive(j: int, w_j: Fraction, chi: int) -> RestrictionVerdict:

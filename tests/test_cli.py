@@ -636,10 +636,10 @@ class TestSelftest:
         assert code == 0
         assert "oracle agreements: 0/0" in out
 
-    def test_bad_bounds_exit_two(self, capsys):
-        code, _, err = run_cli(capsys, "selftest", "--count", "1", "--max-components", "1")
-        assert code == 2
-        assert "max_components" in err
+    def test_negative_count_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "selftest", "--count", "-1")
+        assert (code, out) == (2, "")
+        assert "--count must be nonnegative" in err
 
     def test_json_payload(self, capsys):
         code, out, _ = run_cli(capsys, "selftest", "--count", "25", "--seed", "3", "--json")

@@ -1,5 +1,7 @@
-import pytest
+import random
 from fractions import Fraction
+
+import pytest
 
 from combstab import (
     BundleData,
@@ -261,3 +263,101 @@ class TestCharacterize:
         pair = GeneratedPairData(1, 4, (2, 5), (1, 0))
         report = characterize(C23, pair)
         assert report.verdict is CharacterizationKind.NOT_DETERMINED
+
+
+def _longhand_strong_unstability(genera, pair):
+    """(kind, j) of strong unstability, written out from the statement.
+
+    Every tooth with a nonzero kernel and positive degree is tested and the
+    smallest trigger reported: m = 2 always triggers; m > 2 triggers when m
+    divides chi_j(M) = m*(1 - g_j) - d_j or when d_j differs from m - r_j.
+    """
+    m = pair.sections - pair.rank
+    if not any(pair.kernel_dims):
+        return StrongUnstabilityKind.NO_KERNEL_OBSTRUCTION, None
+    if m == 1:
+        return StrongUnstabilityKind.NOT_DETERMINED, None
+    triggers = []
+    teeth = zip(genera[:-1], pair.multidegree[:-1], pair.kernel_dims[:-1])
+    for j, (g, d, k) in enumerate(teeth, start=1):
+        if k == 0 or d <= 0:
+            continue
+        r = (m * (1 - g) - d) % m
+        if m == 2 or r == 0 or d != m - r:
+            triggers.append(j)
+    if triggers:
+        return StrongUnstabilityKind.STRONGLY_UNSTABLE, min(triggers)
+    return StrongUnstabilityKind.NOT_DETERMINED, None
+
+
+def _positive_degree_trigger(k: int, d: int) -> bool:
+    return k > 0 and d > 0
+
+
+def _longhand_characterize(genera, pair, trigger=_positive_degree_trigger):
+    """(kind, j, missing assumptions) of the characterization, written out.
+
+    ``trigger`` decides which tooth certifies a divisibility contradiction.
+    """
+    m = pair.sections - pair.rank
+    if not any(pair.kernel_dims):
+        needed = "general_linear_series" if pair.rank == 1 else "butler_conjecture"
+        if getattr(pair.assumptions, needed):
+            return CharacterizationKind.EXISTS_SEMISTABLE_POLARIZATION, None, ()
+        return CharacterizationKind.CONDITIONAL, None, (needed,)
+    if m > 2 and all(d % m == 0 for d in pair.multidegree):
+        teeth = zip(pair.kernel_dims[:-1], pair.multidegree[:-1])
+        certified = [j for j, (k, d) in enumerate(teeth, start=1) if trigger(k, d)]
+        if certified:
+            return CharacterizationKind.DIVISIBILITY_CONTRADICTION, certified[0], ()
+    kind, j = _longhand_strong_unstability(genera, pair)
+    if kind is StrongUnstabilityKind.STRONGLY_UNSTABLE:
+        return CharacterizationKind.STRONGLY_UNSTABLE, j, ()
+    return CharacterizationKind.NOT_DETERMINED, None, ()
+
+
+def _drawn_pairs(seed: int, count: int):
+    """Valid pairs over every flag combination; a third have every degree a multiple of m."""
+    rng = random.Random(seed)
+    for i in range(count):
+        num, n, m = rng.randint(2, 5), rng.randint(1, 3), rng.randint(1, 5)
+        genera = tuple(rng.randint(2, 4) for _ in range(num))
+        if rng.randrange(5) == 0:
+            kernel_dims = [0] * num
+        else:
+            kernel_dims = [rng.randint(1, m) if rng.randrange(2) else 0 for _ in range(num)]
+            if kernel_dims[-1] and not any(kernel_dims[:-1]):
+                kernel_dims[0] = 1
+        multiples = rng.randrange(3) == 0
+        degrees = []
+        for k in kernel_dims:
+            if rng.randrange(4) == 0:
+                degrees.append(0)
+            elif multiples:
+                degrees.append(m * max(rng.randint(1, 4), 2 if m == 1 else 1))
+            else:
+                floor = max(2, m - k)
+                degrees.append(rng.randint(floor, floor + 3 * m))
+        flags = PairAssumptions(*(bool(i >> bit & 1) for bit in range(3)))
+        yield genera, GeneratedPairData(n, n + m, tuple(degrees), tuple(kernel_dims), flags)
+
+
+def test_kernel_verdicts_match_the_longhand():
+    strong_kinds, characterizations, caught = set(), set(), 0
+    for genera, pair in _drawn_pairs(seed=13, count=2400):
+        curve = CombCurve(genera)
+        assert validate_pair(curve, pair) == []
+        su = strong_unstability(curve, pair)
+        assert (su.verdict, su.triggering_j) == _longhand_strong_unstability(genera, pair)
+        report = characterize(curve, pair)
+        got = (report.verdict, report.triggering_j, report.missing_assumptions)
+        expected = _longhand_characterize(genera, pair)
+        assert got == expected, (genera, pair)
+        mutant = _longhand_characterize(genera, pair, trigger=lambda k, d: k > 0)
+        caught += mutant != got
+        strong_kinds.add(su.verdict)
+        characterizations.add(report.verdict)
+    assert strong_kinds == set(StrongUnstabilityKind)
+    assert characterizations == set(CharacterizationKind)
+    # "First tooth with a kernel, whatever its degree" would be told apart.
+    assert caught > 0

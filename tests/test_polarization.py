@@ -295,6 +295,34 @@ class TestFeasibleRegion:
         for iv, check in zip(region.intervals, verdict.components):
             assert iv.contains(w.weights[check.j - 1]) == (check.lower_ok and check.upper_ok)
 
+    def test_clipping_matches_intersection_with_the_unit_interval(self):
+        # Two genus-0 components, so chi_1 = d_1 + n and chi = d_1 + d_2 + n
+        # are set directly.  Each interval is solved from the inequality
+        # unclipped, then intersected with the open (0, 1).
+        curve = CombCurve((0, 0))
+        unit = IntervalQ.open(Fraction(0), Fraction(1))
+        ends_on_edges = set()
+        for n in range(1, 5):
+            for chi in range(-12, 13):
+                for chi_1 in range(-12, 13):
+                    bundle = BundleData(n, (chi_1 - n, chi - chi_1))
+                    for strict in (False, True):
+                        if chi == 0:
+                            ok = 0 < chi_1 < n if strict else 0 <= chi_1 <= n
+                            raw = unit if ok else IntervalQ.empty()
+                        else:
+                            lo, hi = sorted((Fraction(chi_1, chi), Fraction(chi_1 - n, chi)))
+                            raw = IntervalQ(lo, hi, lo_open=strict, hi_open=strict)
+                            if lo == 0:
+                                ends_on_edges.add(("lo", strict))
+                            if hi == 1:
+                                ends_on_edges.add(("hi", strict))
+                        expected = raw.intersect(unit)
+                        region = feasible_region(curve, bundle, strict=strict)
+                        assert region.intervals == (expected,), (n, chi, chi_1, strict)
+                        assert region.feasible == (not expected.is_empty and expected.lo < 1)
+        assert ends_on_edges == {(end, strict) for end in ("lo", "hi") for strict in (False, True)}
+
 
 class TestIntervalQ:
     def test_empty_flagging(self):

@@ -18,7 +18,7 @@ from combstab import (
     total_euler,
 )
 from combstab.oracles import oracle_filtered_destabilizers
-from combstab.restrictions import _walk_length
+from combstab.restrictions import _listing_length
 
 C22 = CombCurve((2, 2))
 B11 = BundleData(2, (1, 1))
@@ -244,12 +244,22 @@ def test_classifier_matches_fraction_longhand_on_a_grid():
                     offset = chi_1 - w_1 * chi
                     if offset in (window, window + 1):
                         edges.add((n, offset - window))
-                    longhand_walk = 0
-                    if chi_1 % n and (w_1 * chi).denominator != 1:
-                        longhand_walk = sum(
-                            len(destabilizer_candidates(curve, bundle, w, 1, k)) for k in range(2, n)
-                        )
-                    assert _walk_length(n, (chi_1, chi - chi_1 + n), chi, w) == longhand_walk
+                    # The listing bound: ranks k >= 2 walked entry by entry
+                    # when n does not divide chi_1, plus the pairs listed
+                    # beside that walk (one for rank 1, else n(n-1)/2).
+                    longhand_walk = longhand_pairs = 0
+                    if (w_1 * chi).denominator != 1:
+                        if chi_1 % n:
+                            longhand_walk = sum(
+                                len(destabilizer_candidates(curve, bundle, w, 1, k))
+                                for k in range(2, n)
+                            )
+                            longhand_pairs = 1
+                        else:
+                            longhand_pairs = n * (n - 1) // 2
+                    listing = _listing_length(n, (chi_1, chi - chi_1 + n), chi, w)
+                    assert listing == longhand_walk + longhand_pairs
+                    assert listing >= len(verdict.forced_destabilizers)
     assert edges == {(n, e) for n in (2, 3, 4) for e in (0, 1)}
     # chi = 0 makes w_1*chi integral, so every other case needs chi != 0.
     reachable = {
