@@ -18,6 +18,7 @@ import functools
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 
 from .documents import DocumentError, InstanceDocument, load_document, render_document
 from .kernel_bundles import (
@@ -352,13 +353,16 @@ def _analyze_text(payload: dict):
     mu = format_rational(Fraction(chi, n))
     for check in payload["necessary"]["components"]:
         j = check.j
-        wchi = weights[j - 1] * chi
+        w_j = weights[j - 1]
+        # w_j*chi = top/q in lowest terms after one gcd; top/q + n = (top + n*q)/q
+        # stays in lowest terms.
+        top, q = w_j.numerator * chi, w_j.denominator
+        g = gcd(top, q)
+        top, q = top // g, q // g
+        wchi, wchi_n = (str(top), str(top + n)) if q == 1 else (f"{top}/{q}", f"{top + n * q}/{q}")
         sides = (("lower", check.lower_ok), ("upper", check.upper_ok))
         failed = [f"{side} FAILED" for side, ok in sides if not ok]
-        line = (
-            f"  j={j}: {format_rational(wchi)} <= {chis[j - 1]} <= "
-            f"{format_rational(wchi + n)} : {', '.join(failed) or 'ok'}"
-        )
+        line = f"  j={j}: {wchi} <= {chis[j - 1]} <= {wchi_n} : {', '.join(failed) or 'ok'}"
         if check.witness is not None:
             slope_text = format_rational(check.witness_slope)
             line += f"; witness {check.witness.label} with slope {slope_text} > {mu} (= chi/n)"

@@ -4,15 +4,18 @@ Every fast routine in the package has a desk-scale counterpart here that
 recomputes the same answer from definitions: each slope comparison is a
 cross-multiplied integer predicate, destabilizer windows are swept integer
 by integer with deliberate padding, simplest rationals are found by
-scanning denominators.  ``Fraction`` appears only where a reported value
-(a witness slope, a picked weight, a weight sum) is compared.  The oracles
+scanning denominators.  Reported values are compared on integers too: a
+witness slope is cross-multiplied with the weighted multirank, summed entry
+by entry as an unreduced numerator and denominator, and a polarization's
+weights are added one by one the same way.  ``Fraction`` appears only in the
+generated weights and in the scanned simplest rational.  The oracles
 stay independent of the fast path: they test every candidate one by one
 where the fast path computes closed-form floor-division ranges, and they
 import none of its private helpers and nothing from ``kernels``, so a
-shared mistake cannot make both sides agree.  Weights are cross-multiplied
-only inside (0, 1), where the multiplier is positive; anything else is a
-ValueError.  Agreement is exact or it is a failure; there are no
-tolerances anywhere.
+shared mistake cannot make both sides agree.  Inequalities are
+cross-multiplied by a tooth weight only inside (0, 1), where the multiplier
+is positive; anything else is a ValueError.  Agreement is exact or it is a
+failure; there are no tolerances anywhere.
 
 The selftest sweeps each checked tooth's padded window once: the one raw
 candidate list is compared with the fast range and then replayed through
@@ -21,17 +24,17 @@ the divisibility filters.
 The selftest cuts its count into contiguous instance ranges, one per CPU the
 process may use and at least ``_MIN_RANGE`` instances each.  The calling
 process checks the first range; forked children check the others, each
-regenerating the seeded streams up to its start, and send back agreement
-counts and first failures as builtins.  Merging runs in range order,
-instance phase before pair phase, so the report, and the CLI text and JSON
-rendered from it, are the same on any number of CPUs.  Without ``os.fork``,
-or with other threads running, every range runs in the calling process.
+drawing the seeded streams' raw values up to its start without building a
+record from them, and send back agreement counts and first failures as
+builtins.  Merging runs in range order, instance phase before pair phase,
+so the report, and the CLI text and JSON rendered from it, are the same on
+any number of CPUs.  Without ``os.fork``, or with other threads running,
+every range runs in the calling process.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import marshal
 import os
 import random
@@ -85,38 +88,44 @@ class InstanceBounds:
             )
 
 
-def _draw_polarization(rng: random.Random, num_components: int, max_den: int) -> Polarization:
+def _draw_instance(rng: random.Random, bounds: InstanceBounds) -> tuple:
+    """The raw draws of one instance: genera, rank, degrees, weight denominator, cuts."""
+    num = rng.randint(2, bounds.max_components)
+    genera = tuple(rng.randint(0, bounds.max_genus) for _ in range(num))
+    rank = rng.randint(1, bounds.max_rank)
+    degrees = tuple(rng.randint(*bounds.degree_range) for _ in range(num))
+    den = rng.randint(num, bounds.max_weight_denominator)
+    cuts = rng.sample(range(1, den), num - 1)
+    return genera, rank, degrees, den, cuts
+
+
+def _build_instance(
+    genera: tuple[int, ...], rank: int, degrees: tuple[int, ...], den: int, cuts: list[int]
+) -> tuple[CombCurve, BundleData, Polarization]:
     # N positive integer parts of a common denominator D give exact weights
     # a_j/D in (0, 1) summing to 1, with reduced denominators dividing D.
-    den = rng.randint(num_components, max_den)
-    cuts = sorted(rng.sample(range(1, den), num_components - 1))
+    cuts = sorted(cuts)
     parts = [b - a for a, b in zip([0] + cuts, cuts + [den])]
-    return Polarization(tuple(Fraction(a, den) for a in parts))
+    w = Polarization(tuple(Fraction(a, den) for a in parts))
+    return CombCurve(genera), BundleData(rank=rank, multidegree=degrees), w
 
 
-def _draw_instance(
-    rng: random.Random, bounds: InstanceBounds
-) -> tuple[CombCurve, BundleData, Polarization]:
-    num = rng.randint(2, bounds.max_components)
-    curve = CombCurve(tuple(rng.randint(0, bounds.max_genus) for _ in range(num)))
-    bundle = BundleData(
-        rank=rng.randint(1, bounds.max_rank),
-        multidegree=tuple(rng.randint(*bounds.degree_range) for _ in range(num)),
-    )
-    w = _draw_polarization(rng, num, bounds.max_weight_denominator)
-    return curve, bundle, w
+def instance_stream(bounds: InstanceBounds, count: int, start: int = 0):
+    """Yield instances ``start..count-1`` of a reproducible (curve, bundle, polarization) stream.
 
-
-def instance_stream(bounds: InstanceBounds, count: int):
-    """Yield ``count`` reproducible (curve, bundle, polarization) triples."""
+    The draws before ``start`` consume the generator as always but build nothing.
+    """
     rng = random.Random(bounds.seed)
-    for _ in range(count):
-        yield _draw_instance(rng, bounds)
+    for i in range(count):
+        raw = _draw_instance(rng, bounds)
+        if i >= start:
+            yield _build_instance(*raw)
 
 
-def _draw_pair(rng: random.Random, bounds: InstanceBounds) -> tuple[CombCurve, GeneratedPairData]:
+def _draw_pair(rng: random.Random, bounds: InstanceBounds) -> tuple:
+    """The raw draws of one valid pair: genera, rank, sections, degrees, kernel dimensions."""
     num = rng.randint(2, bounds.max_components)
-    curve = CombCurve(tuple(rng.randint(2, max(2, bounds.max_genus)) for _ in range(num)))
+    genera = tuple(rng.randint(2, max(2, bounds.max_genus)) for _ in range(num))
     n = rng.randint(1, bounds.max_rank)
     l = n + rng.randint(1, bounds.max_rank + 1)
     kernel_dims = [0] * num
@@ -133,20 +142,31 @@ def _draw_pair(rng: random.Random, bounds: InstanceBounds) -> tuple[CombCurve, G
         else:
             floor = max(2, (l - kernel_dims[j]) - n)
             degrees.append(rng.randint(floor, floor + degree_cap))
+    return genera, n, l, degrees, kernel_dims
+
+
+def _build_pair(
+    genera: tuple[int, ...], n: int, l: int, degrees: list[int], kernel_dims: list[int]
+) -> tuple[CombCurve, GeneratedPairData]:
     pair = GeneratedPairData(
         rank=n,
         sections=l,
         multidegree=tuple(degrees),
         kernel_dims=tuple(kernel_dims),
     )
-    return curve, pair
+    return CombCurve(genera), pair
 
 
-def pair_stream(bounds: InstanceBounds, count: int):
-    """Yield ``count`` reproducible valid (curve, pair) instances."""
+def pair_stream(bounds: InstanceBounds, count: int, start: int = 0):
+    """Yield pairs ``start..count-1`` of a reproducible valid (curve, pair) stream.
+
+    The draws before ``start`` consume the generator as always but build nothing.
+    """
     rng = random.Random(bounds.seed)
-    for _ in range(count):
-        yield _draw_pair(rng, bounds)
+    for i in range(count):
+        raw = _draw_pair(rng, bounds)
+        if i >= start:
+            yield _build_pair(*raw)
 
 
 def _weight_terms(w_j: Fraction, j: int) -> tuple[int, int]:
@@ -184,8 +204,8 @@ def oracle_necessary_equivalence(curve: CombCurve, bundle: BundleData, w: Polari
     a lower failure, else the twisted restriction, none on a pass) must
     match its rebuilt profile in label, multirank and euler, and its slope,
     a reported value, must equal the euler over the weighted multirank
-    summed entry by entry as ``Fraction``s.  Raises ValueError on a tooth
-    weight outside (0, 1).
+    summed entry by entry on integers (:func:`_slope_matches`).  Raises
+    ValueError on a tooth weight outside (0, 1).
     """
     n = bundle.rank
     num = curve.num_components
@@ -218,12 +238,27 @@ def oracle_necessary_equivalence(curve: CombCurve, bundle: BundleData, w: Polari
             return False
         if list(witness.multirank) != multirank or witness.euler != euler:
             return False
-        weighted = Fraction(0)
-        for w_i, r_i in zip(w.weights, multirank):
-            weighted += w_i * r_i
-        if check.witness_slope != Fraction(euler) / weighted:
+        if not _slope_matches(check.witness_slope, euler, w.weights, multirank):
             return False
     return True
+
+
+def _slope_matches(
+    slope: Fraction | None, euler: int, weights: tuple[Fraction, ...], multirank: list[int]
+) -> bool:
+    """Whether a reported slope equals euler over the weighted multirank.
+
+    The weighted multirank is summed entry by entry as the unreduced integer
+    fraction top/bottom, bottom > 0; slope == euler*bottom/top is then one
+    cross-multiplication.  A nonpositive top or a missing slope disagrees.
+    """
+    top, bottom = 0, 1
+    for w_i, r_i in zip(weights, multirank):
+        q_i = w_i.denominator
+        top, bottom = top * q_i + r_i * w_i.numerator * bottom, bottom * q_i
+    if top <= 0 or slope is None:
+        return False
+    return slope.numerator * top == euler * bottom * slope.denominator
 
 
 def oracle_destabilizer_enumeration(
@@ -329,13 +364,18 @@ def oracle_simplest_rational(interval: IntervalQ, max_denominator: int) -> Fract
 
 
 def _valid_longhand(w: Polarization) -> bool:
-    """Each weight strictly between 0 and 1, and the weights, added one by one, sum to 1."""
-    total = Fraction(0)
+    """Each weight strictly between 0 and 1, and the weights, added one by one, sum to 1.
+
+    With w_j = p/q in lowest terms the bounds read 0 < p < q.  The running
+    sum is kept as the unreduced top/bottom, which equals 1 when top == bottom.
+    """
+    top, bottom = 0, 1
     for w_j in w.weights:
-        if not Fraction(0) < w_j < Fraction(1):
+        p, q = w_j.numerator, w_j.denominator
+        if not 0 < p < q:
             return False
-        total += w_j
-    return total == Fraction(1)
+        top, bottom = top * q + p * bottom, bottom * q
+    return top == bottom
 
 
 @dataclass
@@ -493,7 +533,7 @@ def _run_range(bounds: InstanceBounds, start: int, stop: int) -> list:
     phases = []
     for check, stream in ((_check_instances, instance_stream), (_check_pairs, pair_stream)):
         part = SelftestReport(seed=bounds.seed, count=stop - start)
-        check(part, itertools.islice(stream(bounds, stop), start, None))
+        check(part, stream(bounds, stop, start))
         stats = [(name, stat.run, stat.agreed) for name, stat in part.checks.items()]
         phases.append((stats, part.first_failure))
     return phases

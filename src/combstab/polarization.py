@@ -38,7 +38,6 @@ from .model import (
     _euler_numbers,
     _exact_sum,
     format_rational,
-    validate_polarization,
 )
 
 
@@ -319,8 +318,11 @@ def synthesize_polarization(curve: CombCurve, bundle: BundleData) -> Polarizatio
             for pick, iv in zip(picks, intervals)
         ]
         total = _exact_sum(picks)
+    # Picks and their total in (0, 1) leave the spine weight 1 - total in
+    # (0, 1) as well, and the weights sum to 1 by construction.
+    in_unit = all(0 < x.numerator < x.denominator for x in (*picks, total))
     w = Polarization(tuple(picks) + (1 - total,))
-    if validate_polarization(w) or not _strict_inequalities_hold(chis, chi, n, w):
+    if not in_unit or not _strict_inequalities_hold(chis, chi, n, w):
         raise RuntimeError("synthesized polarization violates the strict inequalities")
     return w
 

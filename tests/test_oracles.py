@@ -1,7 +1,9 @@
 import contextlib
 import dataclasses
+import itertools
 import math
 import os
+import random
 import signal
 import time
 from fractions import Fraction
@@ -71,6 +73,26 @@ class TestGenerators:
         for curve, pair in pair_stream(InstanceBounds(seed=8), 200):
             assert validate_pair(curve, pair) == []
             assert all(g >= 2 for g in curve.genera)
+
+    @pytest.mark.parametrize(
+        "stream, build", [(instance_stream, "_build_instance"), (pair_stream, "_build_pair")]
+    )
+    def test_start_skips_the_prefix_without_building_it(self, monkeypatch, stream, build):
+        # A forked range draws the records before its start but builds only its own.
+        bounds, count = InstanceBounds(seed=20260808), 2 * oracles._MIN_RANGE + 1
+        real = getattr(oracles, build)
+        built = []
+
+        def counting(*raw):
+            built.append(raw)
+            return real(*raw)
+
+        monkeypatch.setattr(oracles, build, counting)
+        for start in (0, 1, oracles._MIN_RANGE - 1, oracles._MIN_RANGE, count):
+            built.clear()
+            part = list(stream(bounds, count, start))
+            assert len(built) == count - start
+            assert part == list(itertools.islice(stream(bounds, count), start, None))
 
 
 class TestNecessaryEquivalence:
@@ -221,6 +243,94 @@ class TestIntegerOraclesAgainstReference:
         assert scanned > 8000
 
 
+def reference_slope_matches(slope, euler, weights, multirank):
+    """The reported slope against euler over the weighted multirank, summed as ``Fraction``s."""
+    weighted = Fraction(0)
+    for w_i, r_i in zip(weights, multirank):
+        weighted += w_i * r_i
+    return slope is not None and weighted > 0 and slope == Fraction(euler) / weighted
+
+
+def reference_valid(weights):
+    """Each weight in (0, 1) and the ``Fraction`` sum, added one by one, exactly 1."""
+    total = Fraction(0)
+    for w_j in weights:
+        if not Fraction(0) < w_j < Fraction(1):
+            return False
+        total += w_j
+    return total == Fraction(1)
+
+
+class TestIntegerLonghandAgainstFraction:
+    """The integer slope comparison and weight sum against their ``Fraction`` longhand."""
+
+    def test_slope_on_drawn_witnesses(self):
+        rng = random.Random(3)
+        compared = matched = 0
+        for curve, bundle, w in instance_stream(InstanceBounds(seed=17), 300):
+            num, n = curve.num_components, bundle.rank
+            # Off the simplex too: a spine weight in [-1, 1], often 0 or less.
+            spine = Fraction(rng.randint(-8, 8), 8)
+            for weights in (w.weights, w.weights[:-1] + (spine,)):
+                for j in range(1, num):
+                    complement = [0 if i == j else n for i in range(1, num + 1)]
+                    restricted = [n if i == j else 0 for i in range(1, num + 1)]
+                    for multirank in (complement, restricted):
+                        euler = rng.randint(-30, 30)
+                        weighted = sum((w_i * r_i for w_i, r_i in zip(weights, multirank)), Fraction(0))
+                        true = Fraction(euler) / weighted if weighted else Fraction(euler)
+                        for slope in (true, true + Fraction(1, 10**30), -true, true / 2, None):
+                            ok = oracles._slope_matches(slope, euler, weights, multirank)
+                            assert ok == reference_slope_matches(slope, euler, weights, multirank)
+                            compared += 1
+                            matched += ok
+        assert 0 < matched < compared
+
+    @pytest.mark.parametrize(
+        "weights, multirank, euler, slope",
+        [
+            (("1/2", "1/2"), [0, 2], 3, Fraction(3)),
+            (("1/2", "0"), [0, 2], 3, Fraction(3)),
+            (("1/2", "0"), [0, 2], 0, Fraction(0)),
+            (("1/2", "-1/2"), [0, 2], 3, Fraction(-3)),
+            (("1/3", "2/3"), [2, 0], 0, Fraction(0)),
+            (("1/3", "2/3"), [2, 0], 5, None),
+        ],
+    )
+    def test_slope_edge_cases(self, weights, multirank, euler, slope):
+        # A spine weight of 0 or less gives a nonpositive weighted multirank,
+        # and a missing slope never matches.
+        weights = Polarization(weights).weights
+        expected = reference_slope_matches(slope, euler, weights, multirank)
+        assert oracles._slope_matches(slope, euler, weights, multirank) == expected
+
+    def test_valid_longhand_on_drawn_weights(self):
+        for _, _, w in instance_stream(InstanceBounds(seed=19), 300):
+            *teeth, spine = w.weights
+            off = Fraction(1, spine.denominator)
+            for weights in (w.weights, (*teeth, spine + off), (*teeth, spine - off)):
+                assert oracles._valid_longhand(Polarization(weights)) == reference_valid(weights)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            ("1/2", "1/2"),
+            ("1/3", "1/3", "1/3"),
+            ("1/3", "1/3", "5/12"),
+            ("1/3", "1/3", "1/4"),
+            ("0", "1"),
+            ("1", "0"),
+            ("0", "1/2", "1/2"),
+            ("-1/2", "3/2"),
+            ("1/2", "1/2", "-1/4", "1/4"),
+        ],
+        ids=",".join,
+    )
+    def test_valid_longhand_edge_cases(self, weights):
+        w = Polarization(weights)
+        assert oracles._valid_longhand(w) == reference_valid(w.weights)
+
+
 class TestWeightPrecondition:
     """Cross-multiplying by a weight outside (0, 1) would flip or void a comparison."""
 
@@ -323,6 +433,29 @@ class TestSelftest:
         assert "--seed 13" in text
         assert "result: FAIL" in text
 
+    def test_nudged_witness_slope_is_caught(self, monkeypatch):
+        # Every reported witness slope moved by 10^-30: each instance with a
+        # witness must fail, each without one still agree.
+        real = oracles.necessary_check
+
+        def nudged(curve, bundle, w):
+            verdict = real(curve, bundle, w)
+            components = tuple(
+                c
+                if c.witness_slope is None
+                else dataclasses.replace(c, witness_slope=c.witness_slope + Fraction(1, 10**30))
+                for c in verdict.components
+            )
+            return dataclasses.replace(verdict, components=components)
+
+        bounds = InstanceBounds(seed=13)
+        passing = sum(real(*instance).overall_pass for instance in instance_stream(bounds, 60))
+        monkeypatch.setattr(oracles, "necessary_check", nudged)
+        report = run_selftest(bounds, 60)
+        stat = report.checks["necessary-equivalence"]
+        assert stat.run == 60 and stat.agreed == passing < 60
+        assert report.first_failure.startswith("necessary-equivalence: genera=")
+
     def test_polarization_off_the_simplex_is_caught(self, monkeypatch):
         # The synthesis checks add the weights longhand: a spine weight
         # moved by 10^-30 fails them.
@@ -404,20 +537,28 @@ def assert_reaped(pids: list[int]) -> None:
 
 
 class TestParallelSelftest:
-    @pytest.mark.parametrize("seed", [13, 20260808])
-    def test_split_run_equals_serial_run(self, capsys, monkeypatch, seed):
+    @pytest.mark.parametrize(
+        "seed, count, ranges",
+        [
+            pytest.param(13, SPLIT_COUNT, 2, id="13"),
+            pytest.param(20260808, SPLIT_COUNT, 2, id="20260808"),
+            # Cuts 0, 250, 500, 751: two forked ranges start past the first.
+            pytest.param(20260808, 3 * oracles._MIN_RANGE + 1, 3, id="20260808-three-ranges"),
+        ],
+    )
+    def test_split_run_equals_serial_run(self, capsys, monkeypatch, seed, count, ranges):
         outputs = {}
-        for cpus in (1, 2):
+        for cpus in (1, ranges):
             pids = force_cpus(monkeypatch, cpus)
             with deadline(120):
-                report = run_selftest(InstanceBounds(seed=seed), SPLIT_COUNT)
-                text = selftest_text(capsys, seed, SPLIT_COUNT)
-                main(["selftest", "--json", "--seed", str(seed), "--count", str(SPLIT_COUNT)])
+                report = run_selftest(InstanceBounds(seed=seed), count)
+                text = selftest_text(capsys, seed, count)
+                main(["selftest", "--json", "--seed", str(seed), "--count", str(count)])
             outputs[cpus] = (report, text, capsys.readouterr().out)
             assert len(pids) == 3 * (cpus - 1)
             assert_reaped(pids)
         assert outputs[1][0].passed
-        assert outputs[2] == outputs[1]
+        assert outputs[ranges] == outputs[1]
 
     def test_small_runs_stay_in_process(self, monkeypatch):
         pids = force_cpus(monkeypatch, 64)

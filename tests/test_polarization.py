@@ -23,6 +23,7 @@ from combstab import (
     validate_polarization,
 )
 
+from combstab import polarization
 from test_model import curve_bundle_polarization
 
 C22 = CombCurve((2, 2))
@@ -31,6 +32,7 @@ B51 = BundleData(2, (5, 1))
 W_HALF = Polarization(("1/2", "1/2"))
 C000 = CombCurve((0, 0, 0))
 B_NARROW = BundleData(1, (-51, -51, 0))
+B_CHI_ZERO = BundleData(2, (-1, -1, 0))  # chi_j = 1 on both teeth, chi = 0
 
 
 def assert_strict_inequalities(curve: CombCurve, bundle: BundleData, w: Polarization) -> None:
@@ -426,6 +428,32 @@ class TestSynthesizePolarization:
         assert repicked != picks
         w = synthesize_polarization(curve, bundle)
         assert w.weights == (*repicked, 1 - sum(repicked, Fraction(0)))
+
+    @pytest.mark.parametrize(
+        "curve, bundle, picks",
+        [
+            # w_1 in (1/4, 3/4): 1/10 lies in (0, 1) but breaks the strict inequality.
+            (C22, B11, [Fraction(1, 10)]),
+            # chi = 0 frees every w_j from the inequalities, so only the pick
+            # bound sees -1/4, whose total 1/4 would leave a valid spine weight.
+            (C000, B_CHI_ZERO, [Fraction(-1, 4), Fraction(1, 2)]),
+            (C000, B_CHI_ZERO, [Fraction(0), Fraction(1, 2)]),
+        ],
+    )
+    def test_post_check_rejects_a_pick_outside_its_interval(self, monkeypatch, curve, bundle, picks):
+        forced = iter(picks)
+        monkeypatch.setattr(polarization, "pick_simplest_rational", lambda iv: next(forced))
+        with pytest.raises(RuntimeError, match="violates the strict inequalities"):
+            synthesize_polarization(curve, bundle)
+
+    def test_post_check_rejects_a_pick_total_of_one(self, monkeypatch):
+        # Picks 1/2 and 1/2 total 1; with the re-pick disabled the spine
+        # weight would be 0, and with chi = 0 only the total shows it.
+        monkeypatch.setattr(polarization, "pick_simplest_rational", lambda iv: Fraction(1, 2))
+        assert synthesize_polarization(C000, B_CHI_ZERO).weights[-1] > 0
+        monkeypatch.setattr(polarization, "_repick", lambda pick, lo, share_p, share_q: pick)
+        with pytest.raises(RuntimeError, match="violates the strict inequalities"):
+            synthesize_polarization(C000, B_CHI_ZERO)
 
     @given(curve_bundle_polarization())
     def test_output_contract(self, cbw):
