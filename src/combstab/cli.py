@@ -41,7 +41,7 @@ from .model import (
     parse_rational,
     validate_polarization,
 )
-from .oracles import InstanceBounds, run_selftest
+from .oracles import run_selftest
 from .polarization import (
     ComponentCheck,
     IntervalQ,
@@ -458,11 +458,8 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         {"j": j, "witness": _witness_payload(witness)}
         for j, witness in enumerate(restricted, start=1)
     ]
-    try:
-        su = strong_unstability(curve, pair)
-        report = characterize(curve, pair)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
+    su = strong_unstability(curve, pair)
+    report = characterize(curve, pair)
     negative = report.verdict in (
         CharacterizationKind.STRONGLY_UNSTABLE,
         CharacterizationKind.DIVISIBILITY_CONTRADICTION,
@@ -550,10 +547,9 @@ def _validate_text(payload: dict):
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    bounds = InstanceBounds(seed=args.seed)
     if args.count < 0:
         raise CliInputError("--count must be nonnegative")
-    report = run_selftest(bounds, args.count)
+    report = run_selftest(args.seed, args.count)
     payload = {
         "command": "selftest",
         "seed": report.seed,

@@ -89,7 +89,7 @@ def validate_pair(curve: CombCurve, pair: GeneratedPairData) -> list[str]:
     impossible for a globally generated bundle on a genus >= 2 component;
     the classical bound deg >= h0 - rank for globally generated bundles,
     applied with h0 >= l - k_j; kernel dimensions cannot exceed the kernel
-    rank l - n.
+    rank l - n; a nonzero kernel on the spine forces one on some tooth.
     """
     violations: list[str] = []
     if len(pair.multidegree) != curve.num_components:
@@ -123,6 +123,11 @@ def validate_pair(curve: CombCurve, pair: GeneratedPairData) -> list[str]:
             violations.append(
                 f"kernel dimension k_{j} = {k} exceeds the kernel rank l - n = {l - n}"
             )
+    if pair.kernel_dims[-1] > 0 and not any(pair.kernel_dims[:-1]):
+        violations.append(
+            "inconsistent kernel dimensions: a nonzero kernel on the spine requires a "
+            "nonzero kernel on some tooth"
+        )
     return violations
 
 
@@ -184,16 +189,6 @@ class StrongUnstabilityVerdict:
     reason: str = ""
 
 
-def _check_kernel_consistency(curve: CombCurve, pair: GeneratedPairData) -> None:
-    """A spine kernel forces a tooth kernel; reject data saying otherwise."""
-    k = pair.kernel_dims
-    if k[-1] > 0 and all(v == 0 for v in k[:-1]):
-        raise ValueError(
-            "inconsistent kernel dimensions: a nonzero kernel on the spine requires a "
-            "nonzero kernel on some tooth"
-        )
-
-
 def strong_unstability(curve: CombCurve, pair: GeneratedPairData) -> StrongUnstabilityVerdict:
     """Decide strong unstability of the kernel bundle from the tooth kernels.
 
@@ -205,7 +200,6 @@ def strong_unstability(curve: CombCurve, pair: GeneratedPairData) -> StrongUnsta
     the slope comparison behind the witness degenerates there.
     """
     _require_valid(curve, pair)
-    _check_kernel_consistency(curve, pair)
     return _strong_unstability(curve, pair)
 
 
@@ -302,7 +296,6 @@ def characterize(curve: CombCurve, pair: GeneratedPairData) -> CharacterizationR
     divides every degree.
     """
     _require_valid(curve, pair)
-    _check_kernel_consistency(curve, pair)
     n = pair.rank
     m = pair.kernel_rank
     flags = pair.assumptions

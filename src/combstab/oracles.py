@@ -4,22 +4,27 @@ Every fast routine in the package has a desk-scale counterpart here that
 recomputes the same answer from definitions: each slope comparison is a
 cross-multiplied integer predicate, destabilizer windows are swept integer
 by integer with deliberate padding, simplest rationals are found by
-scanning denominators.  Reported values are compared on integers too: a
-witness slope is cross-multiplied with the weighted multirank, summed entry
-by entry as an unreduced numerator and denominator, and a polarization's
-weights are added one by one the same way.  ``Fraction`` appears only in the
-generated weights and in the scanned simplest rational.  The oracles
-stay independent of the fast path: they test every candidate one by one
-where the fast path computes closed-form floor-division ranges, and they
-import none of its private helpers and nothing from ``kernels``, so a
-shared mistake cannot make both sides agree.  Inequalities are
-cross-multiplied by a tooth weight only inside (0, 1), where the multiplier
-is positive; anything else is a ValueError.  Agreement is exact or it is a
-failure; there are no tolerances anywhere.
+scanning denominators, Euler characteristics are summed from the degrees
+component by component, and the nesting of two feasibility intervals is
+decided on their cross-multiplied ends.  Reported values are compared on
+integers too: a witness slope is cross-multiplied with the weighted
+multirank, summed entry by entry as an unreduced numerator and denominator,
+and a polarization's weights are added one by one the same way.
+``Fraction`` appears only in the generated weights and in the scanned
+simplest rational.  The oracles stay independent of the fast path: they
+test every candidate one by one where the fast path computes closed-form
+floor-division ranges, and they import none of its private helpers and
+nothing from ``kernels``, so a shared mistake cannot make both sides agree.
+Inequalities are cross-multiplied by a tooth weight only inside (0, 1),
+where the multiplier is positive; anything else is a ValueError.
+Agreement is exact or it is a failure; there are no tolerances anywhere.
 
-The selftest sweeps each checked tooth's padded window once: the one raw
-candidate list is compared with the fast range and then replayed through
-the divisibility filters.
+The instances and pairs come from two streams that depend on a seed alone;
+their bounds are the module constants ``MAX_COMPONENTS``, ``MAX_GENUS``,
+``MAX_RANK``, ``DEGREE_RANGE`` and ``MAX_WEIGHT_DENOMINATOR``.  The selftest
+sweeps each checked tooth's padded window once: the one raw candidate list
+is compared with the fast range and then replayed through the divisibility
+filters.
 
 The selftest cuts its count into contiguous instance ranges, one per CPU the
 process may use and at least ``_MIN_RANGE`` instances each.  The calling
@@ -49,7 +54,6 @@ from .model import (
     CombCurve,
     Polarization,
     format_rational,
-    total_euler,
 )
 from .polarization import (
     IntervalQ,
@@ -61,40 +65,22 @@ from .polarization import (
 from .restrictions import classify_restriction, destabilizer_candidates
 
 
-@dataclass(frozen=True, slots=True)
-class InstanceBounds:
-    """Bounds for the seeded generators; identical bounds + seed give identical streams."""
-
-    max_components: int = 6
-    max_genus: int = 5
-    max_rank: int = 4
-    degree_range: tuple[int, int] = (-20, 20)
-    max_weight_denominator: int = 64
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_components < 2:
-            raise ValueError("max_components must be at least 2")
-        if self.max_genus < 0:
-            raise ValueError("max_genus must be nonnegative")
-        if self.max_rank < 1:
-            raise ValueError("max_rank must be positive")
-        if self.degree_range[0] > self.degree_range[1]:
-            raise ValueError("degree_range is empty")
-        if self.max_weight_denominator < self.max_components:
-            raise ValueError(
-                "max_weight_denominator must be at least max_components so that weights "
-                "with a common denominator can sum to 1"
-            )
+# Bounds of the seeded generators.  The common weight denominator must
+# reach MAX_COMPONENTS, so that it splits into N positive parts.
+MAX_COMPONENTS = 6
+MAX_GENUS = 5
+MAX_RANK = 4
+DEGREE_RANGE = (-20, 20)
+MAX_WEIGHT_DENOMINATOR = 64
 
 
-def _draw_instance(rng: random.Random, bounds: InstanceBounds) -> tuple:
+def _draw_instance(rng: random.Random) -> tuple:
     """The raw draws of one instance: genera, rank, degrees, weight denominator, cuts."""
-    num = rng.randint(2, bounds.max_components)
-    genera = tuple(rng.randint(0, bounds.max_genus) for _ in range(num))
-    rank = rng.randint(1, bounds.max_rank)
-    degrees = tuple(rng.randint(*bounds.degree_range) for _ in range(num))
-    den = rng.randint(num, bounds.max_weight_denominator)
+    num = rng.randint(2, MAX_COMPONENTS)
+    genera = tuple(rng.randint(0, MAX_GENUS) for _ in range(num))
+    rank = rng.randint(1, MAX_RANK)
+    degrees = tuple(rng.randint(*DEGREE_RANGE) for _ in range(num))
+    den = rng.randint(num, MAX_WEIGHT_DENOMINATOR)
     cuts = rng.sample(range(1, den), num - 1)
     return genera, rank, degrees, den, cuts
 
@@ -110,38 +96,25 @@ def _build_instance(
     return CombCurve(genera), BundleData(rank=rank, multidegree=degrees), w
 
 
-def instance_stream(bounds: InstanceBounds, count: int, start: int = 0):
-    """Yield instances ``start..count-1`` of a reproducible (curve, bundle, polarization) stream.
-
-    The draws before ``start`` consume the generator as always but build nothing.
-    """
-    rng = random.Random(bounds.seed)
-    for i in range(count):
-        raw = _draw_instance(rng, bounds)
-        if i >= start:
-            yield _build_instance(*raw)
-
-
-def _draw_pair(rng: random.Random, bounds: InstanceBounds) -> tuple:
+def _draw_pair(rng: random.Random) -> tuple:
     """The raw draws of one valid pair: genera, rank, sections, degrees, kernel dimensions."""
-    num = rng.randint(2, bounds.max_components)
-    genera = tuple(rng.randint(2, max(2, bounds.max_genus)) for _ in range(num))
-    n = rng.randint(1, bounds.max_rank)
-    l = n + rng.randint(1, bounds.max_rank + 1)
+    num = rng.randint(2, MAX_COMPONENTS)
+    genera = tuple(rng.randint(2, MAX_GENUS) for _ in range(num))
+    n = rng.randint(1, MAX_RANK)
+    l = n + rng.randint(1, MAX_RANK + 1)
     kernel_dims = [0] * num
     for j in range(num):
         if rng.randrange(3) == 0:
             kernel_dims[j] = rng.randint(1, l - n)
     if kernel_dims[-1] > 0 and all(k == 0 for k in kernel_dims[:-1]):
         kernel_dims[0] = 1
-    degree_cap = max(6, bounds.degree_range[1])
     degrees = []
     for j in range(num):
         if rng.randrange(5) == 0:
             degrees.append(0)
         else:
             floor = max(2, (l - kernel_dims[j]) - n)
-            degrees.append(rng.randint(floor, floor + degree_cap))
+            degrees.append(rng.randint(floor, floor + DEGREE_RANGE[1]))
     return genera, n, l, degrees, kernel_dims
 
 
@@ -157,16 +130,29 @@ def _build_pair(
     return CombCurve(genera), pair
 
 
-def pair_stream(bounds: InstanceBounds, count: int, start: int = 0):
-    """Yield pairs ``start..count-1`` of a reproducible valid (curve, pair) stream.
-
-    The draws before ``start`` consume the generator as always but build nothing.
-    """
-    rng = random.Random(bounds.seed)
+def _stream(draw: Callable, build: Callable, seed: int, count: int, start: int):
+    """Records ``start..count-1`` of the seeded draws; those before ``start`` are drawn, not built."""
+    rng = random.Random(seed)
     for i in range(count):
-        raw = _draw_pair(rng, bounds)
+        raw = draw(rng)
         if i >= start:
-            yield _build_pair(*raw)
+            yield build(*raw)
+
+
+def instance_stream(seed: int, count: int, start: int = 0):
+    """Yield instances ``start..count-1`` of a reproducible (curve, bundle, polarization) stream."""
+    yield from _stream(_draw_instance, _build_instance, seed, count, start)
+
+
+def pair_stream(seed: int, count: int, start: int = 0):
+    """Yield pairs ``start..count-1`` of a reproducible valid (curve, pair) stream."""
+    yield from _stream(_draw_pair, _build_pair, seed, count, start)
+
+
+def _eulers(curve: CombCurve, rank: int, degrees) -> tuple[list[int], int]:
+    """Component eulers d_j + rank*(1 - g_j), and chi: their sum less rank at each node."""
+    chis = [d + rank * (1 - g) for g, d in zip(curve.genera, degrees)]
+    return chis, sum(chis) - rank * (len(chis) - 1)
 
 
 def _weight_terms(w_j: Fraction, j: int) -> tuple[int, int]:
@@ -209,8 +195,7 @@ def oracle_necessary_equivalence(curve: CombCurve, bundle: BundleData, w: Polari
     """
     n = bundle.rank
     num = curve.num_components
-    chis = [d + n * (1 - g) for g, d in zip(curve.genera, bundle.multidegree)]
-    chi = sum(chis) - n * (num - 1)
+    chis, chi = _eulers(curve, n, bundle.multidegree)
     terms = [_weight_terms(w_j, j) for j, w_j in enumerate(w.weights[: num - 1], start=1)]
     verdict = necessary_check(curve, bundle, w)
     for check in verdict.components:
@@ -277,8 +262,7 @@ def oracle_destabilizer_enumeration(
     Raises ValueError when w_j is outside (0, 1).
     """
     n = bundle.rank
-    chis = [d + n * (1 - g) for g, d in zip(curve.genera, bundle.multidegree)]
-    chi = sum(chis) - n * (curve.num_components - 1)
+    chis, chi = _eulers(curve, n, bundle.multidegree)
     chi_j = chis[j - 1]
     p, q = _weight_terms(w.weights[j - 1], j)
     qn = q * n
@@ -361,6 +345,28 @@ def oracle_simplest_rational(interval: IntervalQ, max_denominator: int) -> Fract
         if above and below:
             return Fraction(p, q)
     return None
+
+
+def _nested(inner: IntervalQ, outer: IntervalQ) -> bool:
+    """Whether ``inner`` lies inside ``outer``, decided on cross-multiplied ends.
+
+    An empty inner interval (ends crossed, or equal with an open end) lies
+    anywhere.  Otherwise each inner end lies strictly inside the matching
+    outer end, or on it, where an open outer end needs an open inner end.
+    """
+
+    def over(x: Fraction, y: Fraction) -> int:
+        """Positive when x > y, zero when x == y: both denominators are positive."""
+        return x.numerator * y.denominator - y.numerator * x.denominator
+
+    span = over(inner.hi, inner.lo)
+    if span < 0 or (span == 0 and (inner.lo_open or inner.hi_open)):
+        return True
+    lo = over(inner.lo, outer.lo)
+    hi = over(outer.hi, inner.hi)
+    return (lo > 0 or (lo == 0 and (inner.lo_open or not outer.lo_open))) and (
+        hi > 0 or (hi == 0 and (inner.hi_open or not outer.hi_open))
+    )
 
 
 def _valid_longhand(w: Polarization) -> bool:
@@ -451,8 +457,8 @@ def _check_instances(report: SelftestReport, instances) -> None:
         report.record(
             "necessary-equivalence", oracle_necessary_equivalence(curve, bundle, w), where
         )
-        chi = total_euler(curve, bundle)
         n = bundle.rank
+        _, chi = _eulers(curve, n, bundle.multidegree)
         for j in range(1, curve.num_components):
             w_j = w.weights[j - 1]
             if (w_j.numerator * chi) % w_j.denominator == 0:
@@ -481,10 +487,7 @@ def _check_instances(report: SelftestReport, instances) -> None:
                     )
         strict = feasible_region(curve, bundle, strict=True)
         closed = feasible_region(curve, bundle, strict=False)
-        contained = all(
-            s.is_empty or s.intersect(c) == s
-            for s, c in zip(strict.intervals, closed.intervals)
-        )
+        contained = all(_nested(s, c) for s, c in zip(strict.intervals, closed.intervals))
         report.record("region-nesting", contained, where)
         w_built = synthesize_polarization(curve, bundle)
         if strict.feasible:
@@ -511,10 +514,10 @@ def _check_pairs(report: SelftestReport, pairs) -> None:
 
         ok = not validate_pair(curve, pair)
         m = kernel_data(curve, pair)
-        bundle_e = BundleData(rank=pair.rank, multidegree=pair.multidegree)
-        identity = total_euler(curve, m) == pair.sections * (
-            1 - curve.arithmetic_genus
-        ) - total_euler(curve, bundle_e)
+        _, chi_m = _eulers(curve, m.rank, m.multidegree)
+        _, chi_e = _eulers(curve, pair.rank, pair.multidegree)
+        _, chi_o = _eulers(curve, 1, [0] * curve.num_components)
+        identity = chi_m == pair.sections * chi_o - chi_e
         report.record("kernel-identity", ok and identity, where)
         w_pair = kernel_polarization(curve, pair)
         report.record(
@@ -524,7 +527,7 @@ def _check_pairs(report: SelftestReport, pairs) -> None:
         )
 
 
-def _run_range(bounds: InstanceBounds, start: int, stop: int) -> list:
+def _run_range(seed: int, start: int, stop: int) -> list:
     """Check instances and pairs ``start..stop-1`` of the seeded streams.
 
     Returns builtins only, one ``([(check, run, agreed), ...], first_failure)``
@@ -532,14 +535,14 @@ def _run_range(bounds: InstanceBounds, start: int, stop: int) -> list:
     """
     phases = []
     for check, stream in ((_check_instances, instance_stream), (_check_pairs, pair_stream)):
-        part = SelftestReport(seed=bounds.seed, count=stop - start)
-        check(part, stream(bounds, stop, start))
+        part = SelftestReport(seed=seed, count=stop - start)
+        check(part, stream(seed, stop, start))
         stats = [(name, stat.run, stat.agreed) for name, stat in part.checks.items()]
         phases.append((stats, part.first_failure))
     return phases
 
 
-def _fork_range(bounds: InstanceBounds, start: int, stop: int) -> tuple[int, int]:
+def _fork_range(seed: int, start: int, stop: int) -> tuple[int, int]:
     """Run one range in a forked child; returns its pid and the read end of its pipe.
 
     The child marshals ``("ok", phases)`` or ``("error", type name, message)``
@@ -558,7 +561,7 @@ def _fork_range(bounds: InstanceBounds, start: int, stop: int) -> tuple[int, int
         try:
             os.close(read_fd)
             try:
-                message = ("ok", _run_range(bounds, start, stop))
+                message = ("ok", _run_range(seed, start, stop))
             except Exception as exc:
                 message = ("error", type(exc).__name__, str(exc))
             with open(write_fd, "wb") as pipe:
@@ -569,15 +572,15 @@ def _fork_range(bounds: InstanceBounds, start: int, stop: int) -> tuple[int, int
     return pid, read_fd
 
 
-def _run_ranges(bounds: InstanceBounds, cuts: list[int]) -> list:
+def _run_ranges(seed: int, cuts: list[int]) -> list:
     """Ranges ``cuts[i]..cuts[i+1]-1``: the first here, every other in a forked child."""
     import signal
 
     children: list[tuple[int, int]] = []
     try:
         for start, stop in zip(cuts[1:-1], cuts[2:]):
-            children.append(_fork_range(bounds, start, stop))
-        results = [_run_range(bounds, cuts[0], cuts[1])]
+            children.append(_fork_range(seed, start, stop))
+        results = [_run_range(seed, cuts[0], cuts[1])]
         for pid, read_fd in children:
             with open(read_fd, "rb", closefd=False) as pipe:
                 data = pipe.read()
@@ -598,7 +601,7 @@ def _run_ranges(bounds: InstanceBounds, cuts: list[int]) -> list:
                 os.waitpid(pid, 0)
 
 
-def run_selftest(bounds: InstanceBounds, count: int) -> SelftestReport:
+def run_selftest(seed: int, count: int) -> SelftestReport:
     """Cross-check every fast routine against its oracle on seeded instances.
 
     The instances are cut into contiguous ranges, one per usable CPU with at
@@ -610,8 +613,8 @@ def run_selftest(bounds: InstanceBounds, count: int) -> SelftestReport:
     if ranges > 1 and (not hasattr(os, "fork") or threading.active_count() > 1):
         ranges = 1  # no fork here, or one that other threads' locks could deadlock
     cuts = [count * i // ranges for i in range(ranges + 1)]
-    results = _run_ranges(bounds, cuts) if ranges > 1 else [_run_range(bounds, 0, count)]
-    report = SelftestReport(seed=bounds.seed, count=count)
+    results = _run_ranges(seed, cuts) if ranges > 1 else [_run_range(seed, 0, count)]
+    report = SelftestReport(seed=seed, count=count)
     for phase in range(2):
         for phases in results:
             stats, failure = phases[phase]

@@ -27,9 +27,9 @@ from combstab import (
     total_euler,
     validate_polarization,
 )
+from combstab import oracles
 from combstab.documents import parse_document, render_document
 from combstab.oracles import (
-    InstanceBounds,
     instance_stream,
     oracle_destabilizer_enumeration,
     oracle_filtered_destabilizers,
@@ -41,25 +41,29 @@ from combstab.polarization import IntervalQ, pick_simplest_rational
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-ACCEPTANCE_BOUNDS = InstanceBounds(
-    max_components=6,
-    max_genus=5,
-    max_rank=4,
-    degree_range=(-20, 20),
-    max_weight_denominator=64,
-    seed=20260808,
-)
+ACCEPTANCE_SEED = 20260808
 
 
 def report(num: int, detail: str) -> None:
     print(f"criterion {num}: PASS - {detail}")
 
 
+def test_generator_bounds_are_the_acceptance_bounds():
+    bounds = (
+        oracles.MAX_COMPONENTS,
+        oracles.MAX_GENUS,
+        oracles.MAX_RANK,
+        oracles.DEGREE_RANGE,
+        oracles.MAX_WEIGHT_DENOMINATOR,
+    )
+    assert bounds == (6, 5, 4, (-20, 20), 64)
+
+
 def test_criterion_1_witness_equivalence():
     count = 10_000
     start = time.perf_counter()
     agreements = 0
-    for curve, bundle, w in instance_stream(ACCEPTANCE_BOUNDS, count):
+    for curve, bundle, w in instance_stream(ACCEPTANCE_SEED, count):
         assert oracle_necessary_equivalence(curve, bundle, w)
         agreements += 1
     elapsed = time.perf_counter() - start
@@ -73,7 +77,7 @@ def test_criterion_2_destabilizer_enumeration():
     checked_instances = 0
     pair_checks = 0
     start = time.perf_counter()
-    stream = instance_stream(ACCEPTANCE_BOUNDS, 4 * wanted)
+    stream = instance_stream(ACCEPTANCE_SEED, 4 * wanted)
     for curve, bundle, w in stream:
         if bundle.rank < 2:
             continue
@@ -128,7 +132,7 @@ def test_criterion_4_polarization_synthesis():
     count = 10_000
     failures = 0
     start = time.perf_counter()
-    for curve, pair in pair_stream(ACCEPTANCE_BOUNDS, count):
+    for curve, pair in pair_stream(ACCEPTANCE_SEED, count):
         m = kernel_data(curve, pair)
         chis = component_eulers(curve, m)
         assert all(chi < 0 for chi in chis)
@@ -196,7 +200,7 @@ def test_criterion_6_strong_unstability():
 def test_criterion_7_kernel_data_identity():
     count = 10_000
     start = time.perf_counter()
-    for curve, pair in pair_stream(ACCEPTANCE_BOUNDS, count):
+    for curve, pair in pair_stream(ACCEPTANCE_SEED, count):
         m = kernel_data(curve, pair)
         bundle_e = BundleData(pair.rank, pair.multidegree)
         lhs = total_euler(curve, m)
@@ -252,7 +256,7 @@ def test_criterion_8_cli_contract(tmp_path):
         assert render_document(parse_document(render_document(doc))) == render_document(doc)
     from combstab.documents import InstanceDocument
 
-    for curve, bundle, w in instance_stream(ACCEPTANCE_BOUNDS, 25):
+    for curve, bundle, w in instance_stream(ACCEPTANCE_SEED, 25):
         doc = InstanceDocument(curve=curve, bundle=bundle, polarization=w)
         assert parse_document(json.loads(json.dumps(render_document(doc)))) == doc
 

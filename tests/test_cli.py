@@ -14,7 +14,7 @@ from combstab import cli
 from combstab.cli import _any_int_length, _json_text, main
 from combstab.documents import DocumentError, InstanceDocument, load_document, render_document
 from combstab.model import ToothWitness, format_rational
-from combstab.oracles import InstanceBounds, instance_stream, pair_stream
+from combstab.oracles import instance_stream, pair_stream
 from combstab.polarization import ComponentCheck, necessary_check
 from combstab.restrictions import RestrictionVerdict, classify_restriction
 
@@ -50,6 +50,11 @@ KERNEL_OK = {
 KERNEL_DEGENERATE = {
     "curve": {"genera": [2, 3]},
     "pair": {"rank": 1, "sections": 4, "multidegree": [0, 5], "kernel_dims": [1, 0]},
+}
+# Only the spine has a nonzero kernel, which a spine kernel cannot do alone.
+KERNEL_SPINE_ONLY = {
+    "curve": {"genera": [2, 2]},
+    "pair": {"rank": 1, "sections": 3, "multidegree": [4, 4], "kernel_dims": [0, 1]},
 }
 VIOLATIONS = {"curve": {"genera": [2, 2]}, "polarization": {"weights": ["1/2", "1/3"]}}
 
@@ -258,6 +263,11 @@ class TestPolarize:
         assert code == 0
         assert payload["weights"] == ["1/3", "1/3", "1/3"]
 
+    def test_spine_only_kernel_is_input_error(self, capsys, write_doc):
+        code, _, err = run_cli(capsys, "polarize", write_doc(KERNEL_SPINE_ONLY))
+        assert code == 2
+        assert "spine" in err
+
     def test_infeasible(self, capsys, write_doc):
         code, out, _ = run_cli(capsys, "polarize", write_doc(I1_FAIL))
         assert code == 1
@@ -353,6 +363,11 @@ class TestValidate:
         assert code == 1
         assert "sum" in out
 
+    def test_spine_only_kernel_is_a_violation(self, capsys, write_doc):
+        code, out, _ = run_cli(capsys, "validate", write_doc(KERNEL_SPINE_ONLY))
+        assert code == 1
+        assert "nonzero kernel on the spine" in out
+
     def test_schema_error_exits_two(self, capsys, write_doc):
         code, _, err = run_cli(capsys, "validate", write_doc({"curve": {"genera": [2, 2]}, "x": 1}))
         assert code == 2
@@ -415,8 +430,8 @@ def test_small_document_output_is_pinned(capsys, write_doc, command, doc, code, 
 
 
 def _stream_documents():
-    bundles = instance_stream(InstanceBounds(seed=5), 50)
-    pairs = pair_stream(InstanceBounds(seed=6), 50)
+    bundles = instance_stream(5, 50)
+    pairs = pair_stream(6, 50)
     yield from (InstanceDocument(curve, bundle=b, polarization=w) for curve, b, w in bundles)
     yield from (InstanceDocument(curve, pair=pair) for curve, pair in pairs)
 
@@ -737,7 +752,7 @@ class TestJsonRenderer:
         # Checks with and without witnesses, verdicts with and without
         # forced destabilizers, each alone, in a list and deep in a dict.
         records = []
-        for curve, bundle, w in instance_stream(InstanceBounds(seed=11), 60):
+        for curve, bundle, w in instance_stream(11, 60):
             records += necessary_check(curve, bundle, w).components
             if bundle.rank >= 2:
                 records += [

@@ -20,7 +20,7 @@ from combstab import (
     total_euler,
     validate_pair,
 )
-from combstab.oracles import InstanceBounds, pair_stream
+from combstab.oracles import pair_stream
 
 C222 = CombCurve((2, 2, 2))
 C23 = CombCurve((2, 3))
@@ -45,6 +45,14 @@ class TestValidatePair:
         tight = GeneratedPairData(2, 5, (2, 4), (0, 0))
         violations = validate_pair(C22, tight)
         assert any("d_1 = 2" in v for v in violations)
+
+    def test_spine_kernel_needs_a_tooth_kernel(self):
+        pair = GeneratedPairData(1, 3, (4, 4), (0, 1))
+        violations = validate_pair(C22, pair)
+        assert len(violations) == 1
+        assert "spine" in violations[0]
+        with pytest.raises(ValueError):
+            kernel_data(C22, pair)
 
     def test_sections_must_exceed_rank(self):
         assert any(
@@ -104,7 +112,7 @@ class TestKernelData:
 
     def test_identity_against_defining_sequence(self):
         # chi(M) = l * chi(structure sheaf) - chi(E), recomputed from scratch.
-        for curve, pair in pair_stream(InstanceBounds(seed=9), 200):
+        for curve, pair in pair_stream(9, 200):
             m = kernel_data(curve, pair)
             bundle_e = BundleData(pair.rank, pair.multidegree)
             assert total_euler(curve, m) == pair.sections * (
@@ -128,11 +136,19 @@ class TestRestrictionUnstable:
         assert Fraction(0) > Fraction(-3, 2)
 
     def test_witnesses_match_the_dense_longhand(self):
-        # Generated pairs up to N = 200: every witness, spine ones included.
-        bounds = InstanceBounds(max_components=200, max_weight_denominator=200, seed=4)
+        # Valid pairs up to N = 200: every witness, spine ones included.
+        rng = random.Random(4)
         seen = set()
-        for curve, pair in pair_stream(bounds, 40):
-            num = curve.num_components
+        for _ in range(40):
+            num = rng.randint(2, 200)
+            curve = CombCurve(tuple(rng.randint(2, 5) for _ in range(num)))
+            n = rng.randint(1, 4)
+            l = n + rng.randint(1, 5)
+            dims = [rng.randint(1, l - n) if rng.randrange(3) == 0 else 0 for _ in range(num)]
+            dims[0] = max(dims[0], 1)  # a spine kernel needs a tooth kernel
+            degrees = [max(2, l - k - n) + rng.randint(0, 20) for k in dims]
+            pair = GeneratedPairData(n, l, tuple(degrees), tuple(dims))
+            assert validate_pair(curve, pair) == []
             w = kernel_polarization(curve, pair)
             for j in range(1, num + 1):
                 witness = restriction_unstable(curve, pair, j)
@@ -220,7 +236,7 @@ class TestKernelPolarization:
         assert w.weights == (Fraction(1, 2), Fraction(1, 2))
 
     def test_always_present_for_valid_pairs(self):
-        for curve, pair in pair_stream(InstanceBounds(seed=3), 300):
+        for curve, pair in pair_stream(3, 300):
             assert kernel_polarization(curve, pair) is not None
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import inspect
 import itertools
 import math
 import os
@@ -20,7 +21,6 @@ from combstab.cli import main
 from combstab.polarization import IntervalQ, necessary_check
 from combstab import oracles
 from combstab.oracles import (
-    InstanceBounds,
     instance_stream,
     oracle_destabilizer_enumeration,
     oracle_filtered_destabilizers,
@@ -31,46 +31,34 @@ from combstab.oracles import (
 )
 
 
-class TestBounds:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            InstanceBounds(max_components=1)
-        with pytest.raises(ValueError):
-            InstanceBounds(max_rank=0)
-        with pytest.raises(ValueError):
-            InstanceBounds(degree_range=(3, 2))
-        with pytest.raises(ValueError):
-            InstanceBounds(max_components=6, max_weight_denominator=4)
-
-
 class TestGenerators:
     def test_deterministic(self):
-        bounds = InstanceBounds(seed=1)
-        assert next(instance_stream(bounds, 1)) == next(instance_stream(bounds, 1))
-        assert list(instance_stream(bounds, 50)) == list(instance_stream(bounds, 50))
-        assert next(pair_stream(bounds, 1)) == next(pair_stream(bounds, 1))
-        assert list(pair_stream(bounds, 50)) == list(pair_stream(bounds, 50))
+        seed = 1
+        assert next(instance_stream(seed, 1)) == next(instance_stream(seed, 1))
+        assert list(instance_stream(seed, 50)) == list(instance_stream(seed, 50))
+        assert next(pair_stream(seed, 1)) == next(pair_stream(seed, 1))
+        assert list(pair_stream(seed, 50)) == list(pair_stream(seed, 50))
+
+    def test_streams_are_generator_functions(self):
+        # perfbench's tracer times a stream per next() only for a generator function.
+        assert inspect.isgeneratorfunction(instance_stream)
+        assert inspect.isgeneratorfunction(pair_stream)
 
     def test_seed_changes_stream(self):
-        a = list(instance_stream(InstanceBounds(seed=1), 20))
-        b = list(instance_stream(InstanceBounds(seed=2), 20))
+        a = list(instance_stream(1, 20))
+        b = list(instance_stream(2, 20))
         assert a != b
 
     def test_instance_contract(self):
-        for curve, bundle, w in instance_stream(InstanceBounds(seed=5), 200):
+        for curve, bundle, w in instance_stream(5, 200):
             assert curve.num_components >= 2
             assert len(bundle.multidegree) == curve.num_components
             assert validate_polarization(w) == []
 
-    def test_two_component_chains(self):
-        bounds = InstanceBounds(max_components=2, seed=11)
-        for curve, _, _ in instance_stream(bounds, 50):
-            assert curve.num_components == 2
-
     def test_pairs_are_valid(self):
         from combstab import validate_pair
 
-        for curve, pair in pair_stream(InstanceBounds(seed=8), 200):
+        for curve, pair in pair_stream(8, 200):
             assert validate_pair(curve, pair) == []
             assert all(g >= 2 for g in curve.genera)
 
@@ -79,7 +67,7 @@ class TestGenerators:
     )
     def test_start_skips_the_prefix_without_building_it(self, monkeypatch, stream, build):
         # A forked range draws the records before its start but builds only its own.
-        bounds, count = InstanceBounds(seed=20260808), 2 * oracles._MIN_RANGE + 1
+        seed, count = 20260808, 2 * oracles._MIN_RANGE + 1
         real = getattr(oracles, build)
         built = []
 
@@ -90,9 +78,9 @@ class TestGenerators:
         monkeypatch.setattr(oracles, build, counting)
         for start in (0, 1, oracles._MIN_RANGE - 1, oracles._MIN_RANGE, count):
             built.clear()
-            part = list(stream(bounds, count, start))
+            part = list(stream(seed, count, start))
             assert len(built) == count - start
-            assert part == list(itertools.islice(stream(bounds, count), start, None))
+            assert part == list(itertools.islice(stream(seed, count), start, None))
 
 
 class TestNecessaryEquivalence:
@@ -242,6 +230,22 @@ class TestIntegerOraclesAgainstReference:
                             scanned += 1
         assert scanned > 8000
 
+    def test_nesting_on_every_endpoint_kind(self):
+        # Crossed, touching and point intervals included; the reference is
+        # the fast path's Fraction intersection.
+        ends = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+        intervals = [
+            IntervalQ(lo, hi, lo_open=lo_open, hi_open=hi_open)
+            for lo, hi in itertools.product(ends, repeat=2)
+            for lo_open, hi_open in itertools.product((False, True), repeat=2)
+        ]
+        nested = 0
+        for inner, outer in itertools.product(intervals, repeat=2):
+            expected = inner.is_empty or inner.intersect(outer) == inner
+            assert oracles._nested(inner, outer) == expected, (inner, outer)
+            nested += expected
+        assert 0 < nested < len(intervals) ** 2
+
 
 def reference_slope_matches(slope, euler, weights, multirank):
     """The reported slope against euler over the weighted multirank, summed as ``Fraction``s."""
@@ -267,7 +271,7 @@ class TestIntegerLonghandAgainstFraction:
     def test_slope_on_drawn_witnesses(self):
         rng = random.Random(3)
         compared = matched = 0
-        for curve, bundle, w in instance_stream(InstanceBounds(seed=17), 300):
+        for curve, bundle, w in instance_stream(17, 300):
             num, n = curve.num_components, bundle.rank
             # Off the simplex too: a spine weight in [-1, 1], often 0 or less.
             spine = Fraction(rng.randint(-8, 8), 8)
@@ -305,7 +309,7 @@ class TestIntegerLonghandAgainstFraction:
         assert oracles._slope_matches(slope, euler, weights, multirank) == expected
 
     def test_valid_longhand_on_drawn_weights(self):
-        for _, _, w in instance_stream(InstanceBounds(seed=19), 300):
+        for _, _, w in instance_stream(19, 300):
             *teeth, spine = w.weights
             off = Fraction(1, spine.denominator)
             for weights in (w.weights, (*teeth, spine + off), (*teeth, spine - off)):
@@ -383,7 +387,7 @@ def selftest_text(capsys, seed: int, count: int) -> str:
 
 class TestSelftest:
     def test_small_run_passes(self, capsys):
-        report = run_selftest(InstanceBounds(seed=13), 100)
+        report = run_selftest(13, 100)
         assert report.passed
         assert report.total_run == report.total_agreed > 0
         lines = selftest_text(capsys, 13, 100).splitlines()
@@ -391,7 +395,7 @@ class TestSelftest:
         assert f"oracle agreements: {report.total_agreed}/{report.total_run}" in lines
 
     def test_zero_count_is_vacuous(self):
-        report = run_selftest(InstanceBounds(seed=13), 0)
+        report = run_selftest(13, 0)
         assert report.passed
         assert report.total_run == 0
 
@@ -403,7 +407,7 @@ class TestSelftest:
             "destabilizer_candidates",
             lambda curve, bundle, w, j, k: [c + 1 for c in real(curve, bundle, w, j, k)],
         )
-        report = run_selftest(InstanceBounds(seed=13), 60)
+        report = run_selftest(13, 60)
         assert not report.passed
         assert report.first_failure is not None
         assert "destabilizer-range" in report.first_failure
@@ -423,7 +427,7 @@ class TestSelftest:
             return dataclasses.replace(verdict, components=(first, *rest))
 
         monkeypatch.setattr(oracles, "necessary_check", flipped)
-        report = run_selftest(InstanceBounds(seed=13), 60)
+        report = run_selftest(13, 60)
         assert not report.passed
         stat = report.checks["necessary-equivalence"]
         assert stat.run == 60 and stat.agreed == 0
@@ -448,10 +452,10 @@ class TestSelftest:
             )
             return dataclasses.replace(verdict, components=components)
 
-        bounds = InstanceBounds(seed=13)
-        passing = sum(real(*instance).overall_pass for instance in instance_stream(bounds, 60))
+        seed = 13
+        passing = sum(real(*instance).overall_pass for instance in instance_stream(seed, 60))
         monkeypatch.setattr(oracles, "necessary_check", nudged)
-        report = run_selftest(bounds, 60)
+        report = run_selftest(seed, 60)
         stat = report.checks["necessary-equivalence"]
         assert stat.run == 60 and stat.agreed == passing < 60
         assert report.first_failure.startswith("necessary-equivalence: genera=")
@@ -467,16 +471,16 @@ class TestSelftest:
         synthesis, kernel = oracles.synthesize_polarization, oracles.kernel_polarization
         monkeypatch.setattr(oracles, "synthesize_polarization", lambda c, b: nudged(synthesis(c, b)))
         monkeypatch.setattr(oracles, "kernel_polarization", lambda c, p: nudged(kernel(c, p)))
-        report = run_selftest(InstanceBounds(seed=13), 60)
+        report = run_selftest(13, 60)
         for name in ("region-synthesis", "kernel-polarization"):
             assert report.checks[name].agreed < report.checks[name].run
         assert report.first_failure.startswith("region-synthesis: ")
 
     def test_one_enumeration_per_checked_tooth(self, monkeypatch):
         # The range check and the filter replay share one padded-window sweep.
-        bounds = InstanceBounds(seed=21)
+        seed = 21
         checked = 0
-        for curve, bundle, w in instance_stream(bounds, 150):
+        for curve, bundle, w in instance_stream(seed, 150):
             chi = sum(bundle.multidegree) + bundle.rank * (1 - sum(curve.genera))
             if bundle.rank >= 2:
                 checked += sum((w_j * chi).denominator != 1 for w_j in w.weights[:-1])
@@ -488,7 +492,7 @@ class TestSelftest:
             return real(curve, bundle, w, j)
 
         monkeypatch.setattr(oracles, "oracle_destabilizer_enumeration", counting)
-        report = run_selftest(bounds, 150)
+        report = run_selftest(seed, 150)
         assert report.passed
         assert checked > 50
         assert len(calls) == checked
@@ -551,7 +555,7 @@ class TestParallelSelftest:
         for cpus in (1, ranges):
             pids = force_cpus(monkeypatch, cpus)
             with deadline(120):
-                report = run_selftest(InstanceBounds(seed=seed), count)
+                report = run_selftest(seed, count)
                 text = selftest_text(capsys, seed, count)
                 main(["selftest", "--json", "--seed", str(seed), "--count", str(count)])
             outputs[cpus] = (report, text, capsys.readouterr().out)
@@ -562,18 +566,18 @@ class TestParallelSelftest:
 
     def test_small_runs_stay_in_process(self, monkeypatch):
         pids = force_cpus(monkeypatch, 64)
-        report = run_selftest(InstanceBounds(seed=13), SPLIT_COUNT - 1)
+        report = run_selftest(13, SPLIT_COUNT - 1)
         assert report.passed
         assert pids == []
 
     def test_first_failure_follows_serial_order(self, monkeypatch):
         # Range 0 fails in its pair phase, the last range in its instance
         # phase; the serial sweep meets the instance failure first.
-        bounds = InstanceBounds(seed=13)
-        instances = list(instance_stream(bounds, SPLIT_COUNT))
+        seed = 13
+        instances = list(instance_stream(seed, SPLIT_COUNT))
         late = instances[-1]
         assert late not in instances[:-1]
-        first_pair = next(pair_stream(bounds, 1))
+        first_pair = next(pair_stream(seed, 1))
         real_necessary = oracles.oracle_necessary_equivalence
         real_kernel = oracles.kernel_polarization
         monkeypatch.setattr(
@@ -590,7 +594,7 @@ class TestParallelSelftest:
         for cpus in (1, 2):
             pids = force_cpus(monkeypatch, cpus)
             with deadline(60):
-                reports[cpus] = run_selftest(bounds, SPLIT_COUNT)
+                reports[cpus] = run_selftest(seed, SPLIT_COUNT)
             assert len(pids) == cpus - 1
         serial = reports[1]
         assert reports[2] == serial
@@ -613,7 +617,7 @@ class TestParallelSelftest:
         with deadline(60), pytest.raises(
             RuntimeError, match="failed: ZeroDivisionError: injected in a worker"
         ):
-            run_selftest(InstanceBounds(seed=13), SPLIT_COUNT)
+            run_selftest(13, SPLIT_COUNT)
         assert len(pids) == 1
         assert_reaped(pids)
 
@@ -629,7 +633,7 @@ class TestParallelSelftest:
         monkeypatch.setattr(oracles, "oracle_simplest_rational", dying)
         pids = force_cpus(monkeypatch, 2)
         with deadline(60), pytest.raises(RuntimeError, match="exited without a result"):
-            run_selftest(InstanceBounds(seed=13), SPLIT_COUNT)
+            run_selftest(13, SPLIT_COUNT)
         assert_reaped(pids)
 
     def test_caller_failure_stops_running_workers(self, monkeypatch):
@@ -645,6 +649,6 @@ class TestParallelSelftest:
         monkeypatch.setattr(oracles, "oracle_simplest_rational", stalling)
         pids = force_cpus(monkeypatch, 2)
         with deadline(60), pytest.raises(ValueError, match="injected in the caller"):
-            run_selftest(InstanceBounds(seed=13), SPLIT_COUNT)
+            run_selftest(13, SPLIT_COUNT)
         assert len(pids) == 1
         assert_reaped(pids)

@@ -64,10 +64,18 @@ def test_no_assert_statements():
 def test_oracles_stay_independent_of_the_fast_path():
     # The oracles import no private helper of another combstab module and
     # nothing from combstab.kernels, and name none of the closed-form range
-    # and predicate helpers, so a mistake there cannot agree with itself.
+    # and predicate helpers, the fast interval intersection or the closed-form
+    # total euler, so a mistake there cannot agree with itself.
     path = PACKAGE / "oracles.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    reused = {"destabilizer_range", "_candidate_range", "_tooth_sides", "simplest_between"}
+    reused = {
+        "destabilizer_range",
+        "_candidate_range",
+        "_tooth_sides",
+        "simplest_between",
+        "intersect",
+        "total_euler",
+    }
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
