@@ -48,8 +48,6 @@ from .polarization import (
 from .restrictions import (
     RestrictionCase,
     RestrictionVerdict,
-    classify_rank2,
-    classify_rankn,
     classify_restriction,
     destabilizer_candidates,
     euclidean_remainder,
@@ -77,8 +75,6 @@ __all__ = [
     "ToothWitness",
     "canonical_witnesses",
     "characterize",
-    "classify_rank2",
-    "classify_rankn",
     "classify_restriction",
     "component_eulers",
     "destabilizer_candidates",

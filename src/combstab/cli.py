@@ -7,7 +7,7 @@ echo input the JSON omits (the bundle of region and polarize, the pair of
 kernel) also read the parsed document.  Exit codes are uniform across
 commands: 0 for an affirmative verdict, 1 for a negative one (failed check,
 infeasible region, strongly unstable kernel, selftest disagreement), 2 for
-any input error.
+any input error or failed write of the report.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -88,11 +89,24 @@ def _refuse_long_listing(
 
 
 def _emit(args: argparse.Namespace, payload: dict, render, *inputs) -> int:
-    """Print the payload as JSON or as the lines ``render(payload, *inputs)`` yields."""
-    if args.json:
-        print(_json_text(payload))
-    else:
-        print("\n".join(render(payload, *inputs)))
+    """Print the payload as JSON or as the lines ``render(payload, *inputs)`` yields.
+
+    A failed write (a closed pipe, a full disk) is an output error: one
+    ``error:`` line on stderr and exit 2.  Only the write is guarded, so an
+    ``OSError`` raised while rendering keeps its own traceback.
+    """
+    text = _json_text(payload) if args.json else "\n".join(render(payload, *inputs))
+    try:
+        print(text)
+        sys.stdout.flush()  # raise here, not at interpreter exit
+    except OSError as exc:  # BrokenPipeError included
+        if isinstance(exc, BrokenPipeError):
+            # The interpreter flushes stdout once more on the way out.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return payload["exit"]
 
 

@@ -148,13 +148,10 @@ class SubsheafProfile:
         multirank = tuple(self.multirank)
         object.__setattr__(self, "multirank", multirank)
         _check_int(self.euler, "euler characteristic")
-        # One C-level pass accepts the usual all-int multirank; the entry loop
-        # runs only otherwise, to word the error (or pass int subclasses).
-        if not ({*map(type, multirank)} == {int} and min(multirank) >= 0):
-            for j, r in enumerate(multirank, start=1):
-                _check_int(r, f"multirank entry {j}")
-                if r < 0:
-                    raise ValueError(f"multirank entry {j} is negative: {r}")
+        for j, r in enumerate(multirank, start=1):
+            _check_int(r, f"multirank entry {j}")
+            if r < 0:
+                raise ValueError(f"multirank entry {j} is negative: {r}")
         if not any(multirank):
             raise ValueError("multirank must not be identically zero")
 

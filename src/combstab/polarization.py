@@ -68,17 +68,6 @@ class IntervalQ:
             return self.lo_open or self.hi_open
         return self.lo > self.hi
 
-    def contains(self, value: Fraction) -> bool:
-        above = value > self.lo if self.lo_open else value >= self.lo
-        below = value < self.hi if self.hi_open else value <= self.hi
-        return above and below
-
-    def intersect(self, other: "IntervalQ") -> "IntervalQ":
-        # On equal endpoints the open one wins: True sorts above False.
-        lo, lo_open = max((self.lo, self.lo_open), (other.lo, other.lo_open))
-        hi, hi_closed = min((self.hi, not self.hi_open), (other.hi, not other.hi_open))
-        return IntervalQ(lo, hi, lo_open=lo_open, hi_open=not hi_closed)
-
     def render(self) -> str:
         if self.is_empty:
             return "(empty)"

@@ -3,8 +3,10 @@
 Assuming the bundle on the comb is semistable for the given polarization,
 each restriction to a tooth is either provably semistable or constrained to
 a short list of numerically admissible destabilizers (rank, euler) pairs.
-All verdicts are conditional on that assumption; the module never decides
-semistability of the bundle itself.
+One classifier, :func:`classify_restriction`, covers every rank >= 2: its
+criteria are sharp at rank 2 and partial above.  All verdicts are
+conditional on that assumption; the module never decides semistability of
+the bundle itself.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def _filtered(n: int, chi_j: int, chi: int, w_j: Fraction) -> tuple[tuple[int, i
 
 
 def _listing_length(n: int, chis: Sequence[int], chi: int, w: Polarization) -> int:
-    """Bound on the entries the classifiers walk or list over all teeth.
+    """Bound on the entries the classifier walks or lists over all teeth.
 
     A tooth with w_j*chi an integer lists nothing.  Otherwise, with n | chi_j
     each rank k keeps at most k - 1 pairs, at most n(n-1)/2 in all; without
@@ -164,77 +166,18 @@ def _listing_length(n: int, chis: Sequence[int], chi: int, w: Polarization) -> i
     return total
 
 
-def _inconclusive(j: int, w_j: Fraction, chi: int) -> RestrictionVerdict:
-    wchi = w_j.numerator * chi // w_j.denominator
-    return RestrictionVerdict(
-        j=j,
-        case=RestrictionCase.INCONCLUSIVE_INTEGRAL_WCHI,
-        notes=f"w_{j}*chi = {wchi} is an integer; the classification is silent here",
-    )
-
-
-def classify_rank2(
+def classify_restriction(
     curve: CombCurve, bundle: BundleData, w: Polarization, j: int
 ) -> RestrictionVerdict:
-    """Rank-2 classification of the tooth-j restriction.
+    """Classification of the tooth-j restriction (rank >= 2).
 
-    With w_j*chi non-integral: the upper window proves semistability, even
-    chi_j proves semistability, and otherwise the only admissible
-    destabilizer is a line subbundle with euler (chi_j + 1)/2.
-    """
-    if bundle.rank != 2:
-        raise ValueError(f"rank-2 classifier called with rank {bundle.rank}")
-    chi_j, chi = _tooth_eulers(curve, bundle, w, j)
-    w_j = w.weights[j - 1]
-    if _integral_wchi(w_j, chi):
-        return _inconclusive(j, w_j, chi)
-    if _in_window(w_j, chi, chi_j, 1):
-        return RestrictionVerdict(
-            j=j,
-            case=RestrictionCase.SEMISTABLE_BY_WINDOW,
-            notes=f"chi_{j} = {chi_j} lies in the upper unit window above w_{j}*chi + 1",
-        )
-    if chi_j % 2 == 0:
-        return RestrictionVerdict(
-            j=j,
-            case=RestrictionCase.SEMISTABLE_BY_PARITY,
-            notes=f"chi_{j} = {chi_j} is even; no line subbundle can reach slope above chi_{j}/2",
-        )
-    # The only value a destabilizing line subbundle can take; intersecting
-    # with the admissible range keeps the verdict honest on inputs that
-    # already violate the necessary inequalities.
-    forced_euler = (chi_j + 1) // 2
-    forced = _filtered(2, chi_j, chi, w_j)
-    if any(pair != (1, forced_euler) for pair in forced):
-        raise RuntimeError(f"rank-2 filter kept {forced}, not only (1, {forced_euler})")
-    if forced:
-        notes = (
-            f"a destabilizer must be a line subbundle with euler characteristic "
-            f"{forced_euler} (= (chi_{j} + 1)/2)"
-        )
-    else:
-        notes = (
-            f"the forced line-subbundle euler {forced_euler} (= (chi_{j} + 1)/2) is "
-            f"itself outside the admissible range, so nothing can destabilize; the "
-            f"semistability hypothesis on the whole bundle must already fail here"
-        )
-    return RestrictionVerdict(
-        j=j,
-        case=RestrictionCase.POSSIBLY_UNSTABLE,
-        forced_destabilizers=forced,
-        notes=notes,
-    )
-
-
-def classify_rankn(
-    curve: CombCurve, bundle: BundleData, w: Polarization, j: int
-) -> RestrictionVerdict:
-    """General-rank classification of the tooth-j restriction (rank >= 2).
-
-    With w_j*chi non-integral: when n | chi_j the top unit window proves
-    semistability; otherwise every destabilizer candidate must survive the
-    divisibility filters (no k | chi_L when n | chi_j; integral-slope
-    candidates pinned to chi_j/n + (n - r_j)/n).  An exhausted candidate
+    With w_j*chi an integer the classification is silent.  Otherwise the
+    top unit window above w_j*chi + n - 1 proves semistability when n = 2 or
+    n | chi_j.  At rank 2 an even chi_j proves semistability, and otherwise
+    the only admissible destabilizer is a line subbundle with euler
+    (chi_j + 1)/2.  Above rank 2 every destabilizer candidate must survive
+    the divisibility filters (no k | chi_L when n | chi_j; integral-slope
+    candidates pinned to chi_j/n + (n - r_j)/n), and an exhausted candidate
     list with n | chi_j is itself a semistability proof.
     """
     n = bundle.rank
@@ -243,16 +186,49 @@ def classify_rankn(
     chi_j, chi = _tooth_eulers(curve, bundle, w, j)
     w_j = w.weights[j - 1]
     if _integral_wchi(w_j, chi):
-        return _inconclusive(j, w_j, chi)
+        wchi = w_j.numerator * chi // w_j.denominator
+        return RestrictionVerdict(
+            j=j,
+            case=RestrictionCase.INCONCLUSIVE_INTEGRAL_WCHI,
+            notes=f"w_{j}*chi = {wchi} is an integer; the classification is silent here",
+        )
     n_divides = chi_j % n == 0
-    if n_divides and _in_window(w_j, chi, chi_j, n - 1):
+    if (n == 2 or n_divides) and _in_window(w_j, chi, chi_j, n - 1):
         return RestrictionVerdict(
             j=j,
             case=RestrictionCase.SEMISTABLE_BY_WINDOW,
-            notes=f"{n} divides chi_{j} = {chi_j} and chi_{j} lies in the top unit window",
+            notes=(
+                f"chi_{j} = {chi_j} lies in the upper unit window above w_{j}*chi + 1"
+                if n == 2
+                else f"{n} divides chi_{j} = {chi_j} and chi_{j} lies in the top unit window"
+            ),
+        )
+    if n == 2 and n_divides:
+        return RestrictionVerdict(
+            j=j,
+            case=RestrictionCase.SEMISTABLE_BY_PARITY,
+            notes=f"chi_{j} = {chi_j} is even; no line subbundle can reach slope above chi_{j}/2",
         )
     forced = _filtered(n, chi_j, chi, w_j)
-    if n_divides and not forced:
+    if n == 2:
+        # The only value a destabilizing line subbundle can take; intersecting
+        # with the admissible range keeps the verdict honest on inputs that
+        # already violate the necessary inequalities.
+        forced_euler = (chi_j + 1) // 2
+        if any(pair != (1, forced_euler) for pair in forced):
+            raise RuntimeError(f"rank-2 filter kept {forced}, not only (1, {forced_euler})")
+        if forced:
+            notes = (
+                f"a destabilizer must be a line subbundle with euler characteristic "
+                f"{forced_euler} (= (chi_{j} + 1)/2)"
+            )
+        else:
+            notes = (
+                f"the forced line-subbundle euler {forced_euler} (= (chi_{j} + 1)/2) is "
+                f"itself outside the admissible range, so nothing can destabilize; the "
+                f"semistability hypothesis on the whole bundle must already fail here"
+            )
+    elif n_divides and not forced:
         return RestrictionVerdict(
             j=j,
             case=RestrictionCase.SEMISTABLE_BY_DIVISIBILITY,
@@ -261,25 +237,20 @@ def classify_rankn(
                 f"every admissible destabilizer"
             ),
         )
-    r_j = euclidean_remainder(chi_j, n)
-    notes = (
-        f"admissible destabilizers listed as (rank, euler); remainder of chi_{j} mod {n} is {r_j}"
-        if forced
-        else "no numerically admissible destabilizer survives, but no semistability "
-        "criterion applies either"
-    )
+    elif forced:
+        r_j = euclidean_remainder(chi_j, n)
+        notes = (
+            f"admissible destabilizers listed as (rank, euler); "
+            f"remainder of chi_{j} mod {n} is {r_j}"
+        )
+    else:
+        notes = (
+            "no numerically admissible destabilizer survives, but no semistability "
+            "criterion applies either"
+        )
     return RestrictionVerdict(
         j=j,
         case=RestrictionCase.POSSIBLY_UNSTABLE,
         forced_destabilizers=forced,
         notes=notes,
     )
-
-
-def classify_restriction(
-    curve: CombCurve, bundle: BundleData, w: Polarization, j: int
-) -> RestrictionVerdict:
-    """Dispatch to the sharp rank-2 classifier or the general one."""
-    if bundle.rank == 2:
-        return classify_rank2(curve, bundle, w, j)
-    return classify_rankn(curve, bundle, w, j)

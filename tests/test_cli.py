@@ -3,9 +3,12 @@ import copy
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,8 @@ from combstab.model import ToothWitness, format_rational
 from combstab.oracles import instance_stream, pair_stream
 from combstab.polarization import ComponentCheck, necessary_check
 from combstab.restrictions import RestrictionVerdict, classify_restriction
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 I1 = {
     "curve": {"genera": [2, 2]},
@@ -638,6 +643,58 @@ class TestInputBoundary:
             assert sys.get_int_max_str_digits() == 5000
         finally:
             sys.set_int_max_str_digits(saved)
+
+
+def _combstab_process(*argv: str, stdout) -> subprocess.Popen:
+    return subprocess.Popen(
+        [sys.executable, "-m", "combstab", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+
+
+class TestOutputErrors:
+    # A failed write is an output error: exit 2 and one stderr line, never
+    # exit 1 (a negative verdict) with a traceback.
+
+    def test_reader_closing_early_exits_two(self, write_doc):
+        # About 2 MB of text: far more than a pipe holds, so the writer is
+        # still writing when the reader goes away.
+        num = 30_000
+        doc = {
+            "curve": {"genera": [2] * num},
+            "pair": {
+                "rank": 1,
+                "sections": 4,
+                "multidegree": [5] * num,
+                "kernel_dims": [int(j % 3 == 0 and j < num - 1) for j in range(num)],
+            },
+        }
+        proc = _combstab_process("kernel", write_doc(doc), stdout=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"pair: rank 1, sections 4")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait() == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_full_device_exits_two(self, write_doc):
+        with open("/dev/full", "wb") as full:
+            proc = _combstab_process("region", write_doc(I1), stdout=full)
+            err = proc.stderr.read().decode()
+            assert proc.wait() == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_render_errors_are_not_relabelled(self, capsys, write_doc, monkeypatch):
+        def broken(payload, *inputs):
+            raise OSError("raised while rendering")
+
+        monkeypatch.setattr(cli, "_region_text", broken)
+        with pytest.raises(OSError, match="raised while rendering"):
+            main(["region", write_doc(I1)])
 
 
 class TestSelftest:

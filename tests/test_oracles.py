@@ -29,6 +29,7 @@ from combstab.oracles import (
     pair_stream,
     run_selftest,
 )
+from test_polarization import interval_contains, interval_intersection
 
 
 class TestGenerators:
@@ -152,14 +153,14 @@ def reference_filters(chi_j, n, raw):
 
 
 def reference_simplest(interval, max_denominator):
-    """First p/q, q ascending then p ascending, that ``IntervalQ.contains``."""
+    """First p/q, q ascending then p ascending, that ``interval_contains`` accepts."""
     if interval.is_empty:
         return None
     for q in range(1, max_denominator + 1):
         p = math.ceil(interval.lo * q)
         if interval.lo_open and Fraction(p, q) == interval.lo:
             p += 1
-        if interval.contains(Fraction(p, q)):
+        if interval_contains(interval, Fraction(p, q)):
             return Fraction(p, q)
     return None
 
@@ -232,7 +233,7 @@ class TestIntegerOraclesAgainstReference:
 
     def test_nesting_on_every_endpoint_kind(self):
         # Crossed, touching and point intervals included; the reference is
-        # the fast path's Fraction intersection.
+        # the longhand intersection written in test_polarization.
         ends = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
         intervals = [
             IntervalQ(lo, hi, lo_open=lo_open, hi_open=hi_open)
@@ -241,7 +242,7 @@ class TestIntegerOraclesAgainstReference:
         ]
         nested = 0
         for inner, outer in itertools.product(intervals, repeat=2):
-            expected = inner.is_empty or inner.intersect(outer) == inner
+            expected = inner.is_empty or interval_intersection(inner, outer) == inner
             assert oracles._nested(inner, outer) == expected, (inner, outer)
             nested += expected
         assert 0 < nested < len(intervals) ** 2

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,8 +9,6 @@ from combstab import (
     CombCurve,
     Polarization,
     RestrictionCase,
-    classify_rank2,
-    classify_rankn,
     classify_restriction,
     component_eulers,
     destabilizer_candidates,
@@ -91,13 +90,13 @@ class TestDivisibilityExclusion:
 class TestClassifyRank2:
     def test_forced_destabilizer(self):
         w = Polarization(("1/3", "2/3"))
-        verdict = classify_rank2(C22, B11, w, 1)
+        verdict = classify_restriction(C22, B11, w, 1)
         assert verdict.case is RestrictionCase.POSSIBLY_UNSTABLE
         assert verdict.forced_destabilizers == ((1, 0),)
 
     def test_integral_weight_chi_is_inconclusive(self):
         w = Polarization(("1/2", "1/2"))
-        verdict = classify_rank2(C22, B11, w, 1)
+        verdict = classify_restriction(C22, B11, w, 1)
         assert verdict.case is RestrictionCase.INCONCLUSIVE_INTEGRAL_WCHI
         assert verdict.forced_destabilizers == ()
 
@@ -108,19 +107,15 @@ class TestClassifyRank2:
         w = Polarization(("2/5", "3/5"))
         chi = total_euler(C22, bundle)
         assert w.weights[0] * chi + 1 < -1 < w.weights[0] * chi + 2
-        verdict = classify_rank2(C22, bundle, w, 1)
+        verdict = classify_restriction(C22, bundle, w, 1)
         assert verdict.case is RestrictionCase.SEMISTABLE_BY_WINDOW
 
     def test_even_euler_is_semistable(self):
         bundle = BundleData(2, (2, 3))  # chis (0, 1), total -1
         w = Polarization(("1/3", "2/3"))
         assert (w.weights[0] * total_euler(C22, bundle)).denominator != 1
-        verdict = classify_rank2(C22, bundle, w, 1)
+        verdict = classify_restriction(C22, bundle, w, 1)
         assert verdict.case is RestrictionCase.SEMISTABLE_BY_PARITY
-
-    def test_requires_rank_two(self):
-        with pytest.raises(ValueError):
-            classify_rank2(C22, BundleData(3, (1, 1)), Polarization(("1/3", "2/3")), 1)
 
 
 class TestClassifyRankN:
@@ -129,12 +124,12 @@ class TestClassifyRankN:
 
     def test_window(self):
         w = Polarization(("1/2", "1/2"))
-        verdict = classify_rankn(self.CURVE, self.BUNDLE, w, 1)
+        verdict = classify_restriction(self.CURVE, self.BUNDLE, w, 1)
         assert verdict.case is RestrictionCase.SEMISTABLE_BY_WINDOW
 
     def test_forced_list_excludes_line_subbundles(self):
         w = Polarization(("2/5", "3/5"))
-        verdict = classify_rankn(self.CURVE, self.BUNDLE, w, 1)
+        verdict = classify_restriction(self.CURVE, self.BUNDLE, w, 1)
         assert verdict.case is RestrictionCase.POSSIBLY_UNSTABLE
         assert verdict.forced_destabilizers == ((2, -3),)
         assert all(k != 1 for k, _ in verdict.forced_destabilizers)
@@ -142,7 +137,7 @@ class TestClassifyRankN:
     def test_integral_weight_chi(self):
         # w_1 * chi = -17/17 * ... pick weights with denominator 17.
         w = Polarization((Fraction(5, 17), Fraction(12, 17)))
-        verdict = classify_rankn(self.CURVE, self.BUNDLE, w, 1)
+        verdict = classify_restriction(self.CURVE, self.BUNDLE, w, 1)
         assert verdict.case is RestrictionCase.INCONCLUSIVE_INTEGRAL_WCHI
 
     def test_integral_slope_candidates_are_pinned(self):
@@ -153,11 +148,11 @@ class TestClassifyRankN:
         bundle = BundleData(3, (-4, 0))
         assert component_eulers(curve, bundle) == (-7, -3)
         w = Polarization(("1/2", "1/2"))
-        verdict = classify_rankn(curve, bundle, w, 1)
+        verdict = classify_restriction(curve, bundle, w, 1)
         assert verdict.case is RestrictionCase.POSSIBLY_UNSTABLE
         assert verdict.forced_destabilizers == ((1, -2), (2, -4), (2, -3))
         wider = Polarization(("1/5", "4/5"))
-        verdict = classify_rankn(curve, bundle, wider, 1)
+        verdict = classify_restriction(curve, bundle, wider, 1)
         assert destabilizer_candidates(curve, bundle, wider, 1, 1) == [-2, -1, 0]
         assert destabilizer_candidates(curve, bundle, wider, 1, 2) == [-4, -3, -2, -1, 0]
         assert verdict.forced_destabilizers == ((1, -2), (2, -4), (2, -3), (2, -1))
@@ -167,14 +162,14 @@ class TestClassifyRankN:
         curve = CombCurve((2, 2))
         bundle = BundleData(3, (6, -2))  # chis (3, -5), total -5
         w = Polarization(("1/2", "1/2"))
-        verdict = classify_rankn(curve, bundle, w, 1)
+        verdict = classify_restriction(curve, bundle, w, 1)
         assert verdict.case is RestrictionCase.SEMISTABLE_BY_DIVISIBILITY
         assert filtered_destabilizer_candidates(curve, bundle, w, 1) == ()
 
     def test_semistable_verdicts_have_empty_filtered_sets(self):
         for w_str in (["1/2", "1/2"], ["3/7", "4/7"], ["2/5", "3/5"]):
             w = Polarization(w_str)
-            verdict = classify_rankn(self.CURVE, self.BUNDLE, w, 1)
+            verdict = classify_restriction(self.CURVE, self.BUNDLE, w, 1)
             if verdict.case.is_semistable:
                 assert filtered_destabilizer_candidates(self.CURVE, self.BUNDLE, w, 1) == ()
 
@@ -197,6 +192,46 @@ def test_dispatch():
     assert v.case is RestrictionCase.SEMISTABLE_BY_WINDOW
     with pytest.raises(ValueError):
         classify_restriction(C22, BundleData(1, (1, 1)), w, 1)
+
+
+# sha256 over (j, case value, forced destabilizers, notes) of every tooth
+# verdict on the seeded grid below, taken when rank 2 and ranks >= 3 still
+# had separate classifiers; any change to a verdict or its text moves it.
+CLASSIFICATION_GRID_SHA256 = "8c358f8f59962f1a78e0b901878d66f3f39b4366072a087da49bb7518aa7e809"
+
+
+def test_classification_grid_is_pinned():
+    # Ranks 2-5, N <= 5 components, weight denominators <= 40.
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    seen = set()
+    for _ in range(4000):
+        n, num = rng.randint(2, 5), rng.randint(2, 5)
+        curve = CombCurve(tuple(rng.randint(0, 3) for _ in range(num)))
+        bundle = BundleData(n, tuple(rng.randint(-12, 12) for _ in range(num)))
+        den = rng.randint(num, 40)
+        cuts = sorted(rng.sample(range(1, den), num - 1))
+        w = Polarization(tuple(Fraction(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])))
+        chis = component_eulers(curve, bundle)
+        for j in range(1, num):
+            v = classify_restriction(curve, bundle, w, j)
+            digest.update(repr((v.j, v.case.value, v.forced_destabilizers, v.notes)).encode())
+            parity = chis[j - 1] % 2 if n == 2 else None
+            seen.add((n == 2, v.case, parity, bool(v.forced_destabilizers)))
+    # Every case at both rank kinds, forced lists empty and not, and the
+    # rank-2 window with odd chi_j, which the parity exit would not reach.
+    assert (True, RestrictionCase.SEMISTABLE_BY_WINDOW, 1, False) in seen
+    only_above_rank2 = RestrictionCase.SEMISTABLE_BY_DIVISIBILITY
+    only_rank2 = RestrictionCase.SEMISTABLE_BY_PARITY
+    assert {(rank2, case) for rank2, case, _, _ in seen} == {
+        (rank2, case)
+        for rank2 in (True, False)
+        for case in RestrictionCase
+        if case is not (only_above_rank2 if rank2 else only_rank2)
+    }
+    unstable = {(rank2, forced) for rank2, case, _, forced in seen if case is RestrictionCase.POSSIBLY_UNSTABLE}
+    assert unstable == {(rank2, forced) for rank2 in (True, False) for forced in (True, False)}
+    assert digest.hexdigest() == CLASSIFICATION_GRID_SHA256
 
 
 def _longhand_case(n: int, chi_j: int, chi: int, w_j: Fraction, forced) -> RestrictionCase:

@@ -28,8 +28,6 @@ PUBLIC = [
     "ToothWitness",
     "canonical_witnesses",
     "characterize",
-    "classify_rank2",
-    "classify_rankn",
     "classify_restriction",
     "component_eulers",
     "destabilizer_candidates",
