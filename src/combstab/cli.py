@@ -100,11 +100,11 @@ def _emit(args: argparse.Namespace, payload: dict, render, *inputs) -> int:
         print(text)
         sys.stdout.flush()  # raise here, not at interpreter exit
     except OSError as exc:  # BrokenPipeError included
-        if isinstance(exc, BrokenPipeError):
-            # The interpreter flushes stdout once more on the way out.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        # The buffer keeps the unwritten bytes and the interpreter flushes
+        # stdout once more on the way out: let that flush go to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return payload["exit"]

@@ -29,7 +29,7 @@ from combstab.oracles import (
     pair_stream,
     run_selftest,
 )
-from test_polarization import interval_contains, interval_intersection
+from longhand import interval_contains, interval_intersection
 
 
 class TestGenerators:
