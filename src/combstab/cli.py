@@ -21,14 +21,19 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
-from .documents import DocumentError, InstanceDocument, load_document, render_document
+from .documents import (
+    DocumentError,
+    InstanceDocument,
+    _parse_weight,
+    load_document,
+    render_document,
+)
 from .kernel_bundles import (
     CharacterizationKind,
     GeneratedPairData,
     _restriction_witness,
     characterize,
     kernel_data,
-    kernel_polarization,
     strong_unstability,
     validate_pair,
 )
@@ -37,9 +42,9 @@ from .model import (
     CombCurve,
     Polarization,
     ToothWitness,
+    _check_lengths,
     _euler_numbers,
     format_rational,
-    parse_rational,
     validate_polarization,
 )
 from .oracles import run_selftest
@@ -276,21 +281,21 @@ def _weights_text(weights: list[Fraction]) -> str:
 
 
 def _resolve_polarization(args: argparse.Namespace, doc: InstanceDocument) -> Polarization:
-    if getattr(args, "polarization", None) is not None:
+    if args.polarization is not None:
         try:
-            weights = tuple(parse_rational(p) for p in args.polarization.split(","))
-        except ValueError as exc:
+            parts = enumerate(args.polarization.split(","), start=1)
+            weights = tuple(_parse_weight(p, f"weight {j}") for j, p in parts)
+        except DocumentError as exc:
             raise CliInputError(f"bad --polarization: {exc}") from exc
         w = Polarization(weights)
     elif doc.polarization is not None:
         w = doc.polarization
     else:
         raise CliInputError("a polarization is required (document field or --polarization)")
-    if len(w.weights) != doc.curve.num_components:
-        raise CliInputError(
-            f"polarization has {len(w.weights)} weights for "
-            f"{doc.curve.num_components} components"
-        )
+    try:
+        _check_lengths(doc.curve, w.weights, "polarization")
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from exc
     violations = validate_polarization(w)
     if violations:
         raise CliInputError("invalid polarization: " + "; ".join(violations))
@@ -437,24 +442,24 @@ def _region_text(payload: dict, curve: CombCurve, bundle: BundleData):
 
 def cmd_polarize(args: argparse.Namespace) -> int:
     doc = load_document(args.file)
+    # The target of the pair route is the pair's kernel bundle.
     if doc.bundle is not None:
-        w = synthesize_polarization(doc.curve, doc.bundle)
+        target = doc.bundle
     elif doc.pair is not None:
-        w = kernel_polarization(doc.curve, _require_valid_pair(doc))
+        target = kernel_data(doc.curve, _require_valid_pair(doc))
     else:
         raise CliInputError("polarize needs a bundle or a pair section")
+    w = synthesize_polarization(doc.curve, target)
     payload = {
         "command": "polarize",
         "weights": None if w is None else list(w.weights),
         "exit": EXIT_NEGATIVE if w is None else EXIT_OK,
     }
-    return _emit(args, payload, _polarize_text, doc)
+    return _emit(args, payload, _polarize_text, doc.curve, target)
 
 
-def _polarize_text(payload: dict, doc: InstanceDocument):
-    # The target of the pair route is the pair's kernel bundle.
-    bundle = doc.bundle if doc.bundle is not None else kernel_data(doc.curve, doc.pair)
-    yield _bundle_line(_bundle_payload(doc.curve, bundle), title="target bundle")
+def _polarize_text(payload: dict, curve: CombCurve, target: BundleData):
+    yield _bundle_line(_bundle_payload(curve, target), title="target bundle")
     if payload["weights"] is None:
         yield "no polarization: the strict feasibility region is empty"
     else:

@@ -8,13 +8,15 @@ are the canonical bundle input; euler characteristics may be supplied as
 well (or instead) and are cross-validated against the degrees.  Integers in
 a document file, the numerator and denominator of each weight included,
 have at most 4300 decimal digits, a curve has at most 100000 components
-and a bundle's rank is at most 1000.
+and a bundle's rank is at most 1000.  The CLI's ``--polarization`` weights
+pass through the same weight parser and digit bound.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from .kernel_bundles import GeneratedPairData, PairAssumptions
@@ -45,6 +47,16 @@ def _check_digits(text: str, where: str) -> str:
     if len(text.strip().lstrip("+-")) > _MAX_DIGITS:
         raise DocumentError(f"{where} has more than {_MAX_DIGITS} digits")
     return text
+
+
+def _parse_weight(text: str, where: str) -> Fraction:
+    """An exact ``"p/q"`` weight, each part within the digit bound."""
+    for part in text.split("/"):
+        _check_digits(part, where)
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,12 +209,7 @@ def _parse_polarization(obj: object, curve: CombCurve) -> Polarization:
             raise DocumentError(
                 f"polarization.weights[{i}] must be an exact 'p/q' string, got {item!r}"
             )
-        for part in item.split("/"):
-            _check_digits(part, f"polarization.weights[{i}]")
-        try:
-            weights.append(parse_rational(item))
-        except ValueError as exc:
-            raise DocumentError(str(exc)) from exc
+        weights.append(_parse_weight(item, f"polarization.weights[{i}]"))
     return Polarization(tuple(weights))
 
 

@@ -1,4 +1,4 @@
-"""Hot integer kernels: simplest-fraction search and destabilizer ranges.
+"""Hot integer kernel: the simplest fraction strictly inside an open interval.
 
 Everything here is exact integer arithmetic on arbitrary-precision ints.
 """
@@ -43,18 +43,3 @@ def simplest_between(ap: int, aq: int, bp: int, bq: int) -> tuple[int, int]:
         # Shift into [0, 1) and invert; ordering is preserved.
         ap, aq, bp, bq = bq, bp2, aq, ap2
     return h1 * p + h0 * q, k1 * p + k0 * q
-
-
-def destabilizer_range(k: int, chi_j: int, n: int, w_num: int, w_den: int, chi: int) -> tuple[int, int]:
-    """Inclusive integer range of admissible destabilizer Euler characteristics.
-
-    An integer chi_L is admissible for a rank-k subsheaf of a rank-n
-    restriction when chi_L/k > chi_j/n (strict slope violation) and
-    chi_L <= k*w*chi/n + k (the weighted subsheaf ceiling), w = w_num/w_den.
-    Returns (lo, hi); the range is empty when lo > hi.
-    """
-    if k < 1 or n < 1 or w_den < 1:
-        raise ValueError("rank and weight denominator must be positive")
-    lo = (k * chi_j) // n + 1
-    hi = (k * w_num * chi) // (w_den * n) + k
-    return lo, hi

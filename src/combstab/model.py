@@ -222,6 +222,18 @@ def _total_euler(curve: CombCurve, bundle: BundleData) -> int:
     return bundle.total_degree + bundle.rank * (1 - curve.arithmetic_genus)
 
 
+def _tooth_eulers(curve: CombCurve, bundle: BundleData, j: int) -> tuple[int, int]:
+    """chi_j and chi for tooth j, after checking the tooth index and the multidegree length.
+
+    chi_j is the one tooth's d_j + n*(1 - g_j); chi takes the closed form,
+    so no other component's Euler number is derived.
+    """
+    if not 1 <= j <= curve.num_components - 1:
+        raise IndexError(f"tooth index must be in 1..{curve.num_components - 1}, got {j}")
+    chi = _total_euler(curve, bundle)
+    return bundle.multidegree[j - 1] + bundle.rank * (1 - curve.genera[j - 1]), chi
+
+
 def slope(profile: SubsheafProfile | ToothWitness, polarization: Polarization) -> Fraction:
     """Polarized slope: euler characteristic over the weighted multirank sum."""
     if len(profile.multirank) != len(polarization.weights):

@@ -48,7 +48,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .kernel_bundles import GeneratedPairData, kernel_data, kernel_polarization
+from .kernel_bundles import GeneratedPairData, kernel_data
 from .model import (
     BundleData,
     CombCurve,
@@ -402,7 +402,7 @@ class SelftestReport:
     def _stat(self, name: str) -> CheckStat:
         return self.checks.setdefault(name, CheckStat())
 
-    def record(self, name: str, ok: bool, describe: Callable[[], str] | None = None) -> None:
+    def record(self, name: str, ok: bool, describe: Callable[[], str]) -> None:
         """Count one check; the first disagreement is kept as ``name: describe()``.
 
         ``describe`` builds the counterexample text, so it runs only then.
@@ -412,7 +412,7 @@ class SelftestReport:
         if ok:
             stat.agreed += 1
         elif self.first_failure is None:
-            self.first_failure = f"{name}: {describe()}" if describe else name
+            self.first_failure = f"{name}: {describe()}"
 
     @property
     def total_run(self) -> int:
@@ -518,7 +518,7 @@ def _check_pairs(report: SelftestReport, pairs) -> None:
         _, chi_o = _eulers(curve, 1, [0] * curve.num_components)
         identity = chi_m == pair.sections * chi_o - chi_e
         report.record("kernel-identity", identity, where)
-        w_pair = kernel_polarization(curve, pair)
+        w_pair = synthesize_polarization(curve, m)
         report.record(
             "kernel-polarization",
             w_pair is not None and _valid_longhand(w_pair),

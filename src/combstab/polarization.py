@@ -35,8 +35,10 @@ from .model import (
     CombCurve,
     Polarization,
     ToothWitness,
+    _check_lengths,
     _euler_numbers,
     _exact_sum,
+    _tooth_eulers,
     format_rational,
 )
 
@@ -102,11 +104,9 @@ def canonical_witnesses(
     tooth alone, euler chi_j - n); second the complementary subsheaf
     supported off the tooth (euler chi - chi_j).  1 <= j <= N-1.
     """
-    if not 1 <= j <= curve.num_components - 1:
-        raise IndexError(f"tooth index must be in 1..{curve.num_components - 1}, got {j}")
-    chis, chi = _euler_numbers(curve, bundle)
+    chi_j, chi = _tooth_eulers(curve, bundle, j)
     num, n = curve.num_components, bundle.rank
-    return _restricted(num, n, chis[j - 1], j), _complement(num, n, chis[j - 1], chi, j)
+    return _restricted(num, n, chi_j, j), _complement(num, n, chi_j, chi, j)
 
 
 def _restricted(num: int, n: int, chi_j: int, j: int) -> ToothWitness:
@@ -146,8 +146,7 @@ def necessary_check(curve: CombCurve, bundle: BundleData, w: Polarization) -> Ne
     n = bundle.rank
     num = curve.num_components
     chis, chi = _euler_numbers(curve, bundle)
-    if len(w.weights) != num:
-        raise ValueError(f"polarization has {len(w.weights)} weights for {num} components")
+    _check_lengths(curve, w.weights, "polarization")
     total = None  # sum of the weights, taken at the first complement witness
     checks = []
     for j in range(1, num):

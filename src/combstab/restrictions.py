@@ -7,6 +7,9 @@ One classifier, :func:`classify_restriction`, covers every rank >= 2: its
 criteria are sharp at rank 2 and partial above.  All verdicts are
 conditional on that assumption; the module never decides semistability of
 the bundle itself.
+
+The destabilizer range of each rank is two floor divisions, taken here;
+tooth j's Euler numbers and index check come from :mod:`~combstab.model`.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from . import kernels
-from .model import BundleData, CombCurve, Polarization, _total_euler
+from .model import BundleData, CombCurve, Polarization, _check_lengths, _tooth_eulers
 
 
 class RestrictionCase(Enum):
@@ -61,22 +63,6 @@ def euclidean_remainder(value: int, modulus: int) -> int:
     return value % modulus
 
 
-def _tooth_eulers(curve: CombCurve, bundle: BundleData, w: Polarization, j: int) -> tuple[int, int]:
-    """chi_j and chi for tooth j, after checking the tooth index and the lengths.
-
-    chi_j is the one tooth's d_j + n*(1 - g_j); chi takes the closed form,
-    so no other component's Euler number is derived.
-    """
-    if not 1 <= j <= curve.num_components - 1:
-        raise IndexError(f"tooth index must be in 1..{curve.num_components - 1}, got {j}")
-    if len(w.weights) != curve.num_components:
-        raise ValueError(
-            f"polarization has {len(w.weights)} weights for {curve.num_components} components"
-        )
-    chi = _total_euler(curve, bundle)  # checks the multidegree length first
-    return bundle.multidegree[j - 1] + bundle.rank * (1 - curve.genera[j - 1]), chi
-
-
 def _integral_wchi(w_j: Fraction, chi: int) -> bool:
     """Whether w_j*chi is an integer: q divides p*chi for w_j = p/q."""
     return (w_j.numerator * chi) % w_j.denominator == 0
@@ -101,13 +87,14 @@ def destabilizer_candidates(
     n = bundle.rank
     if not 1 <= k <= n - 1:
         raise ValueError(f"destabilizer rank must be in 1..{n - 1}, got {k}")
-    chi_j, chi = _tooth_eulers(curve, bundle, w, j)
+    _check_lengths(curve, w.weights, "polarization")
+    chi_j, chi = _tooth_eulers(curve, bundle, j)
     return list(_candidate_range(k, n, chi_j, chi, w.weights[j - 1]))
 
 
 def _candidate_range(k: int, n: int, chi_j: int, chi: int, w_j: Fraction) -> range:
-    lo, hi = kernels.destabilizer_range(k, chi_j, n, w_j.numerator, w_j.denominator, chi)
-    return range(lo, hi + 1)
+    """chi_L with k*chi_j/n < chi_L <= k*p*chi/(q*n) + k, w_j = p/q: two floor divisions."""
+    return range(k * chi_j // n + 1, k * w_j.numerator * chi // (w_j.denominator * n) + k + 1)
 
 
 def filtered_destabilizer_candidates(
@@ -119,7 +106,8 @@ def filtered_destabilizer_candidates(
     must sit at chi_j*k/n + a with 0 < a < k; otherwise pairs with k | chi_L
     are pinned to the single quotient chi_j/n + (n - r_j)/n.
     """
-    chi_j, chi = _tooth_eulers(curve, bundle, w, j)
+    _check_lengths(curve, w.weights, "polarization")
+    chi_j, chi = _tooth_eulers(curve, bundle, j)
     return _filtered(bundle.rank, chi_j, chi, w.weights[j - 1])
 
 
@@ -183,7 +171,8 @@ def classify_restriction(
     n = bundle.rank
     if n < 2:
         raise ValueError(f"classification needs rank >= 2, got {n}")
-    chi_j, chi = _tooth_eulers(curve, bundle, w, j)
+    _check_lengths(curve, w.weights, "polarization")
+    chi_j, chi = _tooth_eulers(curve, bundle, j)
     w_j = w.weights[j - 1]
     if _integral_wchi(w_j, chi):
         wchi = w_j.numerator * chi // w_j.denominator

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from combstab import cli
+from combstab import cli, kernel_bundles
 from combstab.cli import _any_int_length, _json_text, main
 from combstab.documents import DocumentError, InstanceDocument, load_document, render_document
 from combstab.model import ToothWitness, format_rational
@@ -181,6 +181,14 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert "bad --polarization" in err
+
+    def test_polarization_flag_with_the_wrong_count_is_input_error(self, capsys, write_doc):
+        code, out, err = run_cli(
+            capsys, "analyze", write_doc(I1), "--polarization", "1/3,1/3,1/3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: polarization has 3 entries for a curve with 2 components\n"
 
     def test_invalid_polarization_is_input_error(self, capsys, write_doc):
         code, _, err = run_cli(
@@ -353,6 +361,26 @@ class TestKernel:
         assert "spine" in err
 
 
+@pytest.mark.parametrize(
+    "command, extra, validations",
+    [("polarize", [], 2), ("polarize", ["--json"], 2), ("kernel", [], 4), ("kernel", ["--json"], 4)],
+)
+def test_pair_validations_per_command(capsys, write_doc, monkeypatch, command, extra, validations):
+    # polarize derives the kernel bundle once and renders its text from it.
+    calls = []
+    real = kernel_bundles.validate_pair
+
+    def counting(curve, pair):
+        calls.append(pair)
+        return real(curve, pair)
+
+    monkeypatch.setattr(kernel_bundles, "validate_pair", counting)
+    monkeypatch.setattr(cli, "validate_pair", counting)
+    code, _, _ = run_cli(capsys, command, write_doc(KERNEL_OK), *extra)
+    assert code == 0
+    assert len(calls) == validations
+
+
 class TestValidate:
     def test_ok(self, capsys, write_doc):
         code, out, _ = run_cli(capsys, "validate", write_doc(I1))
@@ -479,6 +507,20 @@ class TestInputBoundary:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_polarization_flag_digits_are_bounded(self, capsys, write_doc):
+        # The flag's weights meet the document's bound on each part.
+        doc = {"curve": {"genera": [2, 2]}, "bundle": {"rank": 2, "multidegree": [3, 5]}}
+        path = write_doc(doc)
+        for digits, ok in ((4300, True), (4301, False)):
+            den = "1" + "0" * (digits - 1)
+            flag = f"{den[:-1]}/{den},9{den[2:]}/{den}"  # 1/10 and 9/10
+            code, out, err = run_cli(capsys, "analyze", path, "--polarization", flag)
+            if ok:
+                assert code in (0, 1) and err == ""
+            else:
+                assert (code, out) == (2, "")
+                assert err == "error: bad --polarization: weight 1 has more than 4300 digits\n"
 
     def test_polarize_renders_weights_past_the_digit_limit(self, capsys, write_doc):
         # Tight family: genera 0, rank 1, tooth degrees near -D, spine degree N-3.

@@ -85,6 +85,33 @@ def test_missing_curve():
         parse_document({"bundle": {"rank": 1, "multidegree": [1, 1]}})
 
 
+@pytest.mark.parametrize(
+    "section, name",
+    [
+        ("curve", "genera"),
+        ("bundle", "rank"),
+        ("pair", "rank"),
+        ("pair", "sections"),
+        ("pair", "multidegree"),
+        ("pair", "kernel_dims"),
+    ],
+)
+def test_missing_required_field(section, name):
+    doc = json.loads(json.dumps(FULL_DOC))
+    del doc[section][name]
+    with pytest.raises(DocumentError) as exc:
+        parse_document(doc)
+    assert str(exc.value) == f"{section}.{name} is required"
+
+
+def test_weight_count_mismatch():
+    doc = json.loads(json.dumps(FULL_DOC))
+    doc["polarization"]["weights"] = ["1/3", "1/3", "1/3"]
+    with pytest.raises(DocumentError) as exc:
+        parse_document(doc)
+    assert str(exc.value) == "polarization.weights has 3 entries, expected 2"
+
+
 def test_length_mismatch():
     doc = json.loads(json.dumps(FULL_DOC))
     doc["bundle"]["multidegree"] = [1, 2, 3]

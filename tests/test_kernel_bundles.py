@@ -17,6 +17,7 @@ from combstab import (
     restriction_unstable,
     slope,
     strong_unstability,
+    synthesize_polarization,
     total_euler,
     validate_pair,
 )
@@ -58,6 +59,20 @@ class TestValidatePair:
         assert any(
             "sections" in v for v in validate_pair(C22, GeneratedPairData(3, 3, (4, 4), (0, 0)))
         )
+
+    def test_length_mismatch_is_the_only_violation(self):
+        pair = GeneratedPairData(1, 1, (1, -1), (0, 1))  # every other check would fail too
+        assert validate_pair(C222, pair) == [
+            "multidegree has 2 entries for a curve with 3 components"
+        ]
+
+    def test_constructor_refuses_mismatched_and_negative_dims(self):
+        with pytest.raises(ValueError) as exc:
+            GeneratedPairData(1, 3, (3, 3), (0,))
+        assert str(exc.value) == "multidegree has 2 entries, kernel_dims 1"
+        with pytest.raises(ValueError) as exc:
+            GeneratedPairData(1, 3, (3, 3), (0, -1))
+        assert str(exc.value) == "kernel dimension at component 2 is negative: -1"
 
     def test_low_genus_flagged(self):
         curve = CombCurve((1, 2))
@@ -170,6 +185,13 @@ class TestRestrictionUnstable:
         pair = GeneratedPairData(1, 3, (0, 3), (1, 0))
         assert restriction_unstable(C22, pair, 1) is None
 
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_index_error(self, j):
+        pair = GeneratedPairData(1, 3, (3, 3), (1, 0))
+        with pytest.raises(IndexError) as exc:
+            restriction_unstable(C22, pair, j)
+        assert str(exc.value) == f"component index must be in 1..2, got {j}"
+
 
 class TestStrongUnstability:
     def test_rank_two_kernel(self):
@@ -238,6 +260,12 @@ class TestKernelPolarization:
     def test_always_present_for_valid_pairs(self):
         for curve, pair in pair_stream(3, 300):
             assert kernel_polarization(curve, pair) is not None
+
+    def test_is_the_synthesis_of_the_kernel_bundle(self):
+        # The selftest and the polarize command synthesize from kernel_data.
+        for curve, pair in pair_stream(11, 300):
+            expected = synthesize_polarization(curve, kernel_data(curve, pair))
+            assert kernel_polarization(curve, pair) == expected
 
 
 class TestCharacterize:

@@ -1,8 +1,6 @@
 import pytest
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
-
 from combstab import kernels
 
 
@@ -72,24 +70,6 @@ class TestSimplestBetween:
         assert q == 2 and p == 14 * big + 1
 
 
-@given(
-    st.integers(1, 6),
-    st.integers(-300, 300),
-    st.integers(1, 6),
-    st.integers(1, 64),
-    st.integers(1, 64),
-    st.integers(-300, 300),
-)
-def test_destabilizer_range_matches_fraction_arithmetic(k, chi_j, n, w_num, w_den, chi):
-    lo, hi = kernels.destabilizer_range(k, chi_j, n, w_num, w_den, chi)
-    threshold = Fraction(chi_j, n)
-    ceiling = Fraction(k * w_num * chi, w_den * n) + k
-    for probe in (lo - 1, lo, hi, hi + 1):
-        admissible = Fraction(probe, k) > threshold and probe <= ceiling
-        assert admissible == (lo <= probe <= hi)
-
-
 def test_selected_backend_is_exposed():
     assert kernels.BACKEND == "pure-python"
     assert kernels.simplest_between(0, 1, 1, 1) == (1, 2)
-    assert kernels.destabilizer_range(1, -1, 2, 1, 3, -4) == (0, 0)

@@ -214,6 +214,30 @@ def test_structural_validation():
         Polarization((0.5, 0.5))
 
 
+def test_weights_coerce_ints_and_refuse_inexact_types():
+    w = Polarization((1, Fraction(1, 2)))
+    assert w.weights == (Fraction(1), Fraction(1, 2))
+    assert type(w.weights[0]) is Fraction
+    for bad in (None, True):
+        with pytest.raises(TypeError) as exc:
+            Polarization((Fraction(1, 2), bad))
+        assert str(exc.value) == (
+            f"weight 2 must be exact (int, Fraction or 'p/q' string), got {bad!r}"
+        )
+
+
+def test_negative_multirank_entry_is_refused():
+    with pytest.raises(ValueError) as exc:
+        SubsheafProfile((1, -1), 0)
+    assert str(exc.value) == "multirank entry 2 is negative: -1"
+
+
+def test_slope_refuses_a_length_mismatch():
+    with pytest.raises(ValueError) as exc:
+        slope(SubsheafProfile((1, 1), 1), Polarization((Fraction(1, 3),) * 3))
+    assert str(exc.value) == "multirank has 2 entries, polarization has 3"
+
+
 def test_arithmetic_genus_is_genus_sum():
     assert CombCurve((2, 3, 4)).arithmetic_genus == 9
     assert CombCurve((0, 0)).arithmetic_genus == 0

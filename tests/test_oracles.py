@@ -15,11 +15,12 @@ from combstab import (
     BundleData,
     CombCurve,
     Polarization,
+    kernel_data,
     validate_polarization,
 )
 from combstab.cli import main
 from combstab.polarization import IntervalQ, necessary_check
-from combstab import oracles
+from combstab import kernel_bundles, oracles
 from combstab.oracles import (
     instance_stream,
     oracle_destabilizer_enumeration,
@@ -380,6 +381,11 @@ class TestSimplestOracle:
             IntervalQ(Fraction(1, 2), Fraction(3, 4)), 4
         ) == Fraction(1, 2)
 
+    def test_scan_needs_a_denominator(self):
+        with pytest.raises(ValueError) as exc:
+            oracle_simplest_rational(IntervalQ.open(Fraction(0), Fraction(1)), 0)
+        assert str(exc.value) == "max_denominator must be at least 1"
+
 
 def selftest_text(capsys, seed: int, count: int) -> str:
     main(["selftest", "--seed", str(seed), "--count", str(count)])
@@ -463,19 +469,34 @@ class TestSelftest:
 
     def test_polarization_off_the_simplex_is_caught(self, monkeypatch):
         # The synthesis checks add the weights longhand: a spine weight
-        # moved by 10^-30 fails them.
+        # moved by 10^-30 fails them.  Instances and kernel bundles share
+        # the one synthesis.
         def nudged(w):
             if w is None:
                 return None
             return Polarization(w.weights[:-1] + (w.weights[-1] + Fraction(1, 10**30),))
 
-        synthesis, kernel = oracles.synthesize_polarization, oracles.kernel_polarization
+        synthesis = oracles.synthesize_polarization
         monkeypatch.setattr(oracles, "synthesize_polarization", lambda c, b: nudged(synthesis(c, b)))
-        monkeypatch.setattr(oracles, "kernel_polarization", lambda c, p: nudged(kernel(c, p)))
         report = run_selftest(13, 60)
         for name in ("region-synthesis", "kernel-polarization"):
             assert report.checks[name].agreed < report.checks[name].run
         assert report.first_failure.startswith("region-synthesis: ")
+
+    def test_each_pair_is_validated_once(self, monkeypatch):
+        calls = []
+        real = kernel_bundles.validate_pair
+
+        def counting(curve, pair):
+            calls.append(pair)
+            return real(curve, pair)
+
+        monkeypatch.setattr(kernel_bundles, "validate_pair", counting)
+        report = oracles.SelftestReport(seed=8, count=100)
+        oracles._check_pairs(report, pair_stream(8, 100))
+        assert report.passed
+        assert report.checks["kernel-polarization"].run == 100
+        assert len(calls) == 100
 
     def test_one_enumeration_per_checked_tooth(self, monkeypatch):
         # The range check and the filter replay share one padded-window sweep.
@@ -578,9 +599,13 @@ class TestParallelSelftest:
         instances = list(instance_stream(seed, SPLIT_COUNT))
         late = instances[-1]
         assert late not in instances[:-1]
-        first_pair = next(pair_stream(seed, 1))
+        # The first pair's synthesis fails, keyed on its kernel bundle, which
+        # no instance of the stream shares.
+        curve, pair = next(pair_stream(seed, 1))
+        first_target = (curve, kernel_data(curve, pair))
+        assert first_target not in [(c, b) for c, b, _ in instances]
         real_necessary = oracles.oracle_necessary_equivalence
-        real_kernel = oracles.kernel_polarization
+        real_synthesis = oracles.synthesize_polarization
         monkeypatch.setattr(
             oracles,
             "oracle_necessary_equivalence",
@@ -588,8 +613,8 @@ class TestParallelSelftest:
         )
         monkeypatch.setattr(
             oracles,
-            "kernel_polarization",
-            lambda c, p: None if (c, p) == first_pair else real_kernel(c, p),
+            "synthesize_polarization",
+            lambda c, b: None if (c, b) == first_target else real_synthesis(c, b),
         )
         reports = {}
         for cpus in (1, 2):

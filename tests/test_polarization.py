@@ -74,6 +74,20 @@ class TestCanonicalWitnesses:
         with pytest.raises(IndexError):
             canonical_witnesses(C22, B11, 0)
 
+    def test_large_curve_derives_one_tooth(self, monkeypatch):
+        # Only tooth j's euler and the closed-form total are derived.
+        def refuse(curve, bundle):
+            raise AssertionError("every component's euler number was derived")
+
+        monkeypatch.setattr(polarization, "_euler_numbers", refuse)
+        num = 10**5
+        curve = CombCurve((2,) * num)
+        bundle = BundleData(3, (4,) * num)
+        restricted, complement = canonical_witnesses(curve, bundle, num - 1)
+        # chi_j = 4 + 3*(1 - 2) = 1 and chi = 4*N + 3*(1 - 2*N) = 3 - 2*N.
+        assert (restricted.euler, complement.euler) == (1 - 3, 3 - 2 * num - 1)
+        assert restricted.num_components == complement.num_components == num
+
 
 class TestNecessaryCheck:
     def test_passing_instance(self):
@@ -98,6 +112,11 @@ class TestNecessaryCheck:
         bundle = BundleData(2, (0, 2))
         verdict = necessary_check(C22, bundle, W_HALF)
         assert verdict.components[0].lower_ok
+
+    def test_weight_count_is_checked(self):
+        with pytest.raises(ValueError) as exc:
+            necessary_check(C22, B11, Polarization(("1/3", "1/3", "1/3")))
+        assert str(exc.value) == "polarization has 3 entries for a curve with 2 components"
 
     @given(curve_bundle_polarization())
     def test_witness_slope_identity(self, cbw):

@@ -4,6 +4,8 @@ import random
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, strategies as st
+
 from combstab import (
     BundleData,
     CombCurve,
@@ -17,7 +19,7 @@ from combstab import (
     total_euler,
 )
 from combstab.oracles import oracle_filtered_destabilizers
-from combstab.restrictions import _listing_length
+from combstab.restrictions import _candidate_range, _listing_length
 
 C22 = CombCurve((2, 2))
 B11 = BundleData(2, (1, 1))
@@ -37,6 +39,24 @@ class TestEuclideanRemainder:
     def test_rejects_nonpositive_modulus(self):
         with pytest.raises(ValueError):
             euclidean_remainder(3, 0)
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(-300, 300),
+    st.integers(1, 6),
+    st.integers(1, 64),
+    st.integers(1, 64),
+    st.integers(-300, 300),
+)
+def test_candidate_range_matches_fraction_arithmetic(k, chi_j, n, w_num, w_den, chi):
+    candidates = _candidate_range(k, n, chi_j, chi, Fraction(w_num, w_den))
+    lo, hi = candidates.start, candidates.stop - 1
+    threshold = Fraction(chi_j, n)
+    ceiling = Fraction(k * w_num * chi, w_den * n) + k
+    for probe in (lo - 1, lo, hi, hi + 1):
+        admissible = Fraction(probe, k) > threshold and probe <= ceiling
+        assert admissible == (probe in candidates)
 
 
 class TestDestabilizerCandidates:
@@ -192,6 +212,26 @@ def test_dispatch():
     assert v.case is RestrictionCase.SEMISTABLE_BY_WINDOW
     with pytest.raises(ValueError):
         classify_restriction(C22, BundleData(1, (1, 1)), w, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w, j: classify_restriction(C22, B11, w, j),
+        lambda w, j: destabilizer_candidates(C22, B11, w, j, 1),
+        lambda w, j: filtered_destabilizer_candidates(C22, B11, w, j),
+    ],
+    ids=["classify", "candidates", "filtered"],
+)
+def test_tooth_index_and_weight_count_are_checked(call):
+    w = Polarization(("1/3", "2/3"))
+    for j in (0, 2):
+        with pytest.raises(IndexError) as exc:
+            call(w, j)
+        assert str(exc.value) == f"tooth index must be in 1..1, got {j}"
+    with pytest.raises(ValueError) as exc:
+        call(Polarization(("1/3", "1/3", "1/3")), 1)
+    assert str(exc.value) == "polarization has 3 entries for a curve with 2 components"
 
 
 # sha256 over (j, case value, forced destabilizers, notes) of every tooth
