@@ -18,7 +18,6 @@ from .kernel_bundles import (
     characterize,
     kernel_data,
     kernel_polarization,
-    restriction_unstable,
     strong_unstability,
     validate_pair,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "necessary_check",
     "parse_rational",
     "pick_simplest_rational",
-    "restriction_unstable",
     "slope",
     "strong_unstability",
     "synthesize_polarization",

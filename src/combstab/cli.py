@@ -29,12 +29,12 @@ from .documents import (
     render_document,
 )
 from .kernel_bundles import (
-    CharacterizationKind,
     GeneratedPairData,
+    StrongUnstabilityKind,
+    _characterize,
+    _kernel_bundle,
     _restriction_witness,
-    characterize,
-    kernel_data,
-    strong_unstability,
+    _strong_unstability,
     validate_pair,
 )
 from .model import (
@@ -446,7 +446,7 @@ def cmd_polarize(args: argparse.Namespace) -> int:
     if doc.bundle is not None:
         target = doc.bundle
     elif doc.pair is not None:
-        target = kernel_data(doc.curve, _require_valid_pair(doc))
+        target = _kernel_bundle(doc.curve, _require_valid_pair(doc))
     else:
         raise CliInputError("polarize needs a bundle or a pair section")
     w = synthesize_polarization(doc.curve, target)
@@ -472,17 +472,15 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     pair = _require_valid_pair(doc)
     restricted = [_restriction_witness(curve, pair, j) for j in range(1, curve.num_components + 1)]
     _refuse_long_listing(args, curve.num_components, sum(x is not None for x in restricted))
-    kernel_payload = _bundle_payload(curve, kernel_data(curve, pair))
+    kernel_payload = _bundle_payload(curve, _kernel_bundle(curve, pair))
     witnesses = [
         {"j": j, "witness": _witness_payload(witness)}
         for j, witness in enumerate(restricted, start=1)
     ]
-    su = strong_unstability(curve, pair)
-    report = characterize(curve, pair)
-    negative = report.verdict in (
-        CharacterizationKind.STRONGLY_UNSTABLE,
-        CharacterizationKind.DIVISIBILITY_CONTRADICTION,
-    )
+    su = _strong_unstability(curve, pair)
+    report = _characterize(curve, pair, su)
+    # The StronglyUnstable and DivisibilityContradiction characterizations are exactly these.
+    negative = su.verdict is StrongUnstabilityKind.STRONGLY_UNSTABLE
     payload = {
         "command": "kernel",
         "kernel_bundle": kernel_payload,

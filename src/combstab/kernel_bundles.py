@@ -8,6 +8,10 @@ maps are user-supplied: they encode gluing geometry the numerical shadow
 cannot see, and they drive every instability statement here.
 
 All components are required to have genus >= 2.
+
+Validation is at the boundary only: each public function is ``_require_valid``
+followed by one private core, and the cores call only one another, so a caller
+that has validated the pair itself (the CLI does) calls only the cores.
 """
 
 from __future__ import annotations
@@ -140,7 +144,11 @@ def _require_valid(curve: CombCurve, pair: GeneratedPairData) -> None:
 def kernel_data(curve: CombCurve, pair: GeneratedPairData) -> BundleData:
     """Rank and multidegree of the kernel bundle: (l - n, -multidegree of E)."""
     _require_valid(curve, pair)
-    m = _kernel_bundle(pair)
+    return _kernel_bundle(curve, pair)
+
+
+def _kernel_bundle(curve: CombCurve, pair: GeneratedPairData) -> BundleData:
+    m = BundleData(rank=pair.kernel_rank, multidegree=tuple(-d for d in pair.multidegree))
     # Defining sequence gives a second route to chi(M); the two must agree.
     bundle_e = BundleData(rank=pair.rank, multidegree=pair.multidegree)
     chi_structure = 1 - curve.arithmetic_genus
@@ -149,26 +157,14 @@ def kernel_data(curve: CombCurve, pair: GeneratedPairData) -> BundleData:
     return m
 
 
-def _kernel_bundle(pair: GeneratedPairData) -> BundleData:
-    return BundleData(rank=pair.kernel_rank, multidegree=tuple(-d for d in pair.multidegree))
-
-
-def restriction_unstable(curve: CombCurve, pair: GeneratedPairData, j: int) -> ToothWitness | None:
-    """Witness that the tooth-j restriction of the kernel bundle is unstable.
+def _restriction_witness(curve: CombCurve, pair: GeneratedPairData, j: int) -> ToothWitness | None:
+    """Witness that the restriction of the kernel bundle to component j is unstable.
 
     A nonzero section-restriction kernel sits inside the restricted kernel
     bundle as a trivial subbundle of rank k_j and slope 0; with d_j > 0 the
     restriction has negative slope -d_j/(l-n), so the witness destabilizes.
     With d_j = 0 the slopes tie and no witness exists.
     """
-    _require_valid(curve, pair)
-    if not 1 <= j <= curve.num_components:
-        raise IndexError(f"component index must be in 1..{curve.num_components}, got {j}")
-    return _restriction_witness(curve, pair, j)
-
-
-def _restriction_witness(curve: CombCurve, pair: GeneratedPairData, j: int) -> ToothWitness | None:
-    """The witness of :func:`restriction_unstable` for a validated pair and index."""
     k = pair.kernel_dims[j - 1]
     if k > 0 and pair.multidegree[j - 1] > 0:
         euler = k * (1 - curve.genera[j - 1])
@@ -258,14 +254,21 @@ def _strong_unstability(curve: CombCurve, pair: GeneratedPairData) -> StrongUnst
     )
 
 
-def kernel_polarization(curve: CombCurve, pair: GeneratedPairData) -> Polarization | None:
+def kernel_polarization(curve: CombCurve, pair: GeneratedPairData) -> Polarization:
     """Polarization making the kernel-bundle inequalities hold strictly.
 
     For a valid pair every restricted euler characteristic is negative, so
     the strict region is always feasible and a polarization is returned.
     """
     _require_valid(curve, pair)
-    return synthesize_polarization(curve, _kernel_bundle(pair))
+    return _kernel_polarization(curve, pair)
+
+
+def _kernel_polarization(curve: CombCurve, pair: GeneratedPairData) -> Polarization:
+    w = synthesize_polarization(curve, _kernel_bundle(curve, pair))
+    if w is None:  # excluded by the argument in kernel_polarization's docstring
+        raise RuntimeError("kernel bundle of a valid pair has no polarization")
+    return w
 
 
 class CharacterizationKind(Enum):
@@ -296,6 +299,12 @@ def characterize(curve: CombCurve, pair: GeneratedPairData) -> CharacterizationR
     divides every degree.
     """
     _require_valid(curve, pair)
+    return _characterize(curve, pair, _strong_unstability(curve, pair))
+
+
+def _characterize(
+    curve: CombCurve, pair: GeneratedPairData, su: StrongUnstabilityVerdict
+) -> CharacterizationReport:
     n = pair.rank
     m = pair.kernel_rank
     flags = pair.assumptions
@@ -305,22 +314,17 @@ def characterize(curve: CombCurve, pair: GeneratedPairData) -> CharacterizationR
             "conclusions additionally presume the components are general in their "
             "moduli spaces (flag components_general_in_moduli not set)"
         )
-    if all(k == 0 for k in pair.kernel_dims):
-        needed = "general_linear_series" if n == 1 else "butler_conjecture"
+    if su.verdict is StrongUnstabilityKind.NO_KERNEL_OBSTRUCTION:  # every k_j is zero
+        needed, scope = (
+            ("general_linear_series", "rank-1") if n == 1 else ("butler_conjecture", "rank >= 2")
+        )
         if not getattr(flags, needed):
-            reason = (
-                "general_linear_series required for rank-1 sufficiency"
-                if n == 1
-                else "butler_conjecture required for rank >= 2 sufficiency"
-            )
             return CharacterizationReport(
                 verdict=CharacterizationKind.CONDITIONAL,
                 missing_assumptions=(needed,),
-                notes=tuple(notes + [reason]),
+                notes=tuple(notes + [f"{needed} required for {scope} sufficiency"]),
             )
-        w = synthesize_polarization(curve, _kernel_bundle(pair))
-        if w is None:
-            raise RuntimeError("kernel bundle of a valid pair has no polarization")
+        w = _kernel_polarization(curve, pair)
         notes.append(
             "all restriction kernels vanish, so the restricted kernel bundles are the "
             "component kernel bundles and are semistable under the assumed flags"
@@ -330,7 +334,6 @@ def characterize(curve: CombCurve, pair: GeneratedPairData) -> CharacterizationR
             polarization=w,
             notes=tuple(notes),
         )
-    su = _strong_unstability(curve, pair)
     if su.verdict is not StrongUnstabilityKind.STRONGLY_UNSTABLE:
         return CharacterizationReport(
             verdict=CharacterizationKind.NOT_DETERMINED,

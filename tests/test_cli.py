@@ -362,11 +362,10 @@ class TestKernel:
 
 
 @pytest.mark.parametrize(
-    "command, extra, validations",
-    [("polarize", [], 2), ("polarize", ["--json"], 2), ("kernel", [], 4), ("kernel", ["--json"], 4)],
+    "command, extra", [("polarize", []), ("polarize", ["--json"]), ("kernel", []), ("kernel", ["--json"])]
 )
-def test_pair_validations_per_command(capsys, write_doc, monkeypatch, command, extra, validations):
-    # polarize derives the kernel bundle once and renders its text from it.
+def test_pair_validations_per_command(capsys, write_doc, monkeypatch, command, extra):
+    # The CLI validates the pair once and then calls only the unvalidated cores.
     calls = []
     real = kernel_bundles.validate_pair
 
@@ -378,7 +377,24 @@ def test_pair_validations_per_command(capsys, write_doc, monkeypatch, command, e
     monkeypatch.setattr(cli, "validate_pair", counting)
     code, _, _ = run_cli(capsys, command, write_doc(KERNEL_OK), *extra)
     assert code == 0
-    assert len(calls) == validations
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_kernel_walks_the_teeth_once(capsys, write_doc, monkeypatch, extra):
+    # The characterization reuses the strong-unstability verdict the report prints.
+    calls = []
+    real = kernel_bundles._strong_unstability
+
+    def counting(curve, pair):
+        calls.append(pair)
+        return real(curve, pair)
+
+    monkeypatch.setattr(kernel_bundles, "_strong_unstability", counting)
+    monkeypatch.setattr(cli, "_strong_unstability", counting)
+    code, _, _ = run_cli(capsys, "kernel", write_doc(KERNEL_SU), *extra)
+    assert code == 1
+    assert len(calls) == 1
 
 
 class TestValidate:
@@ -592,21 +608,23 @@ class TestInputBoundary:
         assert code == 1
         assert out.count("upper FAILED") == num - 1
 
+    # Rank 1, sections 2: every tooth but the spine has a one-dimensional
+    # kernel and degree 2, so under --json each of the 3162 trivial kernel
+    # parts lists 3163 multirank entries, 10001406 in all.
+    LISTING_TEETH = 3163
+    LISTING_PAIR = {
+        "curve": {"genera": [2] * LISTING_TEETH},
+        "pair": {
+            "rank": 1,
+            "sections": 2,
+            "multidegree": [2] * (LISTING_TEETH - 1) + [0],
+            "kernel_dims": [1] * (LISTING_TEETH - 1) + [0],
+        },
+    }
+
     def test_kernel_listing_is_bounded(self, capsys, write_doc):
-        # Rank 1, sections 2: every tooth but the spine has a one-dimensional
-        # kernel and degree 2, so under --json each of the 3162 trivial
-        # kernel parts lists 3163 multirank entries, 10001406 in all.
-        num = 3163
-        doc = {
-            "curve": {"genera": [2] * num},
-            "pair": {
-                "rank": 1,
-                "sections": 2,
-                "multidegree": [2] * (num - 1) + [0],
-                "kernel_dims": [1] * (num - 1) + [0],
-            },
-        }
-        path = write_doc(doc)
+        num = self.LISTING_TEETH
+        path = write_doc(self.LISTING_PAIR)
         code, out, err = run_cli(capsys, "kernel", path, "--json")
         assert code == 2
         assert out == ""
@@ -655,6 +673,18 @@ class TestInputBoundary:
         assert code == 2
         assert out == ""
         assert "would enumerate or list 9999900000 entries, more than 10000000" in err
+
+    def test_kernel_json_is_refused_before_the_kernel_bundle(self, capsys, write_doc, monkeypatch):
+        # The witnesses are counted before any kernel-bundle derivation runs.
+        def not_reached(*args):
+            raise AssertionError("a kernel-bundle derivation ran before the listing bound")
+
+        for name in ("_kernel_bundle", "_strong_unstability", "_characterize"):
+            monkeypatch.setattr(cli, name, not_reached)
+        code, out, err = run_cli(capsys, "kernel", write_doc(self.LISTING_PAIR), "--json")
+        assert code == 2
+        assert out == ""
+        assert "would enumerate or list 10001406 entries, more than 10000000" in err
 
     @settings(max_examples=200, deadline=None)
     @given(raw=fuzzed_documents(), as_json=st.booleans())

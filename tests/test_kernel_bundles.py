@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,13 +15,13 @@ from combstab import (
     component_eulers,
     kernel_data,
     kernel_polarization,
-    restriction_unstable,
     slope,
     strong_unstability,
     synthesize_polarization,
     total_euler,
     validate_pair,
 )
+from combstab.kernel_bundles import _restriction_witness
 from combstab.oracles import pair_stream
 
 C222 = CombCurve((2, 2, 2))
@@ -142,7 +143,7 @@ class TestKernelData:
 class TestRestrictionUnstable:
     def test_witness(self):
         pair = GeneratedPairData(1, 3, (3, 3), (1, 0))
-        witness = restriction_unstable(C22, pair, 1)
+        witness = _restriction_witness(C22, pair, 1)
         assert witness is not None
         assert witness.multirank == (1, 0)
         assert witness.euler == -1
@@ -166,31 +167,24 @@ class TestRestrictionUnstable:
             assert validate_pair(curve, pair) == []
             w = kernel_polarization(curve, pair)
             for j in range(1, num + 1):
-                witness = restriction_unstable(curve, pair, j)
+                witness = _restriction_witness(curve, pair, j)
                 if witness is None:
                     continue
                 k = pair.kernel_dims[j - 1]
                 assert list(witness.multirank) == [k if i == j else 0 for i in range(1, num + 1)]
                 assert witness.euler == k * (1 - curve.genera[j - 1])
-                assert restriction_unstable(curve, pair, j) == witness
+                assert _restriction_witness(curve, pair, j) == witness
                 assert slope(witness, w) == Fraction(witness.euler) / (k * w.weights[j - 1])
                 seen.add(j == num)
         assert seen == {False, True}
 
     def test_no_kernel_no_witness(self):
         pair = GeneratedPairData(1, 3, (3, 3), (1, 0))
-        assert restriction_unstable(C22, pair, 2) is None
+        assert _restriction_witness(C22, pair, 2) is None
 
     def test_degree_zero_degenerates(self):
         pair = GeneratedPairData(1, 3, (0, 3), (1, 0))
-        assert restriction_unstable(C22, pair, 1) is None
-
-    @pytest.mark.parametrize("j", [0, 3])
-    def test_index_error(self, j):
-        pair = GeneratedPairData(1, 3, (3, 3), (1, 0))
-        with pytest.raises(IndexError) as exc:
-            restriction_unstable(C22, pair, j)
-        assert str(exc.value) == f"component index must be in 1..2, got {j}"
+        assert _restriction_witness(C22, pair, 1) is None
 
 
 class TestStrongUnstability:
@@ -262,7 +256,7 @@ class TestKernelPolarization:
             assert kernel_polarization(curve, pair) is not None
 
     def test_is_the_synthesis_of_the_kernel_bundle(self):
-        # The selftest and the polarize command synthesize from kernel_data.
+        # The selftest synthesizes from kernel_data, the polarize command from the same bundle.
         for curve, pair in pair_stream(11, 300):
             expected = synthesize_polarization(curve, kernel_data(curve, pair))
             assert kernel_polarization(curve, pair) == expected
@@ -405,3 +399,52 @@ def test_kernel_verdicts_match_the_longhand():
     assert characterizations == set(CharacterizationKind)
     # "First tooth with a kernel, whatever its degree" would be told apart.
     assert caught > 0
+
+
+def _grid_pairs(seed: int, count: int):
+    """Valid pairs over every flag combination, with d_j = 0 exactly when k_j = l - n.
+
+    About a third have no kernel at all and, drawn apart from that, a third
+    have every degree a multiple of m.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        num, n, m = rng.randint(2, 6), rng.randint(1, 4), rng.randint(1, 5)
+        genera = tuple(rng.randint(2, 5) for _ in range(num))
+        kernel_dims = [0] * num
+        if rng.randrange(3):
+            kernel_dims = [rng.randint(1, m) if rng.randrange(2) else 0 for _ in range(num)]
+            if kernel_dims[-1] and not any(kernel_dims[:-1]):
+                kernel_dims[0] = 1
+        multiples = rng.randrange(3) == 0
+        degrees = []
+        for k in kernel_dims:
+            if k == m:
+                degrees.append(0)
+            elif multiples:
+                degrees.append(m * rng.randint(2 if m == 1 else 1, 4))
+            else:
+                floor = max(2, m - k)
+                degrees.append(rng.randint(floor, floor + 3 * m))
+        flags = PairAssumptions(*(bool(i >> bit & 1) for bit in range(3)))
+        pair = GeneratedPairData(n, n + m, tuple(degrees), tuple(kernel_dims), flags)
+        yield CombCurve(genera), pair
+
+
+def test_kernel_verdict_grid_is_pinned():
+    # Every public kernel-bundle result on 4000 pairs, hashed as its repr.
+    digest = hashlib.sha256()
+    strong_kinds, characterizations = set(), set()
+    negative = {CharacterizationKind.STRONGLY_UNSTABLE, CharacterizationKind.DIVISIBILITY_CONTRADICTION}
+    for curve, pair in _grid_pairs(seed=19, count=4000):
+        su = strong_unstability(curve, pair)
+        report = characterize(curve, pair)
+        results = (kernel_data(curve, pair), su, report, kernel_polarization(curve, pair))
+        digest.update(repr(results).encode())
+        strong_kinds.add(su.verdict)
+        characterizations.add(report.verdict)
+        # The kernel command's exit code relies on this.
+        assert (report.verdict in negative) == (su.verdict is StrongUnstabilityKind.STRONGLY_UNSTABLE)
+    assert strong_kinds == set(StrongUnstabilityKind)
+    assert characterizations == set(CharacterizationKind)
+    assert digest.hexdigest() == "188927ce72035c2772c75139e14a05ca83a9fa6db57fb2d54114a81d41601e1d"

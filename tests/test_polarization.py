@@ -16,7 +16,6 @@ from combstab import (
     feasible_region,
     necessary_check,
     pick_simplest_rational,
-    restriction_unstable,
     slope,
     synthesize_polarization,
     total_euler,
@@ -24,6 +23,7 @@ from combstab import (
 )
 
 from combstab import polarization
+from combstab.kernel_bundles import _restriction_witness
 from longhand import interval_contains, interval_intersection
 from test_model import curve_bundle_polarization
 
@@ -242,7 +242,7 @@ class TestToothWitness:
         assert {wt.label[0] for wt in witnesses} == {"E", "t"}
         witnesses += canonical_witnesses(curve, bundle, num - 1)
         pair = GeneratedPairData(1, 3, (3,) * num, (1,) + (0,) * (num - 2) + (1,))
-        witnesses.append(restriction_unstable(CombCurve((2,) * num), pair, num))
+        witnesses.append(_restriction_witness(CombCurve((2,) * num), pair, num))
         for witness in witnesses:
             assert not hasattr(witness, "__dict__")
             parts = [p for p in gc.get_referents(witness) if p is not type(witness)]

@@ -40,7 +40,6 @@ PUBLIC = [
     "necessary_check",
     "parse_rational",
     "pick_simplest_rational",
-    "restriction_unstable",
     "slope",
     "strong_unstability",
     "synthesize_polarization",
