@@ -43,8 +43,9 @@ from .model import (
     Polarization,
     ToothWitness,
     _check_lengths,
-    _euler_numbers,
+    component_eulers,
     format_rational,
+    total_euler,
     validate_polarization,
 )
 from .oracles import run_selftest
@@ -253,12 +254,11 @@ def _encode(value: object, newline: str, put) -> None:
 
 
 def _bundle_payload(curve: CombCurve, bundle: BundleData) -> dict:
-    chis, chi = _euler_numbers(curve, bundle)
     return {
         "rank": bundle.rank,
         "multidegree": list(bundle.multidegree),
-        "component_eulers": list(chis),
-        "euler": chi,
+        "component_eulers": list(component_eulers(curve, bundle)),
+        "euler": total_euler(curve, bundle),
     }
 
 

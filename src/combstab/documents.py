@@ -5,8 +5,11 @@ polarization.  Rationals travel as exact lowest-terms "p/q" strings;
 degrees and genera are plain integers.  Unknown fields are rejected so that
 typos fail loudly instead of silently validating something else.  Degrees
 are the canonical bundle input; euler characteristics may be supplied as
-well (or instead) and are cross-validated against the degrees.  Integers in
-a document file, the numerator and denominator of each weight included,
+well (or instead) and are cross-validated against the degrees.  The reader
+checks the document's shape (fields, arrays, lengths), the stated Euler
+numbers and the bounds; each record type-checks its own integers and
+enforces its own rules, and its error becomes a DocumentError.  Integers
+in a document file, the numerator and denominator of each weight included,
 have at most 4300 decimal digits, a curve has at most 100000 components
 and a bundle's rank is at most 1000.  The CLI's ``--polarization`` weights
 pass through the same weight parser and digit bound.
@@ -24,9 +27,11 @@ from .model import (
     BundleData,
     CombCurve,
     Polarization,
-    _euler_numbers,
+    _check_int,
+    component_eulers,
     format_rational,
     parse_rational,
+    total_euler,
 )
 
 # CPython's default int/str conversion limit, stated here so that it holds
@@ -79,19 +84,20 @@ def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
         raise DocumentError(f"unknown field(s) in {where}: {', '.join(unknown)}")
 
 
-def _int_field(value: object, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"{where} must be an integer, got {value!r}")
-    return value
+def _int_field(value: object, where: str, *args: object) -> int:
+    try:
+        return _check_int(value, where, *args)
+    except TypeError as exc:
+        raise DocumentError(str(exc)) from exc
 
 
-def _int_list(value: object, where: str, expect_len: int | None = None) -> tuple[int, ...]:
+def _int_list(value: object, where: str, expect_len: int | None = None) -> tuple:
+    """The array's entries as a tuple; the record they go into type-checks each one."""
     if not isinstance(value, list):
         raise DocumentError(f"{where} must be an array of integers")
-    items = tuple(_int_field(v, f"{where}[{i}]") for i, v in enumerate(value))
-    if expect_len is not None and len(items) != expect_len:
-        raise DocumentError(f"{where} has {len(items)} entries, expected {expect_len}")
-    return items
+    if expect_len is not None and len(value) != expect_len:
+        raise DocumentError(f"{where} has {len(value)} entries, expected {expect_len}")
+    return tuple(value)
 
 
 def _parse_curve(obj: object) -> CombCurve:
@@ -115,8 +121,6 @@ def _parse_bundle(obj: object, curve: CombCurve) -> BundleData:
     if "rank" not in mapping:
         raise DocumentError("bundle.rank is required")
     rank = _int_field(mapping["rank"], "bundle.rank")
-    if rank < 1:
-        raise DocumentError(f"bundle.rank must be positive, got {rank}")
     if rank > _MAX_RANK:
         raise DocumentError(f"bundle.rank is at most {_MAX_RANK}, got {rank}")
     num = curve.num_components
@@ -126,17 +130,21 @@ def _parse_bundle(obj: object, curve: CombCurve) -> BundleData:
     eulers = None
     if "component_eulers" in mapping:
         eulers = _int_list(mapping["component_eulers"], "bundle.component_eulers", num)
+        # No record holds the stated Euler numbers, so the reader checks them.
+        for i, chi in enumerate(eulers):
+            _int_field(chi, "bundle.component_eulers[{}]", i)
     if degrees is None and eulers is None:
         raise DocumentError("bundle needs multidegree or component_eulers")
     if degrees is None:
         # chi_j = d_j + rank*(1 - g_j) inverted; euler input is equivalent to degrees.
-        degrees = tuple(
-            chi - rank * (1 - g) for chi, g in zip(eulers, curve.genera)
-        )
-    bundle = BundleData(rank=rank, multidegree=degrees)
+        degrees = tuple(chi - rank * (1 - g) for chi, g in zip(eulers, curve.genera))
+    try:
+        bundle = BundleData(rank=rank, multidegree=degrees)
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"invalid bundle: {exc}") from exc
     if eulers is None and "euler" not in mapping:
         return bundle
-    derived, total = _euler_numbers(curve, bundle)
+    derived, total = component_eulers(curve, bundle), total_euler(curve, bundle)
     if eulers is not None and tuple(eulers) != derived:
         raise DocumentError(
             f"bundle.component_eulers {list(eulers)} disagree with the multidegree "
@@ -181,8 +189,8 @@ def _parse_pair(obj: object, curve: CombCurve) -> GeneratedPairData:
     )
     try:
         return GeneratedPairData(
-            rank=_int_field(mapping["rank"], "pair.rank"),
-            sections=_int_field(mapping["sections"], "pair.sections"),
+            rank=mapping["rank"],
+            sections=mapping["sections"],
             multidegree=_int_list(mapping["multidegree"], "pair.multidegree", num),
             kernel_dims=_int_list(mapping["kernel_dims"], "pair.kernel_dims", num),
             assumptions=assumptions,

@@ -67,9 +67,9 @@ class GeneratedPairData:
         _check_int(self.rank, "rank")
         _check_int(self.sections, "sections")
         for j, d in enumerate(self.multidegree, start=1):
-            _check_int(d, f"degree on component {j}")
+            _check_int(d, "degree on component {}", j)
         for j, k in enumerate(self.kernel_dims, start=1):
-            _check_int(k, f"kernel dimension at component {j}")
+            _check_int(k, "kernel dimension at component {}", j)
         if self.rank < 1:
             raise ValueError(f"rank must be positive, got {self.rank}")
         if len(self.multidegree) != len(self.kernel_dims):
@@ -149,10 +149,10 @@ def kernel_data(curve: CombCurve, pair: GeneratedPairData) -> BundleData:
 
 def _kernel_bundle(curve: CombCurve, pair: GeneratedPairData) -> BundleData:
     m = BundleData(rank=pair.kernel_rank, multidegree=tuple(-d for d in pair.multidegree))
-    # Defining sequence gives a second route to chi(M); the two must agree.
-    bundle_e = BundleData(rank=pair.rank, multidegree=pair.multidegree)
+    # The defining sequence gives chi(M) = l*(1 - p_a) - chi(E), chi(E) = -deg(M) + n*(1 - p_a).
     chi_structure = 1 - curve.arithmetic_genus
-    if total_euler(curve, m) != pair.sections * chi_structure - total_euler(curve, bundle_e):
+    chi_e = -m.total_degree + pair.rank * chi_structure
+    if total_euler(curve, m) != pair.sections * chi_structure - chi_e:
         raise RuntimeError("kernel bundle euler characteristic disagrees with its defining sequence")
     return m
 

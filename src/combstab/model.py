@@ -19,23 +19,23 @@ from typing import Iterable, Sequence
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def _check_int(value: object, what: str) -> int:
+def _check_int(value: object, what: str, *args: object) -> int:
+    # ``args`` fill the ``{}`` fields of ``what`` only on failure: a valid entry formats no label.
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
+        raise TypeError(f"{what.format(*args)} must be an integer, got {value!r}")
     return value
 
 
-def _as_fraction(value: object, what: str) -> Fraction:
+def _as_fraction(value: object, what: str, *args: object) -> Fraction:
     """Coerce to an exact rational; floats are rejected, never rounded."""
-    if isinstance(value, float):
-        raise TypeError(f"{what} must be exact (int, Fraction or 'p/q' string), got float {value!r}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    raise TypeError(f"{what} must be exact (int, Fraction or 'p/q' string), got {value!r}")
+    kind = "float " if isinstance(value, float) else ""
+    raise TypeError(f"{what.format(*args)} must be exact (int, Fraction or 'p/q' string), got {kind}{value!r}")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -82,7 +82,7 @@ class CombCurve:
         if len(self.genera) < 2:
             raise ValueError("a comb-like curve needs at least 2 components")
         for j, g in enumerate(self.genera, start=1):
-            _check_int(g, f"genus of component {j}")
+            _check_int(g, "genus of component {}", j)
             if g < 0:
                 raise ValueError(f"genus of component {j} is negative: {g}")
         object.__setattr__(self, "arithmetic_genus", sum(self.genera))
@@ -110,7 +110,7 @@ class BundleData:
         if self.rank < 1:
             raise ValueError(f"rank must be positive, got {self.rank}")
         for j, d in enumerate(self.multidegree, start=1):
-            _check_int(d, f"degree on component {j}")
+            _check_int(d, "degree on component {}", j)
         object.__setattr__(self, "total_degree", sum(self.multidegree))
 
 
@@ -126,7 +126,7 @@ class Polarization:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coerced = tuple(_as_fraction(w, f"weight {j}") for j, w in enumerate(self.weights, start=1))
+        coerced = tuple(_as_fraction(w, "weight {}", j) for j, w in enumerate(self.weights, start=1))
         object.__setattr__(self, "weights", coerced)
 
 
@@ -149,7 +149,7 @@ class SubsheafProfile:
         object.__setattr__(self, "multirank", multirank)
         _check_int(self.euler, "euler characteristic")
         for j, r in enumerate(multirank, start=1):
-            _check_int(r, f"multirank entry {j}")
+            _check_int(r, "multirank entry {}", j)
             if r < 0:
                 raise ValueError(f"multirank entry {j} is negative: {r}")
         if not any(multirank):
@@ -199,25 +199,14 @@ def component_eulers(curve: CombCurve, bundle: BundleData) -> tuple[int, ...]:
     return tuple(d + n * (1 - g) for g, d in zip(curve.genera, bundle.multidegree))
 
 
-def _euler_numbers(curve: CombCurve, bundle: BundleData) -> tuple[tuple[int, ...], int]:
-    """(chi_j per component, chi): one pass over the components, chi in closed form.
-
-    Public entry points derive these once per call and hand them to their
-    private helpers.
-    """
-    return component_eulers(curve, bundle), _total_euler(curve, bundle)
-
-
 def total_euler(curve: CombCurve, bundle: BundleData) -> int:
     """Euler characteristic of the bundle on the whole comb.
 
     Gluing at the N-1 nodes costs rank * (N-1) against the sum of the
     component values, which leaves the closed form deg(E) + n*(1 - p_a).
+    Public entry points that need chi_j as well take :func:`component_eulers`
+    and this once per call and hand both to their private helpers.
     """
-    return _total_euler(curve, bundle)
-
-
-def _total_euler(curve: CombCurve, bundle: BundleData) -> int:
     _check_lengths(curve, bundle.multidegree, "multidegree")
     return bundle.total_degree + bundle.rank * (1 - curve.arithmetic_genus)
 
@@ -230,7 +219,7 @@ def _tooth_eulers(curve: CombCurve, bundle: BundleData, j: int) -> tuple[int, in
     """
     if not 1 <= j <= curve.num_components - 1:
         raise IndexError(f"tooth index must be in 1..{curve.num_components - 1}, got {j}")
-    chi = _total_euler(curve, bundle)
+    chi = total_euler(curve, bundle)
     return bundle.multidegree[j - 1] + bundle.rank * (1 - curve.genera[j - 1]), chi
 
 

@@ -36,10 +36,11 @@ from .model import (
     Polarization,
     ToothWitness,
     _check_lengths,
-    _euler_numbers,
     _exact_sum,
     _tooth_eulers,
+    component_eulers,
     format_rational,
+    total_euler,
 )
 
 
@@ -145,7 +146,7 @@ def necessary_check(curve: CombCurve, bundle: BundleData, w: Polarization) -> Ne
     """
     n = bundle.rank
     num = curve.num_components
-    chis, chi = _euler_numbers(curve, bundle)
+    chis, chi = component_eulers(curve, bundle), total_euler(curve, bundle)
     _check_lengths(curve, w.weights, "polarization")
     total = None  # sum of the weights, taken at the first complement witness
     checks = []
@@ -228,7 +229,7 @@ def feasible_region(curve: CombCurve, bundle: BundleData, strict: bool = False) 
     to its lower end lo_j as wished, so this holds exactly when the slack
     1 - sum(lo_j) is positive.
     """
-    chis, chi = _euler_numbers(curve, bundle)
+    chis, chi = component_eulers(curve, bundle), total_euler(curve, bundle)
     return _region(chis, chi, bundle.rank, strict)[0]
 
 
@@ -293,7 +294,7 @@ def synthesize_polarization(curve: CombCurve, bundle: BundleData) -> Polarizatio
     integer ends to :func:`kernels.simplest_between`.
     """
     n = bundle.rank
-    chis, chi = _euler_numbers(curve, bundle)
+    chis, chi = component_eulers(curve, bundle), total_euler(curve, bundle)
     region, slack = _region(chis, chi, n, strict=True)
     if not region.feasible:
         return None

@@ -3,7 +3,8 @@ import json
 import pytest
 from fractions import Fraction
 
-from combstab import BundleData, CombCurve, Polarization
+from combstab import BundleData, CombCurve, Polarization, documents, kernel_bundles, model
+from combstab.cli import main
 from combstab.documents import (
     DocumentError,
     InstanceDocument,
@@ -119,18 +120,88 @@ def test_length_mismatch():
         parse_document(doc)
 
 
-def test_floats_rejected():
-    doc = json.loads(json.dumps(FULL_DOC))
-    doc["bundle"]["multidegree"] = [1.0, 2]
-    with pytest.raises(DocumentError, match="integer"):
-        parse_document(doc)
+# FULL_DOC with the bundle's Euler numbers stated too: every integer field once.
+INTEGER_DOC = json.loads(json.dumps(FULL_DOC))
+INTEGER_DOC["bundle"].update(component_eulers=[2, 1], euler=1)
 
 
-def test_bools_are_not_integers():
-    doc = json.loads(json.dumps(FULL_DOC))
-    doc["curve"]["genera"] = [True, 2]
+@pytest.mark.parametrize(
+    "bad", [1.0, True, "3", None, [1]], ids=["float", "bool", "string", "null", "array"]
+)
+@pytest.mark.parametrize(
+    "field",
+    [
+        "curve.genera",
+        "bundle.multidegree",
+        "bundle.component_eulers",
+        "pair.multidegree",
+        "pair.kernel_dims",
+        "bundle.rank",
+        "bundle.euler",
+        "pair.rank",
+        "pair.sections",
+    ],
+)
+def test_non_integers_rejected(field, bad, tmp_path, capsys):
+    # A list field gets the bad value as its first entry, a scalar field as its value.
+    doc = json.loads(json.dumps(INTEGER_DOC))
+    section, name = field.split(".")
+    if isinstance(doc[section][name], list):
+        doc[section][name][0] = bad
+    else:
+        doc[section][name] = bad
     with pytest.raises(DocumentError, match="integer"):
         parse_document(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("error: ") and "integer" in line
+
+
+def test_float_eulers_that_agree_are_rejected():
+    # 1.0 == 1, so only a type check on the stated Euler numbers refuses them.
+    doc = {
+        "curve": {"genera": [2, 2]},
+        "bundle": {"rank": 2, "multidegree": [3, 3], "component_eulers": [1.0, 1], "euler": 0},
+    }
+    with pytest.raises(DocumentError, match="integer"):
+        parse_document(doc)
+    doc["bundle"]["component_eulers"] = [1, 1]
+    assert parse_document(doc).bundle == BundleData(2, (3, 3))
+
+
+def test_each_integer_is_type_checked_once(monkeypatch):
+    # An N-component pair document carries 3N + 2 integers: the genera, the
+    # degrees, the kernel dimensions, the rank and the section count.
+    num = 1000
+    doc = {
+        "curve": {"genera": [2] * num},
+        "pair": {"rank": 1, "sections": 4, "multidegree": [5] * num, "kernel_dims": [0] * num},
+    }
+    checked, active = [], []
+
+    def counting(real):
+        # Counts outermost checks only, so a checker that calls another counts once.
+        def check(value, *args):
+            if not active:
+                checked.append(value)
+            active.append(value)
+            try:
+                return real(value, *args)
+            finally:
+                active.pop()
+
+        return check
+
+    for module in (model, kernel_bundles, documents):
+        for name in ("_check_int", "_int_field"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    parse_document(doc)
+    assert len(checked) == 3 * num + 2
 
 
 def test_numeric_weights_rejected():

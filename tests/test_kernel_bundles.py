@@ -126,6 +126,19 @@ class TestKernelData:
         assert m.multidegree == (0, 0)
         assert component_eulers(C22, m) == (-2, -2)
 
+    def test_builds_one_record(self, monkeypatch):
+        # The defining-sequence check takes chi(E) from integers, not from a record for E.
+        built = []
+        real = BundleData.__post_init__
+
+        def counting(bundle):
+            built.append(bundle)
+            real(bundle)
+
+        monkeypatch.setattr(BundleData, "__post_init__", counting)
+        kernel_data(C222, GeneratedPairData(1, 3, (3, 3, 3), (0, 0, 0)))
+        assert len(built) == 1
+
     def test_identity_against_defining_sequence(self):
         # chi(M) = l * chi(structure sheaf) - chi(E), recomputed from scratch.
         for curve, pair in pair_stream(9, 200):

@@ -79,7 +79,7 @@ class TestCanonicalWitnesses:
         def refuse(curve, bundle):
             raise AssertionError("every component's euler number was derived")
 
-        monkeypatch.setattr(polarization, "_euler_numbers", refuse)
+        monkeypatch.setattr(polarization, "component_eulers", refuse)
         num = 10**5
         curve = CombCurve((2,) * num)
         bundle = BundleData(3, (4,) * num)
