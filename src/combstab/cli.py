@@ -2,12 +2,11 @@
 
 Subcommands: analyze, region, polarize, kernel, validate, selftest.  Input
 is a JSON instance document.  Each command builds one payload, the object
---json prints, and renders its text report from it; only text lines that
-echo input the JSON omits (the bundle of region and polarize, the pair of
-kernel) also read the parsed document.  Exit codes are uniform across
-commands: 0 for an affirmative verdict, 1 for a negative one (failed check,
-infeasible region, strongly unstable kernel, selftest disagreement), 2 for
-any input error or failed write of the report.
+--json prints, and renders its text report from that payload alone, so the
+text states no fact the JSON lacks.  Exit codes are uniform across commands:
+0 for an affirmative verdict, 1 for a negative one (failed check, infeasible
+region, strongly unstable kernel, selftest disagreement), 2 for any input
+error or failed write of the report.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from .documents import (
     DocumentError,
     InstanceDocument,
     _parse_weight,
+    _render_pair,
     load_document,
     render_document,
 )
@@ -94,14 +94,14 @@ def _refuse_long_listing(
         )
 
 
-def _emit(args: argparse.Namespace, payload: dict, render, *inputs) -> int:
-    """Print the payload as JSON or as the lines ``render(payload, *inputs)`` yields.
+def _emit(args: argparse.Namespace, payload: dict, render) -> int:
+    """Print the payload as JSON or as the lines ``render(payload)`` yields.
 
     A failed write (a closed pipe, a full disk) is an output error: one
     ``error:`` line on stderr and exit 2.  Only the write is guarded, so an
     ``OSError`` raised while rendering keeps its own traceback.
     """
-    text = _json_text(payload) if args.json else "\n".join(render(payload, *inputs))
+    text = _json_text(payload) if args.json else "\n".join(render(payload))
     try:
         print(text)
         sys.stdout.flush()  # raise here, not at interpreter exit
@@ -411,6 +411,7 @@ def cmd_region(args: argparse.Namespace) -> int:
     region = feasible_region(doc.curve, bundle, strict=args.strict)
     payload = {
         "command": "region",
+        "bundle": _bundle_payload(doc.curve, bundle),
         "strict": region.strict,
         "intervals": [
             {
@@ -426,11 +427,11 @@ def cmd_region(args: argparse.Namespace) -> int:
         "feasible": region.feasible,
         "exit": EXIT_OK if region.feasible else EXIT_NEGATIVE,
     }
-    return _emit(args, payload, _region_text, doc.curve, bundle)
+    return _emit(args, payload, _region_text)
 
 
-def _region_text(payload: dict, curve: CombCurve, bundle: BundleData):
-    yield _bundle_line(_bundle_payload(curve, bundle))
+def _region_text(payload: dict):
+    yield _bundle_line(payload["bundle"])
     for iv in payload["intervals"]:
         if iv["empty"]:
             yield f"  w_{iv['j']}: empty"
@@ -452,14 +453,15 @@ def cmd_polarize(args: argparse.Namespace) -> int:
     w = synthesize_polarization(doc.curve, target)
     payload = {
         "command": "polarize",
+        "target": _bundle_payload(doc.curve, target),
         "weights": None if w is None else list(w.weights),
         "exit": EXIT_NEGATIVE if w is None else EXIT_OK,
     }
-    return _emit(args, payload, _polarize_text, doc.curve, target)
+    return _emit(args, payload, _polarize_text)
 
 
-def _polarize_text(payload: dict, curve: CombCurve, target: BundleData):
-    yield _bundle_line(_bundle_payload(curve, target), title="target bundle")
+def _polarize_text(payload: dict):
+    yield _bundle_line(payload["target"], title="target bundle")
     if payload["weights"] is None:
         yield "no polarization: the strict feasibility region is empty"
     else:
@@ -472,19 +474,18 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     pair = _require_valid_pair(doc)
     restricted = [_restriction_witness(curve, pair, j) for j in range(1, curve.num_components + 1)]
     _refuse_long_listing(args, curve.num_components, sum(x is not None for x in restricted))
-    kernel_payload = _bundle_payload(curve, _kernel_bundle(curve, pair))
-    witnesses = [
-        {"j": j, "witness": _witness_payload(witness)}
-        for j, witness in enumerate(restricted, start=1)
-    ]
     su = _strong_unstability(curve, pair)
     report = _characterize(curve, pair, su)
     # The StronglyUnstable and DivisibilityContradiction characterizations are exactly these.
     negative = su.verdict is StrongUnstabilityKind.STRONGLY_UNSTABLE
     payload = {
         "command": "kernel",
-        "kernel_bundle": kernel_payload,
-        "restriction_witnesses": witnesses,
+        "pair": _render_pair(pair),
+        "kernel_bundle": _bundle_payload(curve, _kernel_bundle(curve, pair)),
+        "restriction_witnesses": [
+            {"j": j, "witness": _witness_payload(witness)}
+            for j, witness in enumerate(restricted, start=1)
+        ],
         "strong_unstability": {
             "verdict": su.verdict.value,
             "triggering_j": su.triggering_j,
@@ -501,20 +502,20 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         },
         "exit": EXIT_NEGATIVE if negative else EXIT_OK,
     }
-    return _emit(args, payload, _kernel_text, pair)
+    return _emit(args, payload, _kernel_text)
 
 
-def _kernel_text(payload: dict, pair: GeneratedPairData):
-    kernel = payload["kernel_bundle"]
+def _kernel_text(payload: dict):
+    pair, kernel = payload["pair"], payload["kernel_bundle"]
     yield (
-        f"pair: rank {pair.rank}, sections {pair.sections}, multidegree "
-        f"{tuple(pair.multidegree)}, kernel dims {tuple(pair.kernel_dims)}"
+        f"pair: rank {pair['rank']}, sections {pair['sections']}, multidegree "
+        f"{tuple(pair['multidegree'])}, kernel dims {tuple(pair['kernel_dims'])}"
     )
     yield _bundle_line(kernel, title="kernel bundle")
     yield "restriction witnesses:"
     for entry in payload["restriction_witnesses"]:
         j = entry["j"]
-        k = pair.kernel_dims[j - 1]
+        k = pair["kernel_dims"][j - 1]
         if entry["witness"] is not None:
             mu = format_rational(Fraction(kernel["multidegree"][j - 1], kernel["rank"]))
             yield (

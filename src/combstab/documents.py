@@ -18,7 +18,7 @@ pass through the same weight parser and digit bound.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -247,23 +247,22 @@ def render_document(doc: InstanceDocument) -> dict:
             "multidegree": list(doc.bundle.multidegree),
         }
     if doc.pair is not None:
-        flags = doc.pair.assumptions
-        out["pair"] = {
-            "rank": doc.pair.rank,
-            "sections": doc.pair.sections,
-            "multidegree": list(doc.pair.multidegree),
-            "kernel_dims": list(doc.pair.kernel_dims),
-            "assumptions": {
-                "general_linear_series": flags.general_linear_series,
-                "butler_conjecture": flags.butler_conjecture,
-                "components_general_in_moduli": flags.components_general_in_moduli,
-            },
-        }
+        out["pair"] = _render_pair(doc.pair)
     if doc.polarization is not None:
         out["polarization"] = {
             "weights": [format_rational(w) for w in doc.polarization.weights]
         }
     return out
+
+
+def _render_pair(pair: GeneratedPairData) -> dict:
+    return {
+        "rank": pair.rank,
+        "sections": pair.sections,
+        "multidegree": list(pair.multidegree),
+        "kernel_dims": list(pair.kernel_dims),
+        "assumptions": asdict(pair.assumptions),
+    }
 
 
 def _parse_int(text: str) -> int:

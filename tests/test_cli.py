@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -78,6 +79,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The input each report echoes for its text header: the bundle, the target
+# bundle, the pair.
+_ECHOES = {"region": "bundle", "polarize": "target", "kernel": "pair"}
+
+
+def _digest_without_echo(out):
+    """sha256 of a --json report re-dumped without its echoed input."""
+    payload = json.loads(out)
+    payload.pop(_ECHOES.get(payload["command"]), None)
+    return hashlib.sha256((json.dumps(payload, indent=2) + "\n").encode()).hexdigest()
 
 
 # Half integers, which often leave the document valid, half other JSON values.
@@ -292,17 +305,21 @@ class TestPolarize:
         assert "bundle or a pair" in err
 
     @pytest.mark.parametrize(
-        "num, big, text_digest, json_digest",
+        "num, big, text_digest, rest_digest, json_digest",
         [
             (120, 2**64,
              "aa2827871e02d21e9b181ac902075d3c265dc3c0992590ce092504726e0e07c5",
-             "66543d3213a239d9416f5317777fc64b92f9dca6d3f3aa2ce3ed03fc1bc7b557"),
+             "66543d3213a239d9416f5317777fc64b92f9dca6d3f3aa2ce3ed03fc1bc7b557",
+             "669d32d0b98fc38a9a57e60f8359101ebd7b2ddc00f378d53a95971665a80662"),
             (12, 10**299,
              "6a4ca0a3942428b9267f37d150022c8bbcf3848350488b172ac4d0e9a1156313",
-             "10519841bd4b200761c9af6ba2d501d8214b9c71990b49bcf166adabb0f1a0b3"),
+             "10519841bd4b200761c9af6ba2d501d8214b9c71990b49bcf166adabb0f1a0b3",
+             "a3761cca32921c0482d698f0f219c35029900133e1ed5dbc3e28a34d0ce172c4"),
         ],
     )
-    def test_repicked_output_is_pinned(self, capsys, write_doc, num, big, text_digest, json_digest):
+    def test_repicked_output_is_pinned(
+        self, capsys, write_doc, num, big, text_digest, rest_digest, json_digest
+    ):
         # The tight family: genera 0, rank 1, tooth degrees near -big, spine
         # degree N - 3.  The first picks overshoot the simplex, so every
         # tooth is picked again in its share of the slack.
@@ -314,6 +331,7 @@ class TestPolarize:
             code, out, err = run_cli(capsys, "polarize", path, *extra)
             assert (code, err) == (0, "")
             assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert _digest_without_echo(out) == rest_digest
 
 
 class TestKernel:
@@ -426,56 +444,125 @@ class TestValidate:
 _PINNED = [
     ("region", I1, 0,
      "2bb2e005ea51cb7e3d0741f1374411351b67e3c472ffd1a9eb04569bee4b5cc2",
-     "a84046ba96128f8ad94caab31077db4467440a2d519748c1be7747be76258d3a"),
+     "a84046ba96128f8ad94caab31077db4467440a2d519748c1be7747be76258d3a",
+     "9e03ad23662a5802a87e5391b62f0ddd2ed77b63950ef5979c1ccc25aa2b1b3e"),
     ("region --strict", I1, 0,
      "4e64402e65bce4bbe8600bb41c685342a1532a9298c461640701168a9388b9aa",
-     "8f5dc53181d7605ba4c8211f95c56b70d38a25ac2c4d448743a1c875a0d24734"),
+     "8f5dc53181d7605ba4c8211f95c56b70d38a25ac2c4d448743a1c875a0d24734",
+     "e27f33103cc66ddae611e335856e15f22d1af79a6841a35f2c450c13b14fad81"),
     ("region", I1_FAIL, 1,
      "5e54a2a71e61afc06f6fa46ed3a6f1da55215adb522f3afc2dc021bf9d9f142a",
-     "3b88d96adb6e1cf245e805d31ed26ab8bab148628bd12026de2455acfd531159"),
+     "3b88d96adb6e1cf245e805d31ed26ab8bab148628bd12026de2455acfd531159",
+     "225de06d5657a996ac5fe763e1a77c9811952dba6e15b884ba69f12133675510"),
     ("polarize", I1, 0,
      "3fa625ebbdec237bc681d08b3737a85a14ae59decb9c4139d80c9c3b1dd38cb2",
-     "d0a566cdaacfe7247000395c2ddf787167ceda97a8a0b834f75afaddf88c169c"),
+     "d0a566cdaacfe7247000395c2ddf787167ceda97a8a0b834f75afaddf88c169c",
+     "cc254fd3472507275295b0c4df0a86fb61e30c4c96d42f9ae7592f3255296bef"),
     ("polarize", KERNEL_OK, 0,
      "8eed564d1161087478d84bc4dabeea226c46b1ccc0e8b76f1e4c46bd23b57947",
-     "0676daa75da06e9b4d7a93d7cc4b7d100083aff3ec0a99f5b7142bee11feda26"),
+     "0676daa75da06e9b4d7a93d7cc4b7d100083aff3ec0a99f5b7142bee11feda26",
+     "8b106d5c21455a6d8911731cf0311ed5e87eaf3b2ab6161c6a38c2c77e3729a6"),
     ("polarize", I1_FAIL, 1,
      "8e20b1c5e68627c12f684d482eb5673ca80cba929bf1787833152549f0d27d2e",
-     "d841240290d826111e6e41cd3b14531f5825834e1356c37c3661a9cec92effb7"),
+     "d841240290d826111e6e41cd3b14531f5825834e1356c37c3661a9cec92effb7",
+     "08a40726783c3cd982aca24af01048fbc10d17fe3a795daac848f428e1c70b34"),
     ("kernel", KERNEL_SU, 1,
      "7fd1d1688c1bed26d7d33f4dc093614cf4a91a384b15f4b5fb8c17655e575df1",
-     "e411c157ee060d8c6da3bfe0f9a32bac620284102dbaf6e410acc7ba5e42c6d1"),
+     "e411c157ee060d8c6da3bfe0f9a32bac620284102dbaf6e410acc7ba5e42c6d1",
+     "a28cca7e98689e8c389ce1f4a36a1822199f7c1b0b445effa9f12a81584b489a"),
     ("kernel", KERNEL_GAP, 0,
      "80ee4c31421a63391a083dbc489d6c87a8f1dec128fac37d10606e8e308d1b27",
-     "510edc9b06ca1216cfc60ad2bfd0b0f19b747a6878243ed1188e3c358ef68cc9"),
+     "510edc9b06ca1216cfc60ad2bfd0b0f19b747a6878243ed1188e3c358ef68cc9",
+     "fc07812061d2651012ea97c293494b24e6206919552c8d5855cbb8360d9a7a23"),
     ("kernel", KERNEL_OK, 0,
      "1ba8dc8d1bedea7816ebfb4da87db251b912ebb9bb1e65361d215c0ce5fb0170",
-     "ebc625230876629f8013ec93652ffcb45884df087fa70b86498285556db69cd6"),
+     "ebc625230876629f8013ec93652ffcb45884df087fa70b86498285556db69cd6",
+     "492dd8dbc20e740751d742e69e3bcf6a8165ec20a3fcb3b71fd031238192e73a"),
     ("kernel", KERNEL_DEGENERATE, 0,
      "80e75c70f849ae89baf776700ded06ffdae698604d1948ffdcc38efe4a75e7c2",
-     "697257f263950943e245e21db2771073025cc285a211f756f8f290ba2b3ae2cb"),
+     "697257f263950943e245e21db2771073025cc285a211f756f8f290ba2b3ae2cb",
+     "1f14b42f4777277c70300d2db2ef2ea4329ecb11107cdee8d618b94f883e2761"),
     ("validate", I1, 0,
      "dc51b8c96c2d745df3bd5590d990230a482fd247123599548e0632fdbf97fc22",
+     "d052059d2408ccbc7de62a8d8e7ebc1cb95586fa8a666b98aaa6427f5d50dd04",
      "d052059d2408ccbc7de62a8d8e7ebc1cb95586fa8a666b98aaa6427f5d50dd04"),
     ("validate", VIOLATIONS, 1,
      "3dfbc881b6aa772a00859dd0c3f397ce73ccf2cd9541680782f0c8e02ee613ef",
+     "bfeda56e8c314a21aa0e229d3b57faf8cf8754f7cdcedf6c27e932d46d025b66",
      "bfeda56e8c314a21aa0e229d3b57faf8cf8754f7cdcedf6c27e932d46d025b66"),
 ]
 
 
 @pytest.mark.parametrize(
-    "command, doc, code, text_digest, json_digest",
+    "command, doc, code, text_digest, rest_digest, json_digest",
     _PINNED,
     ids=[f"{case[0]}-{i}" for i, case in enumerate(_PINNED)],
 )
-def test_small_document_output_is_pinned(capsys, write_doc, command, doc, code, text_digest, json_digest):
-    # Text and --json stdout of every command besides analyze, byte for byte.
+def test_small_document_output_is_pinned(
+    capsys, write_doc, command, doc, code, text_digest, rest_digest, json_digest
+):
+    # Text and --json stdout of every command besides analyze, byte for byte,
+    # and the JSON once more with its echoed input removed.
     name, *flags = command.split()
     path = write_doc(doc)
     for extra, digest in (([], text_digest), (["--json"], json_digest)):
         got, out, err = run_cli(capsys, name, path, *flags, *extra)
         assert (got, err) == (code, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert _digest_without_echo(out) == rest_digest
+
+
+def _bundle_header(bundle, title):
+    return (
+        f"{title}: rank {bundle['rank']}, multidegree {tuple(bundle['multidegree'])}, "
+        f"component eulers {tuple(bundle['component_eulers'])}, total euler {bundle['euler']}"
+    )
+
+
+_ECHOING = [(i, case) for i, case in enumerate(_PINNED) if case[0].split()[0] in _ECHOES]
+
+
+@pytest.mark.parametrize(
+    "command, doc", [case[:2] for _, case in _ECHOING], ids=[f"{c[0]}-{i}" for i, c in _ECHOING]
+)
+def test_text_header_is_the_json_echo(capsys, write_doc, command, doc):
+    # The header lines of the text are built from the report's own echo, and
+    # the echo holds what analyze, kernel and validate report for the document.
+    name, *flags = command.split()
+    path = write_doc(doc)
+    _, text, _ = run_cli(capsys, name, path, *flags)
+    _, out, _ = run_cli(capsys, name, path, *flags, "--json")
+    payload = json.loads(out)
+    if name == "kernel":
+        pair = payload["pair"]
+        header = [
+            f"pair: rank {pair['rank']}, sections {pair['sections']}, multidegree "
+            f"{tuple(pair['multidegree'])}, kernel dims {tuple(pair['kernel_dims'])}",
+            _bundle_header(payload["kernel_bundle"], "kernel bundle"),
+        ]
+        _, validated, _ = run_cli(capsys, "validate", path, "--json")
+        assert pair == json.loads(validated)["document"]["pair"]
+    else:
+        echo = payload[_ECHOES[name]]
+        header = [_bundle_header(echo, "bundle" if name == "region" else "target bundle")]
+        source, field = ("analyze", "bundle") if "bundle" in doc else ("kernel", "kernel_bundle")
+        _, reported, _ = run_cli(capsys, source, path, "--json")
+        assert echo == json.loads(reported)[field]
+    assert text.splitlines()[: len(header)] == header
+
+
+def test_emit_passes_the_payload_alone():
+    # No var-positional inputs beside the payload.
+    assert list(inspect.signature(cli._emit).parameters) == ["args", "payload", "render"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "region", "polarize", "kernel", "validate", "selftest"])
+def test_renderer_reads_the_payload_alone(command):
+    # One parameter, the payload, and no Euler number derived a second time.
+    render = getattr(cli, f"_{command}_text")
+    assert list(inspect.signature(render).parameters) == ["payload"]
+    derived = {"_bundle_payload", "component_eulers", "total_euler"}
+    assert not derived & set(render.__code__.co_names)
 
 
 def _stream_documents():
@@ -761,7 +848,7 @@ class TestOutputErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_render_errors_are_not_relabelled(self, capsys, write_doc, monkeypatch):
-        def broken(payload, *inputs):
+        def broken(payload):
             raise OSError("raised while rendering")
 
         monkeypatch.setattr(cli, "_region_text", broken)
