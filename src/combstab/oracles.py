@@ -5,16 +5,19 @@ recomputes the same answer from definitions: each slope comparison is a
 cross-multiplied integer predicate, destabilizer windows are swept integer
 by integer with deliberate padding, simplest rationals are found by
 scanning denominators, Euler characteristics are summed from the degrees
-component by component, and the nesting of two feasibility intervals is
-decided on their cross-multiplied ends.  Reported values are compared on
+component by component, and each tooth's weight interval is solved from
+the inequality on integer ends, its emptiness and the region's slack
+decided by cross-multiplication.  Reported values are compared on
 integers too: a witness slope is cross-multiplied with the weighted
 multirank, summed entry by entry as an unreduced numerator and denominator,
 and a polarization's weights are added one by one the same way.
-``Fraction`` appears only in the generated weights and in the scanned
-simplest rational.  The oracles stay independent of the fast path: they
-test every candidate one by one where the fast path computes closed-form
-floor-division ranges, and they import none of its private helpers and
-nothing from ``kernels``, so a shared mistake cannot make both sides agree.
+``Fraction`` appears only in the generated weights, in the scanned
+simplest rational and in the interval ends, built once from integers as
+``IntervalQ`` values to compare with the fast ones.  The oracles stay
+independent of the fast path: they test every candidate one by one where
+the fast path computes closed-form floor-division ranges, and they import
+none of its private helpers and nothing from ``kernels``, so a shared
+mistake cannot make both sides agree.
 Inequalities are cross-multiplied by a tooth weight only inside (0, 1),
 where the multiplier is positive; anything else is a ValueError.
 Agreement is exact or it is a failure; there are no tolerances anywhere.
@@ -347,26 +350,46 @@ def oracle_simplest_rational(interval: IntervalQ, max_denominator: int) -> Fract
     return None
 
 
-def _nested(inner: IntervalQ, outer: IntervalQ) -> bool:
-    """Whether ``inner`` lies inside ``outer``, decided on cross-multiplied ends.
+def _longhand_region(
+    chis: list[int], chi: int, n: int, strict: bool
+) -> tuple[tuple[IntervalQ, ...], bool]:
+    """Tooth weight intervals solved from w*chi <= chi_j <= w*chi + n, and feasibility.
 
-    An empty inner interval (ends crossed, or equal with an open end) lies
-    anywhere.  Otherwise each inner end lies strictly inside the matching
-    outer end, or on it, where an open outer end needs an open inner end.
+    With chi > 0 the ends are (chi_j - n)/chi and chi_j/chi; with chi < 0
+    they swap and read -chi_j/-chi and (n - chi_j)/-chi.  Each end is an
+    integer pair a/b, b > 0.  An end at or past 0 or 1 is clipped there and
+    made open; ``strict`` (the inequality with <) opens every end.  With
+    chi = 0, w drops out, and the interval is (0, 1) when 0 <= chi_j <= n
+    (strict: 0 < chi_j < n) and empty otherwise.  An interval is empty when
+    its cross-multiplied ends cross, or meet with an open end.  The region
+    is feasible when no interval is empty and the lower ends, added one by
+    one as the unreduced top/bottom, leave a slack 1 - top/bottom > 0.  The
+    intervals are ``IntervalQ`` values so the fast ones can be compared
+    with them as they are, crossed ends included.
     """
-
-    def over(x: Fraction, y: Fraction) -> int:
-        """Positive when x > y, zero when x == y: both denominators are positive."""
-        return x.numerator * y.denominator - y.numerator * x.denominator
-
-    span = over(inner.hi, inner.lo)
-    if span < 0 or (span == 0 and (inner.lo_open or inner.hi_open)):
-        return True
-    lo = over(inner.lo, outer.lo)
-    hi = over(outer.hi, inner.hi)
-    return (lo > 0 or (lo == 0 and (inner.lo_open or not outer.lo_open))) and (
-        hi > 0 or (hi == 0 and (inner.hi_open or not outer.hi_open))
-    )
+    intervals = []
+    nonempty = True
+    top, bottom = 0, 1
+    for chi_j in chis[:-1]:
+        if chi == 0:
+            holds = 0 < chi_j < n if strict else 0 <= chi_j <= n
+            (a, b), (c, d) = (0, 1), (1 if holds else 0, 1)
+            lo_open = hi_open = True
+        else:
+            if chi > 0:
+                (a, b), (c, d) = (chi_j - n, chi), (chi_j, chi)
+            else:
+                (a, b), (c, d) = (-chi_j, -chi), (n - chi_j, -chi)
+            lo_open = hi_open = strict
+            if a <= 0:
+                (a, b), lo_open = (0, 1), True
+            if c >= d:
+                (c, d), hi_open = (1, 1), True
+        span = c * b - a * d
+        nonempty = nonempty and (span > 0 or (span == 0 and not (lo_open or hi_open)))
+        top, bottom = top * b + a * bottom, bottom * b
+        intervals.append(IntervalQ(Fraction(a, b), Fraction(c, d), lo_open, hi_open))
+    return tuple(intervals), nonempty and top < bottom
 
 
 def _valid_longhand(w: Polarization) -> bool:
@@ -458,7 +481,7 @@ def _check_instances(report: SelftestReport, instances) -> None:
             "necessary-equivalence", oracle_necessary_equivalence(curve, bundle, w), where
         )
         n = bundle.rank
-        _, chi = _eulers(curve, n, bundle.multidegree)
+        chis, chi = _eulers(curve, n, bundle.multidegree)
         for j in range(1, curve.num_components):
             w_j = w.weights[j - 1]
             if (w_j.numerator * chi) % w_j.denominator == 0:
@@ -485,15 +508,17 @@ def _check_instances(report: SelftestReport, instances) -> None:
                         list(verdict.forced_destabilizers) == filtered,
                         at_tooth,
                     )
-        strict = feasible_region(curve, bundle, strict=True)
+        # "region-nesting" keeps the name in the pinned report; it checks the
+        # fast closed region against the longhand one.
         closed = feasible_region(curve, bundle, strict=False)
-        contained = all(_nested(s, c) for s, c in zip(strict.intervals, closed.intervals))
-        report.record("region-nesting", contained, where)
+        expected = _longhand_region(chis, chi, n, strict=False)
+        report.record("region-nesting", (closed.intervals, closed.feasible) == expected, where)
+        intervals, feasible = _longhand_region(chis, chi, n, strict=True)
         w_built = synthesize_polarization(curve, bundle)
-        if strict.feasible:
+        if feasible:
             ok = w_built is not None and _valid_longhand(w_built)
             report.record("region-synthesis", ok, where)
-            for iv in strict.intervals:
+            for iv in intervals:
                 fast = pick_simplest_rational(iv)
                 slow = oracle_simplest_rational(iv, fast.denominator)
                 report.record(

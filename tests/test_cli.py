@@ -316,6 +316,7 @@ class TestPolarize:
              "10519841bd4b200761c9af6ba2d501d8214b9c71990b49bcf166adabb0f1a0b3",
              "a3761cca32921c0482d698f0f219c35029900133e1ed5dbc3e28a34d0ce172c4"),
         ],
+        ids=["n120-d20", "n12-d300"],
     )
     def test_repicked_output_is_pinned(
         self, capsys, write_doc, num, big, text_digest, rest_digest, json_digest

@@ -20,7 +20,7 @@ from combstab import (
 )
 from combstab.cli import main
 from combstab.polarization import IntervalQ, necessary_check
-from combstab import kernel_bundles, oracles
+from combstab import kernel_bundles, oracles, polarization
 from combstab.oracles import (
     instance_stream,
     oracle_destabilizer_enumeration,
@@ -30,7 +30,7 @@ from combstab.oracles import (
     pair_stream,
     run_selftest,
 )
-from longhand import interval_contains, interval_intersection
+from longhand import interval_contains
 
 
 class TestGenerators:
@@ -232,21 +232,51 @@ class TestIntegerOraclesAgainstReference:
                             scanned += 1
         assert scanned > 8000
 
-    def test_nesting_on_every_endpoint_kind(self):
-        # Crossed, touching and point intervals included; the reference is
-        # the longhand intersection written in test_polarization.
-        ends = [Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
-        intervals = [
-            IntervalQ(lo, hi, lo_open=lo_open, hi_open=hi_open)
-            for lo, hi in itertools.product(ends, repeat=2)
-            for lo_open, hi_open in itertools.product((False, True), repeat=2)
-        ]
-        nested = 0
-        for inner, outer in itertools.product(intervals, repeat=2):
-            expected = inner.is_empty or interval_intersection(inner, outer) == inner
-            assert oracles._nested(inner, outer) == expected, (inner, outer)
-            nested += expected
-        assert 0 < nested < len(intervals) ** 2
+    def test_longhand_region_on_every_interval_kind(self):
+        # chi of each sign and 0, chi_j from past one clip to past the other:
+        # clipped, point and crossed intervals all occur.  Every w = p/q in
+        # (0, 1) with q <= 40 lies in a tooth interval exactly when it
+        # satisfies the inequality the interval was solved from.
+        weights = sorted({Fraction(p, q) for q in range(2, 41) for p in range(1, q)})
+        kinds = set()
+        for n, chi, chi_j, strict in itertools.product(
+            range(1, 4), range(-5, 6), range(-8, 9), (False, True)
+        ):
+            (iv,), _ = oracles._longhand_region([chi_j, 0], chi, n, strict)
+            for w in weights:
+                p, q = w.numerator, w.denominator
+                low, mid, high = p * chi, chi_j * q, p * chi + n * q
+                holds = low < mid < high if strict else low <= mid <= high
+                assert interval_contains(iv, w) == holds, (n, chi, chi_j, strict, iv, w)
+            # Every end at 0 or 1 is a clipped one, and a clipped end is open.
+            assert (iv.lo != 0 or iv.lo_open) and (iv.hi != 1 or iv.hi_open)
+            kinds.add(f"chi{(chi > 0) - (chi < 0):+d}")
+            if chi and iv.lo == iv.hi:
+                kinds.add("point")
+            elif chi and iv.lo > iv.hi:
+                kinds.add("crossed")
+            if chi and iv.lo == 0 and not strict:
+                kinds.add("lo-clip")
+            if chi and iv.hi == 1 and not strict:
+                kinds.add("hi-clip")
+        assert kinds == {"chi-1", "chi+0", "chi+1", "point", "crossed", "lo-clip", "hi-clip"}
+
+    def test_longhand_feasibility_against_fraction_sums(self):
+        # Emptiness and the slack are decided on integers; the reference
+        # compares the same ends as ``Fraction``s and sums them one by one.
+        verdicts = set()
+        for n, chi, strict, chi_1, chi_2 in itertools.product(
+            range(1, 4), range(-5, 6), (False, True), range(-8, 9), range(-8, 9)
+        ):
+            intervals, feasible = oracles._longhand_region([chi_1, chi_2, 0], chi, n, strict)
+            nonempty = all(
+                iv.lo < iv.hi or (iv.lo == iv.hi and not (iv.lo_open or iv.hi_open))
+                for iv in intervals
+            )
+            slack = 1 - sum((iv.lo for iv in intervals), Fraction(0))
+            assert feasible == (nonempty and slack > 0), (n, chi, strict, chi_1, chi_2)
+            verdicts.add((feasible, nonempty))
+        assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 def reference_slope_matches(slope, euler, weights, multirank):
@@ -482,6 +512,43 @@ class TestSelftest:
         for name in ("region-synthesis", "kernel-polarization"):
             assert report.checks[name].agreed < report.checks[name].run
         assert report.first_failure.startswith("region-synthesis: ")
+
+    @pytest.mark.parametrize("fault", ["teeth-emptied", "lower-end-raised"])
+    def test_wrong_tooth_interval_is_caught(self, monkeypatch, fault):
+        # The fast tooth intervals are compared with longhand ones, and the
+        # synthesis with the longhand feasibility: either fault must show.
+        real = polarization._tooth_interval
+
+        def teeth_emptied(chi_j, chi, n, strict):
+            # Every tooth with 3 | chi_j, in both fast strict builds alike.
+            iv = real(chi_j, chi, n, strict)
+            return IntervalQ.empty() if chi_j % 3 == 0 else iv
+
+        def lower_end_raised(chi_j, chi, n, strict):
+            iv = real(chi_j, chi, n, strict)
+            return iv if iv.is_empty else dataclasses.replace(iv, lo=iv.lo + (iv.hi - iv.lo) / 3)
+
+        faulty = {"teeth-emptied": teeth_emptied, "lower-end-raised": lower_end_raised}
+        monkeypatch.setattr(polarization, "_tooth_interval", faulty[fault])
+        report = run_selftest(0, 100)
+        assert not report.passed
+        assert report.first_failure.startswith(("region-nesting: ", "region-synthesis: "))
+
+    def test_two_region_builds_per_instance(self, monkeypatch):
+        # The closed region for the interval check and the strict one inside
+        # synthesis; the oracle builds no third, fast strict region.
+        built = []
+        real = polarization._region
+
+        def counting(chis, chi, n, strict):
+            built.append(strict)
+            return real(chis, chi, n, strict)
+
+        monkeypatch.setattr(polarization, "_region", counting)
+        report = oracles.SelftestReport(seed=8, count=200)
+        oracles._check_instances(report, instance_stream(8, 200))
+        assert report.passed
+        assert (built.count(False), built.count(True)) == (200, 200)
 
     def test_each_pair_is_validated_once(self, monkeypatch):
         calls = []
