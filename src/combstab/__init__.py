@@ -25,7 +25,6 @@ from .model import (
     BundleData,
     CombCurve,
     Polarization,
-    SubsheafProfile,
     ToothWitness,
     component_eulers,
     format_rational,
@@ -70,7 +69,6 @@ __all__ = [
     "RestrictionVerdict",
     "StrongUnstabilityKind",
     "StrongUnstabilityVerdict",
-    "SubsheafProfile",
     "ToothWitness",
     "canonical_witnesses",
     "characterize",

@@ -212,10 +212,10 @@ def _strong_unstability(curve: CombCurve, pair: GeneratedPairData) -> StrongUnst
             reason="kernel bundle has rank 1; the unstability tests need rank >= 2",
         )
     for j in range(1, curve.num_components):
-        k = pair.kernel_dims[j - 1]
-        d = pair.multidegree[j - 1]
-        if k == 0 or d == 0:
+        witness = _restriction_witness(curve, pair, j)
+        if witness is None:
             continue
+        k, d = witness.on_tooth, pair.multidegree[j - 1]
         if m == 2:
             reason = (
                 f"rank-2 kernel bundle with nonzero restriction kernel at tooth {j}: "

@@ -131,41 +131,16 @@ class Polarization:
 
 
 @dataclass(frozen=True, slots=True)
-class SubsheafProfile:
-    """Multirank and Euler characteristic of a candidate subsheaf.
-
-    This is the general unit of slope comparison: witnesses against
-    semistability are reported as profiles, never as geometric objects.
-    The witnesses the package builds itself are :class:`ToothWitness`
-    records, which store the same data in O(1).
-    """
-
-    multirank: tuple[int, ...]
-    euler: int
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        multirank = tuple(self.multirank)
-        object.__setattr__(self, "multirank", multirank)
-        _check_int(self.euler, "euler characteristic")
-        for j, r in enumerate(multirank, start=1):
-            _check_int(r, "multirank entry {}", j)
-            if r < 0:
-                raise ValueError(f"multirank entry {j} is negative: {r}")
-        if not any(multirank):
-            raise ValueError("multirank must not be identically zero")
-
-
-@dataclass(frozen=True, slots=True)
 class ToothWitness:
     """Subsheaf profile with one rank on component j and another on every other one.
 
-    Every witness the package reports has this shape: the twisted
-    restriction E_j(-p_j) (rank n on tooth j, 0 elsewhere), its complement
-    tilde-E_j (0 on the tooth, n elsewhere) and a trivial kernel part (rank
-    k_j on component j, 0 elsewhere).  The record takes O(1) space whatever
-    N is; :attr:`multirank` builds the N-entry tuple on request, so
-    :func:`slope` accepts it like a :class:`SubsheafProfile`.
+    Witnesses against semistability are reported as profiles (multirank and
+    Euler characteristic), never as geometric objects, and every one the
+    package reports has this shape: the twisted restriction E_j(-p_j) (rank
+    n on tooth j, 0 elsewhere), its complement tilde-E_j (0 on the tooth, n
+    elsewhere) and a trivial kernel part (rank k_j on component j, 0
+    elsewhere).  The record takes O(1) space whatever N is; :attr:`multirank`
+    builds the N-entry tuple on request.
     """
 
     label: str
@@ -223,14 +198,15 @@ def _tooth_eulers(curve: CombCurve, bundle: BundleData, j: int) -> tuple[int, in
     return bundle.multidegree[j - 1] + bundle.rank * (1 - curve.genera[j - 1]), chi
 
 
-def slope(profile: SubsheafProfile | ToothWitness, polarization: Polarization) -> Fraction:
+def slope(profile: ToothWitness, polarization: Polarization) -> Fraction:
     """Polarized slope: euler characteristic over the weighted multirank sum."""
-    if len(profile.multirank) != len(polarization.weights):
+    multirank = profile.multirank
+    if len(multirank) != len(polarization.weights):
         raise ValueError(
-            f"multirank has {len(profile.multirank)} entries, polarization has "
+            f"multirank has {len(multirank)} entries, polarization has "
             f"{len(polarization.weights)}"
         )
-    denom = _exact_sum(w * r for w, r in zip(polarization.weights, profile.multirank))
+    denom = _exact_sum(w * r for w, r in zip(polarization.weights, multirank))
     if denom <= 0:
         raise ValueError(f"weighted multirank must be positive, got {denom}")
     return Fraction(profile.euler) / denom

@@ -303,15 +303,13 @@ def _replay_filters(
 ) -> list[tuple[int, int]]:
     """The pairs of the raw tooth-j enumeration that survive the divisibility filters."""
     n = bundle.rank
-    chi_j = (bundle.multidegree[j - 1]) + n * (1 - curve.genera[j - 1])
+    chi_j = _eulers(curve, n, bundle.multidegree)[0][j - 1]
     kept = []
     for k, chi_l in raw:
         if chi_j % n == 0:
+            # The allowed values k*chi_j/n + a, 0 < a < k, are not multiples of k.
             base = k * (chi_j // n)
-            allowed = {base + a for a in range(1, k)}
-            if chi_l not in allowed:
-                continue
-            if chi_l % k == 0:
+            if chi_l not in {base + a for a in range(1, k)}:
                 continue
         elif chi_l % k == 0:
             q, r = divmod(chi_j, n)

@@ -95,6 +95,7 @@ def test_missing_curve():
         ("pair", "sections"),
         ("pair", "multidegree"),
         ("pair", "kernel_dims"),
+        ("polarization", "weights"),
     ],
 )
 def test_missing_required_field(section, name):
@@ -103,6 +104,30 @@ def test_missing_required_field(section, name):
     with pytest.raises(DocumentError) as exc:
         parse_document(doc)
     assert str(exc.value) == f"{section}.{name} is required"
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda d: d["pair"]["assumptions"].update(general_linear_series=1),
+            "pair.assumptions.general_linear_series must be a boolean",
+        ),
+        (lambda d: d["pair"].update(rank=0), "invalid pair: rank must be positive, got 0"),
+    ],
+    ids=["non-boolean-assumption", "pair-rank-zero"],
+)
+def test_refusal_is_one_error_line(mutate, message, tmp_path, capsys):
+    doc = json.loads(json.dumps(FULL_DOC))
+    mutate(doc)
+    with pytest.raises(DocumentError) as exc:
+        parse_document(doc)
+    assert str(exc.value) == message
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
 
 
 def test_weight_count_mismatch():

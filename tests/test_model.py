@@ -7,7 +7,7 @@ from combstab import (
     BundleData,
     CombCurve,
     Polarization,
-    SubsheafProfile,
+    ToothWitness,
     component_eulers,
     format_rational,
     parse_rational,
@@ -101,23 +101,22 @@ def test_telescoping_when_every_component_euler_is_rank(cb):
 def test_full_rank_slope_is_total_over_rank(cbw):
     curve, bundle, w = cbw
     assert validate_polarization(w) == []
-    profile = SubsheafProfile(
-        multirank=(bundle.rank,) * curve.num_components,
-        euler=total_euler(curve, bundle),
-    )
-    assert slope(profile, w) == Fraction(total_euler(curve, bundle), bundle.rank)
+    n, chi = bundle.rank, total_euler(curve, bundle)
+    profile = ToothWitness("E", 1, curve.num_components, on_tooth=n, off_tooth=n, euler=chi)
+    assert profile.multirank == (n,) * curve.num_components
+    assert slope(profile, w) == Fraction(chi, n)
 
 
 def test_slope_worked():
     w = Polarization(("1/2", "1/2"))
-    assert slope(SubsheafProfile((2, 2), -4), w) == -2
-    assert slope(SubsheafProfile((1, 2), 0), w) == 0
+    assert slope(ToothWitness("E", 1, 2, 2, 2, -4), w) == -2
+    assert slope(ToothWitness("F", 1, 2, 1, 2, 0), w) == 0
 
 
 def test_slope_rejects_zero_weighted_rank():
     w = Polarization((Fraction(0), Fraction(1)))
     with pytest.raises(ValueError):
-        slope(SubsheafProfile((1, 0), 3), w)
+        slope(ToothWitness("E_1(-p_1)", 1, 2, 1, 0, 3), w)
 
 
 def test_validate_polarization():
@@ -208,8 +207,6 @@ def test_structural_validation():
         CombCurve((2, -1))
     with pytest.raises(ValueError):
         BundleData(0, (1, 1))
-    with pytest.raises(ValueError):
-        SubsheafProfile((0, 0), 1)
     with pytest.raises(TypeError):
         Polarization((0.5, 0.5))
 
@@ -226,15 +223,9 @@ def test_weights_coerce_ints_and_refuse_inexact_types():
         )
 
 
-def test_negative_multirank_entry_is_refused():
-    with pytest.raises(ValueError) as exc:
-        SubsheafProfile((1, -1), 0)
-    assert str(exc.value) == "multirank entry 2 is negative: -1"
-
-
 def test_slope_refuses_a_length_mismatch():
     with pytest.raises(ValueError) as exc:
-        slope(SubsheafProfile((1, 1), 1), Polarization((Fraction(1, 3),) * 3))
+        slope(ToothWitness("E", 1, 2, 1, 1, 1), Polarization((Fraction(1, 3),) * 3))
     assert str(exc.value) == "multirank has 2 entries, polarization has 3"
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import random
 import signal
+import threading
 import time
 from fractions import Fraction
 
@@ -91,6 +92,45 @@ class TestNecessaryEquivalence:
         w = Polarization(("1/2", "1/2"))
         assert oracle_necessary_equivalence(c, BundleData(2, (1, 1)), w)
         assert oracle_necessary_equivalence(c, BundleData(2, (5, 1)), w)
+
+    # On C22 at w = (1/2, 1/2): degrees (1, 1) pass at tooth 1, (5, 1) fail its upper side.
+    @pytest.mark.parametrize(
+        "degrees, doctor",
+        [
+            pytest.param((1, 1), lambda c: dataclasses.replace(c, lower_ok=False), id="flipped-lower"),
+            pytest.param(
+                (1, 1),
+                lambda c: dataclasses.replace(c, witness=polarization._restricted(2, 2, -1, 1)),
+                id="witness-on-pass",
+            ),
+            pytest.param(
+                (5, 1),
+                lambda c: dataclasses.replace(c, witness=dataclasses.replace(c.witness, label="tilde-E_1")),
+                id="wrong-label",
+            ),
+            pytest.param(
+                (5, 1),
+                lambda c: dataclasses.replace(c, witness=dataclasses.replace(c.witness, off_tooth=1)),
+                id="wrong-multirank",
+            ),
+            pytest.param(
+                (5, 1),
+                lambda c: dataclasses.replace(c, witness=dataclasses.replace(c.witness, euler=0)),
+                id="wrong-euler",
+            ),
+        ],
+    )
+    def test_doctored_component_check_disagrees(self, monkeypatch, degrees, doctor):
+        curve, bundle, w = CombCurve((2, 2)), BundleData(2, degrees), Polarization(("1/2", "1/2"))
+        assert oracle_necessary_equivalence(curve, bundle, w)
+        real = oracles.necessary_check
+
+        def doctored(*args):
+            verdict = real(*args)
+            return dataclasses.replace(verdict, components=(doctor(verdict.components[0]),))
+
+        monkeypatch.setattr(oracles, "necessary_check", doctored)
+        assert not oracle_necessary_equivalence(curve, bundle, w)
 
 
 class TestDestabilizerOracle:
@@ -658,6 +698,29 @@ class TestParallelSelftest:
         report = run_selftest(13, SPLIT_COUNT - 1)
         assert report.passed
         assert pids == []
+
+    def test_live_thread_keeps_every_range_in_process(self, monkeypatch):
+        # A forked child could inherit a lock the other thread holds.
+        force_cpus(monkeypatch, 1)
+        serial = run_selftest(0, 600)
+        force_cpus(monkeypatch, 2)
+
+        def refuse_fork():
+            raise AssertionError("forked with another thread alive")
+
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, daemon=True)
+        waiter.start()
+        try:
+            with deadline(60):
+                report = run_selftest(0, 600)
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert report.passed
+        assert report == serial
 
     def test_first_failure_follows_serial_order(self, monkeypatch):
         # Range 0 fails in its pair phase, the last range in its instance

@@ -24,7 +24,6 @@ PUBLIC = [
     "RestrictionVerdict",
     "StrongUnstabilityKind",
     "StrongUnstabilityVerdict",
-    "SubsheafProfile",
     "ToothWitness",
     "canonical_witnesses",
     "characterize",
