@@ -23,7 +23,6 @@ from math import gcd
 from .documents import (
     DocumentError,
     InstanceDocument,
-    _parse_weight,
     _render_pair,
     load_document,
     render_document,
@@ -42,7 +41,6 @@ from .model import (
     CombCurve,
     Polarization,
     ToothWitness,
-    _check_lengths,
     component_eulers,
     format_rational,
     total_euler,
@@ -280,32 +278,19 @@ def _weights_text(weights: list[Fraction]) -> str:
     return "(" + ", ".join(map(format_rational, weights)) + ")"
 
 
-def _resolve_polarization(args: argparse.Namespace, doc: InstanceDocument) -> Polarization:
-    if args.polarization is not None:
-        try:
-            parts = enumerate(args.polarization.split(","), start=1)
-            weights = tuple(_parse_weight(p, f"weight {j}") for j, p in parts)
-        except DocumentError as exc:
-            raise CliInputError(f"bad --polarization: {exc}") from exc
-        w = Polarization(weights)
-    elif doc.polarization is not None:
-        w = doc.polarization
-    else:
-        raise CliInputError("a polarization is required (document field or --polarization)")
-    try:
-        _check_lengths(doc.curve, w.weights, "polarization")
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from exc
-    violations = validate_polarization(w)
-    if violations:
-        raise CliInputError("invalid polarization: " + "; ".join(violations))
-    return w
-
-
 def _require_bundle(doc: InstanceDocument) -> BundleData:
     if doc.bundle is None:
         raise CliInputError("this command needs a bundle section in the document")
     return doc.bundle
+
+
+def _require_polarization(doc: InstanceDocument) -> Polarization:
+    if doc.polarization is None:
+        raise CliInputError("this command needs a polarization section in the document")
+    violations = validate_polarization(doc.polarization)
+    if violations:
+        raise CliInputError("invalid polarization: " + "; ".join(violations))
+    return doc.polarization
 
 
 def _require_valid_pair(doc: InstanceDocument) -> GeneratedPairData:
@@ -321,7 +306,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     doc = load_document(args.file)
     curve = doc.curve
     bundle = _require_bundle(doc)
-    w = _resolve_polarization(args, doc)
+    w = _require_polarization(doc)
     bundle_payload = _bundle_payload(curve, bundle)
     chis = bundle_payload["component_eulers"]
     chi = bundle_payload["euler"]
@@ -614,7 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="necessary inequalities plus restriction classification")
     add_common(p)
-    p.add_argument("--polarization", help="comma-separated exact weights, e.g. 1/3,2/3")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("region", help="per-tooth weight intervals and feasibility")

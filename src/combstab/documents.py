@@ -2,24 +2,23 @@
 
 A document describes a curve plus any of: a bundle, a generated pair, a
 polarization.  Rationals travel as exact lowest-terms "p/q" strings;
-degrees and genera are plain integers.  Unknown fields are rejected so that
-typos fail loudly instead of silently validating something else.  Degrees
-are the canonical bundle input; euler characteristics may be supplied as
-well (or instead) and are cross-validated against the degrees.  The reader
-checks the document's shape (fields, arrays, lengths), the stated Euler
-numbers and the bounds; each record type-checks its own integers and
-enforces its own rules, and its error becomes a DocumentError.  Integers
-in a document file, the numerator and denominator of each weight included,
-have at most 4300 decimal digits, a curve has at most 100000 components
-and a bundle's rank is at most 1000.  The CLI's ``--polarization`` weights
-pass through the same weight parser and digit bound.
+degrees and genera are plain integers.  Unknown and repeated fields are
+rejected so that typos fail loudly instead of silently validating something
+else.  Degrees are the canonical bundle input; euler characteristics may be
+supplied as well (or instead) and are cross-validated against the degrees.
+The reader checks the document's shape (fields, arrays, lengths), the
+stated Euler numbers and the bounds; each record type-checks its own
+integers and enforces its own rules, and its error becomes a DocumentError.
+Integers in a document file, the numerator and denominator of each weight
+included, have at most 4300 decimal digits, a curve has at most 100000
+components and a bundle's rank is at most 1000.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .kernel_bundles import GeneratedPairData, PairAssumptions
@@ -52,16 +51,6 @@ def _check_digits(text: str, where: str) -> str:
     if len(text.strip().lstrip("+-")) > _MAX_DIGITS:
         raise DocumentError(f"{where} has more than {_MAX_DIGITS} digits")
     return text
-
-
-def _parse_weight(text: str, where: str) -> Fraction:
-    """An exact ``"p/q"`` weight, each part within the digit bound."""
-    for part in text.split("/"):
-        _check_digits(part, where)
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,11 +202,15 @@ def _parse_polarization(obj: object, curve: CombCurve) -> Polarization:
         )
     weights = []
     for i, item in enumerate(raw):
+        where = f"polarization.weights[{i}]"
         if not isinstance(item, str):
-            raise DocumentError(
-                f"polarization.weights[{i}] must be an exact 'p/q' string, got {item!r}"
-            )
-        weights.append(_parse_weight(item, f"polarization.weights[{i}]"))
+            raise DocumentError(f"{where} must be an exact 'p/q' string, got {item!r}")
+        for part in item.split("/"):
+            _check_digits(part, where)
+        try:
+            weights.append(parse_rational(item))
+        except ValueError as exc:
+            raise DocumentError(str(exc)) from exc
     return Polarization(tuple(weights))
 
 
@@ -269,6 +262,16 @@ def _parse_int(text: str) -> int:
     return int(_check_digits(text, "integer"))
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object; a key stated twice is an error, not a silent overwrite."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        repeated = sorted(key for key, count in counts.items() if count > 1)
+        raise DocumentError(f"repeated field(s): {', '.join(repeated)}")
+    return obj
+
+
 def load_document(path: str | Path) -> InstanceDocument:
     """Read and parse a UTF-8 JSON instance document from disk."""
     try:
@@ -278,7 +281,7 @@ def load_document(path: str | Path) -> InstanceDocument:
     except UnicodeDecodeError as exc:
         raise DocumentError(f"{path} is not UTF-8: {exc}") from exc
     try:
-        obj = json.loads(text, parse_int=_parse_int)
+        obj = json.loads(text, parse_int=_parse_int, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError as exc:

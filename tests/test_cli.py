@@ -172,43 +172,26 @@ class TestAnalyze:
         assert "overall: FAIL" in out
         assert "E_1(-p_1)" in out
 
-    def test_flag_polarization_overrides(self, capsys, write_doc):
-        doc = dict(I1)
-        del doc["polarization"]
-        code, out, _ = run_cli(
-            capsys, "analyze", write_doc(doc), "--polarization", "1/3,2/3"
-        )
-        assert code == 0
-        assert "(1/3, 2/3)" in out
-
     def test_missing_polarization_is_input_error(self, capsys, write_doc):
         doc = {"curve": I1["curve"], "bundle": I1["bundle"]}
         code, _, err = run_cli(capsys, "analyze", write_doc(doc))
         assert code == 2
-        assert "polarization" in err
-
-    @pytest.mark.parametrize("flag", ["", ","])
-    def test_empty_polarization_flag_is_input_error(self, capsys, write_doc, flag):
-        # An explicit empty value is refused, not replaced by the document's weights.
-        code, out, err = run_cli(capsys, "analyze", write_doc(I1), "--polarization", flag)
-        assert code == 2
-        assert out == ""
-        assert "bad --polarization" in err
-
-    def test_polarization_flag_with_the_wrong_count_is_input_error(self, capsys, write_doc):
-        code, out, err = run_cli(
-            capsys, "analyze", write_doc(I1), "--polarization", "1/3,1/3,1/3"
-        )
-        assert code == 2
-        assert out == ""
-        assert err == "error: polarization has 3 entries for a curve with 2 components\n"
+        assert err == "error: this command needs a polarization section in the document\n"
 
     def test_invalid_polarization_is_input_error(self, capsys, write_doc):
-        code, _, err = run_cli(
-            capsys, "analyze", write_doc(I1), "--polarization", "1/2,1/3"
-        )
+        doc = {**I1, "polarization": {"weights": ["1/2", "1/3"]}}
+        code, _, err = run_cli(capsys, "analyze", write_doc(doc))
         assert code == 2
         assert "sum" in err
+
+    def test_polarization_flag_is_refused(self, capsys, write_doc):
+        # The weights come from the document alone; the flag is a usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", write_doc(I1), "--polarization", "1/3,2/3"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --polarization 1/3,2/3" in captured.err
 
     def test_rank_one_note(self, capsys, write_doc):
         doc = {
@@ -612,19 +595,16 @@ class TestInputBoundary:
         assert out == ""
         assert err.startswith("error: ")
 
-    def test_polarization_flag_digits_are_bounded(self, capsys, write_doc):
-        # The flag's weights meet the document's bound on each part.
-        doc = {"curve": {"genera": [2, 2]}, "bundle": {"rank": 2, "multidegree": [3, 5]}}
-        path = write_doc(doc)
-        for digits, ok in ((4300, True), (4301, False)):
-            den = "1" + "0" * (digits - 1)
-            flag = f"{den[:-1]}/{den},9{den[2:]}/{den}"  # 1/10 and 9/10
-            code, out, err = run_cli(capsys, "analyze", path, "--polarization", flag)
-            if ok:
-                assert code in (0, 1) and err == ""
-            else:
-                assert (code, out) == (2, "")
-                assert err == "error: bad --polarization: weight 1 has more than 4300 digits\n"
+    def test_repeated_field_is_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text(
+            '{"curve": {"genera": [0, 0]}, "curve": {"genera": [2, 2]},'
+            ' "bundle": {"rank": 2, "rank": 1, "multidegree": [3, 5]}}',
+            encoding="utf-8",
+        )
+        code, out, err = run_cli(capsys, "validate", str(path), "--json")
+        assert (code, out) == (2, "")
+        assert err == "error: repeated field(s): rank\n"
 
     def test_polarize_renders_weights_past_the_digit_limit(self, capsys, write_doc):
         # Tight family: genera 0, rank 1, tooth degrees near -D, spine degree N-3.
@@ -649,7 +629,8 @@ class TestInputBoundary:
         doc = {"curve": {"genera": [0, 0, 0]}, "bundle": {"rank": 1000, "multidegree": [0, 0, 0]}}
         assert run_cli(capsys, "validate", write_doc(doc))[0] == 0
         doc["bundle"]["rank"] = 1001
-        code, out, err = run_cli(capsys, "analyze", write_doc(doc), "--polarization", "1/3,1/3,1/3")
+        doc["polarization"] = {"weights": ["1/3", "1/3", "1/3"]}
+        code, out, err = run_cli(capsys, "analyze", write_doc(doc))
         assert code == 2
         assert out == ""
         assert "bundle.rank" in err

@@ -289,6 +289,33 @@ def test_load_document(tmp_path):
         load_document(tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"curve": {"genera": [0, 0]}, "curve": {"genera": [2, 2]}}', "curve"),
+        ('{"curve": {"genera": [0, 0], "genera": [2, 2]}}', "genera"),
+        (
+            '{"curve": {"genera": [2, 2]}, "bundle": {"rank": 2, "rank": 1, "multidegree": [3, 5]}}',
+            "rank",
+        ),
+        (
+            '{"curve": {"genera": [2, 2]}, "pair": {"rank": 1, "sections": 4, "multidegree": [4, 5],'
+            ' "kernel_dims": [1, 0], "assumptions": {"butler_conjecture": true,'
+            ' "butler_conjecture": false}}}',
+            "butler_conjecture",
+        ),
+    ],
+    ids=["top-level", "curve", "bundle", "assumptions"],
+)
+def test_repeated_field_rejected(tmp_path, text, field):
+    # The decoder keeps the last value of a repeated key; the reader refuses it.
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DocumentError) as exc:
+        load_document(path)
+    assert str(exc.value) == f"repeated field(s): {field}"
+
+
 def test_integer_digit_bound(tmp_path):
     path = tmp_path / "doc.json"
     for digits, ok in ((4300, True), (4301, False)):

@@ -22,7 +22,7 @@ from combstab import (
     validate_polarization,
 )
 
-from combstab import polarization
+from combstab import oracles, polarization
 from combstab.kernel_bundles import _restriction_witness
 from longhand import interval_contains, interval_intersection
 from test_model import curve_bundle_polarization
@@ -488,3 +488,39 @@ class TestSynthesizePolarization:
         assert_strict_inequalities(curve, bundle, w)
         for j, iv in enumerate(strict.intervals, start=1):
             assert interval_contains(iv, w.weights[j - 1])
+
+
+def _subcurve_verdict(curve: CombCurve, bundle: BundleData, w: Polarization) -> bool:
+    """Whether chi(E_Z(-Z.Z^c)) <= w_Z * chi for every proper subcurve Z of the comb.
+
+    Derived from the degrees alone: chi_j = d_j + n*(1 - g_j), and a node
+    (tooth j on the spine) meets Z when j or the spine lies in Z, so
+    chi(E_Z(-Z.Z^c)) = sum_{j in Z} chi_j - n*(nodes meeting Z).
+    """
+    n, num = bundle.rank, curve.num_components
+    chis = [d + n * (1 - g) for d, g in zip(bundle.multidegree, curve.genera)]
+    chi = sum(chis) - n * (num - 1)
+    spine = 1 << (num - 1)
+    for z in range(1, (1 << num) - 1):
+        members = [j for j in range(num) if z >> j & 1]
+        nodes = num - 1 if z & spine else len(members)
+        sub = sum(chis[j] for j in members) - n * nodes
+        w_z = sum((w.weights[j] for j in members), Fraction(0))
+        if sub * w_z.denominator > w_z.numerator * chi:
+            return False
+    return True
+
+
+def test_subcurve_inequalities_match_the_tooth_check():
+    # The tooth inequalities are the subcurves {j} and its complement; every
+    # other proper subcurve's inequality must follow from them.
+    verdicts = set()
+    for curve, bundle, drawn in oracles.instance_stream(20261020, 2000):
+        synthesized = synthesize_polarization(curve, bundle)
+        for w in (drawn, synthesized):
+            if w is None:
+                continue
+            passed = necessary_check(curve, bundle, w).overall_pass
+            assert _subcurve_verdict(curve, bundle, w) == passed, (curve, bundle, w)
+            verdicts.add((bundle.rank, passed))
+    assert verdicts == {(n, passed) for n in range(1, 5) for passed in (False, True)}
