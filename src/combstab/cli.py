@@ -47,19 +47,8 @@ from .model import (
     validate_polarization,
 )
 from .oracles import run_selftest
-from .polarization import (
-    ComponentCheck,
-    IntervalQ,
-    _tooth_sides,
-    feasible_region,
-    necessary_check,
-    synthesize_polarization,
-)
-from .restrictions import (
-    RestrictionVerdict,
-    _listing_length,
-    classify_restriction,
-)
+from .polarization import ComponentCheck, IntervalQ, _necessary, _region, _synthesize, _tooth_sides
+from .restrictions import RestrictionVerdict, _classify, _listing_length
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -308,23 +297,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     bundle = _require_bundle(doc)
     w = _require_polarization(doc)
     bundle_payload = _bundle_payload(curve, bundle)
-    chis = bundle_payload["component_eulers"]
-    chi = bundle_payload["euler"]
-    n = bundle.rank
+    chis, chi, n = bundle_payload["component_eulers"], bundle_payload["euler"], bundle.rank
+    teeth = list(zip(w.weights, chis[:-1]))
+    sides = [_tooth_sides(w_j, chi_j, chi, n) for w_j, chi_j in teeth]
     # Every failing tooth lists a witness; count them before any is built.
-    failing = 0
-    if args.json:
-        failing = sum(
-            not all(_tooth_sides(w_j, chi_j, chi, n)) for w_j, chi_j in zip(w.weights, chis[:-1])
-        )
+    failing = sum(not (lower_ok and upper_ok) for lower_ok, upper_ok in sides)
     _refuse_long_listing(args, curve.num_components, failing, _listing_length(n, chis, chi, w))
-    verdict = necessary_check(curve, bundle, w)
+    # _require_polarization has checked that the weights sum to exactly 1.
+    verdict = _necessary(n, chis, chi, w.weights, Fraction(1), sides)
 
     # The records themselves stand in the payload; _json_text writes them.
     classification = None
     if n >= 2:
         classification = [
-            classify_restriction(curve, bundle, w, j) for j in range(1, curve.num_components)
+            _classify(n, chi_j, chi, w_j, j) for j, (w_j, chi_j) in enumerate(teeth, start=1)
         ]
     payload = {
         "command": "analyze",
@@ -393,10 +379,11 @@ def _analyze_text(payload: dict):
 def cmd_region(args: argparse.Namespace) -> int:
     doc = load_document(args.file)
     bundle = _require_bundle(doc)
-    region = feasible_region(doc.curve, bundle, strict=args.strict)
+    echo = _bundle_payload(doc.curve, bundle)
+    region, _ = _region(echo["component_eulers"], echo["euler"], bundle.rank, args.strict)
     payload = {
         "command": "region",
-        "bundle": _bundle_payload(doc.curve, bundle),
+        "bundle": echo,
         "strict": region.strict,
         "intervals": [
             {
@@ -435,10 +422,11 @@ def cmd_polarize(args: argparse.Namespace) -> int:
         target = _kernel_bundle(doc.curve, _require_valid_pair(doc))
     else:
         raise CliInputError("polarize needs a bundle or a pair section")
-    w = synthesize_polarization(doc.curve, target)
+    echo = _bundle_payload(doc.curve, target)
+    w = _synthesize(echo["component_eulers"], echo["euler"], target.rank)
     payload = {
         "command": "polarize",
-        "target": _bundle_payload(doc.curve, target),
+        "target": echo,
         "weights": None if w is None else list(w.weights),
         "exit": EXIT_NEGATIVE if w is None else EXIT_OK,
     }
@@ -459,14 +447,15 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     pair = _require_valid_pair(doc)
     restricted = [_restriction_witness(curve, pair, j) for j in range(1, curve.num_components + 1)]
     _refuse_long_listing(args, curve.num_components, sum(x is not None for x in restricted))
-    su = _strong_unstability(curve, pair)
-    report = _characterize(curve, pair, su)
+    su = _strong_unstability(curve, pair, restricted)
+    kernel = _kernel_bundle(curve, pair)
+    report = _characterize(curve, pair, su, kernel)
     # The StronglyUnstable and DivisibilityContradiction characterizations are exactly these.
     negative = su.verdict is StrongUnstabilityKind.STRONGLY_UNSTABLE
     payload = {
         "command": "kernel",
         "pair": _render_pair(pair),
-        "kernel_bundle": _bundle_payload(curve, _kernel_bundle(curve, pair)),
+        "kernel_bundle": _bundle_payload(curve, kernel),
         "restriction_witnesses": [
             {"j": j, "witness": _witness_payload(witness)}
             for j, witness in enumerate(restricted, start=1)

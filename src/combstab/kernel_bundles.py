@@ -11,13 +11,15 @@ All components are required to have genus >= 2.
 
 Validation is at the boundary only: each public function is ``_require_valid``
 followed by one private core, and the cores call only one another, so a caller
-that has validated the pair itself (the CLI does) calls only the cores.
+that has validated the pair itself (the CLI does) calls only the cores.  A core
+takes what its caller derived already: the kernel bundle, the tooth witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable, Iterator
 
 from .model import (
     BundleData,
@@ -196,10 +198,18 @@ def strong_unstability(curve: CombCurve, pair: GeneratedPairData) -> StrongUnsta
     the slope comparison behind the witness degenerates there.
     """
     _require_valid(curve, pair)
-    return _strong_unstability(curve, pair)
+    return _strong_unstability(curve, pair, _tooth_witnesses(curve, pair))
 
 
-def _strong_unstability(curve: CombCurve, pair: GeneratedPairData) -> StrongUnstabilityVerdict:
+def _tooth_witnesses(curve: CombCurve, pair: GeneratedPairData) -> Iterator[ToothWitness | None]:
+    """Each tooth's :func:`_restriction_witness`, built as the walk reaches it."""
+    return (_restriction_witness(curve, pair, j) for j in range(1, curve.num_components))
+
+
+def _strong_unstability(
+    curve: CombCurve, pair: GeneratedPairData, witnesses: Iterable[ToothWitness | None]
+) -> StrongUnstabilityVerdict:
+    """The verdict from the restriction witnesses, in component order from tooth 1."""
     m = pair.kernel_rank
     if all(k == 0 for k in pair.kernel_dims):
         return StrongUnstabilityVerdict(
@@ -211,8 +221,7 @@ def _strong_unstability(curve: CombCurve, pair: GeneratedPairData) -> StrongUnst
             verdict=StrongUnstabilityKind.NOT_DETERMINED,
             reason="kernel bundle has rank 1; the unstability tests need rank >= 2",
         )
-    for j in range(1, curve.num_components):
-        witness = _restriction_witness(curve, pair, j)
+    for j, witness in zip(range(1, curve.num_components), witnesses):
         if witness is None:
             continue
         k, d = witness.on_tooth, pair.multidegree[j - 1]
@@ -261,11 +270,11 @@ def kernel_polarization(curve: CombCurve, pair: GeneratedPairData) -> Polarizati
     the strict region is always feasible and a polarization is returned.
     """
     _require_valid(curve, pair)
-    return _kernel_polarization(curve, pair)
+    return _kernel_polarization(curve, _kernel_bundle(curve, pair))
 
 
-def _kernel_polarization(curve: CombCurve, pair: GeneratedPairData) -> Polarization:
-    w = synthesize_polarization(curve, _kernel_bundle(curve, pair))
+def _kernel_polarization(curve: CombCurve, kernel: BundleData) -> Polarization:
+    w = synthesize_polarization(curve, kernel)
     if w is None:  # excluded by the argument in kernel_polarization's docstring
         raise RuntimeError("kernel bundle of a valid pair has no polarization")
     return w
@@ -299,11 +308,12 @@ def characterize(curve: CombCurve, pair: GeneratedPairData) -> CharacterizationR
     divides every degree.
     """
     _require_valid(curve, pair)
-    return _characterize(curve, pair, _strong_unstability(curve, pair))
+    su = _strong_unstability(curve, pair, _tooth_witnesses(curve, pair))
+    return _characterize(curve, pair, su, _kernel_bundle(curve, pair))
 
 
 def _characterize(
-    curve: CombCurve, pair: GeneratedPairData, su: StrongUnstabilityVerdict
+    curve: CombCurve, pair: GeneratedPairData, su: StrongUnstabilityVerdict, kernel: BundleData
 ) -> CharacterizationReport:
     n = pair.rank
     m = pair.kernel_rank
@@ -324,7 +334,7 @@ def _characterize(
                 missing_assumptions=(needed,),
                 notes=tuple(notes + [f"{needed} required for {scope} sufficiency"]),
             )
-        w = _kernel_polarization(curve, pair)
+        w = _kernel_polarization(curve, kernel)
         notes.append(
             "all restriction kernels vanish, so the restricted kernel bundles are the "
             "component kernel bundles and are semistable under the assumed flags"

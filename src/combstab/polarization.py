@@ -21,13 +21,18 @@ the slack, the pick totals) is the pairwise integer sum of
 taken once, where the region decides feasibility, and synthesis re-picks
 from that same value.  The interval ends and their clipping to (0, 1) stay
 ``Fraction`` arithmetic.
+
+Validation is at the boundary only: each public function checks its input,
+derives chi_j and chi once and calls one private core on those numbers
+(``_necessary``, ``_region``, ``_synthesize``), which a caller holding them
+(the CLI) calls directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NoReturn
+from typing import NoReturn, Sequence
 
 from . import kernels
 from .model import (
@@ -145,22 +150,24 @@ def necessary_check(curve: CombCurve, bundle: BundleData, w: Polarization) -> Ne
     :func:`~combstab.model.slope`.
     """
     n = bundle.rank
-    num = curve.num_components
     chis, chi = component_eulers(curve, bundle), total_euler(curve, bundle)
     _check_lengths(curve, w.weights, "polarization")
-    total = None  # sum of the weights, taken at the first complement witness
+    sides = [_tooth_sides(w_j, chi_j, chi, n) for w_j, chi_j in zip(w.weights, chis[:-1])]
+    return _necessary(n, chis, chi, w.weights, _exact_sum(w.weights), sides)
+
+
+def _necessary(
+    n: int, chis: Sequence[int], chi: int, weights: Sequence[Fraction], total: Fraction, sides: list
+) -> NecessaryVerdict:
+    """The verdict from each tooth's (lower_ok, upper_ok) in ``sides``; ``total`` is S."""
+    num = len(chis)
+    big_p, big_q = total.numerator, total.denominator
     checks = []
-    for j in range(1, num):
-        w_j, chi_j = w.weights[j - 1], chis[j - 1]
-        lower_ok, upper_ok = _tooth_sides(w_j, chi_j, chi, n)
-        witness = None
-        witness_slope = None
+    for j, (w_j, chi_j, (lower_ok, upper_ok)) in enumerate(zip(weights, chis, sides), start=1):
+        witness = witness_slope = None
         p, q = w_j.numerator, w_j.denominator
         if not lower_ok:
-            if total is None:
-                total = _exact_sum(w.weights)
             witness = _complement(num, n, chi_j, chi, j)
-            big_p, big_q = total.numerator, total.denominator
             rest = big_p * q - p * big_q  # (S - w_j)*Q*q
             if rest <= 0:
                 _refuse_weighted(n * (total - w_j))
@@ -170,15 +177,7 @@ def necessary_check(curve: CombCurve, bundle: BundleData, w: Polarization) -> Ne
             if p <= 0:
                 _refuse_weighted(n * w_j)
             witness_slope = Fraction(witness.euler * q, n * p)
-        checks.append(
-            ComponentCheck(
-                j=j,
-                lower_ok=lower_ok,
-                upper_ok=upper_ok,
-                witness=witness,
-                witness_slope=witness_slope,
-            )
-        )
+        checks.append(ComponentCheck(j, lower_ok, upper_ok, witness, witness_slope))
     return NecessaryVerdict(
         components=tuple(checks),
         overall_pass=all(c.lower_ok and c.upper_ok for c in checks),
@@ -234,7 +233,7 @@ def feasible_region(curve: CombCurve, bundle: BundleData, strict: bool = False) 
 
 
 def _region(
-    chis: tuple[int, ...], chi: int, n: int, strict: bool
+    chis: Sequence[int], chi: int, n: int, strict: bool
 ) -> tuple[FeasibleRegion, Fraction | None]:
     """The region and its slack 1 - sum(lo_j), taken once.
 
@@ -273,7 +272,7 @@ def pick_simplest_rational(interval: IntervalQ) -> Fraction:
     return min(candidates, key=lambda f: (f.denominator, f.numerator))
 
 
-def _strict_inequalities_hold(chis: tuple[int, ...], chi: int, n: int, w: Polarization) -> bool:
+def _strict_inequalities_hold(chis: Sequence[int], chi: int, n: int, w: Polarization) -> bool:
     return all(
         all(_tooth_sides(w_j, chi_j, chi, n, strict=True)) for w_j, chi_j in zip(w.weights, chis[:-1])
     )
@@ -293,8 +292,10 @@ def synthesize_polarization(curve: CombCurve, bundle: BundleData) -> Polarizatio
     holding it.  The re-pick compares by cross-multiplication and hands the
     integer ends to :func:`kernels.simplest_between`.
     """
-    n = bundle.rank
-    chis, chi = component_eulers(curve, bundle), total_euler(curve, bundle)
+    return _synthesize(component_eulers(curve, bundle), total_euler(curve, bundle), bundle.rank)
+
+
+def _synthesize(chis: Sequence[int], chi: int, n: int) -> Polarization | None:
     region, slack = _region(chis, chi, n, strict=True)
     if not region.feasible:
         return None

@@ -10,6 +10,11 @@ the bundle itself.
 
 The destabilizer range of each rank is two floor divisions, taken here;
 tooth j's Euler numbers and index check come from :mod:`~combstab.model`.
+
+Validation is at the boundary only: each public function checks its input,
+derives chi_j and chi once and calls one private core on those numbers
+(``_classify``, ``_filtered``, ``_candidate_range``), which a caller holding
+them (the CLI) calls directly.
 """
 
 from __future__ import annotations
@@ -173,7 +178,10 @@ def classify_restriction(
         raise ValueError(f"classification needs rank >= 2, got {n}")
     _check_lengths(curve, w.weights, "polarization")
     chi_j, chi = _tooth_eulers(curve, bundle, j)
-    w_j = w.weights[j - 1]
+    return _classify(n, chi_j, chi, w.weights[j - 1], j)
+
+
+def _classify(n: int, chi_j: int, chi: int, w_j: Fraction, j: int) -> RestrictionVerdict:
     if _integral_wchi(w_j, chi):
         wchi = w_j.numerator * chi // w_j.denominator
         return RestrictionVerdict(

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from combstab import cli, kernel_bundles
+from combstab import cli, documents, kernel_bundles, model, polarization, restrictions
 from combstab.cli import _any_int_length, _json_text, main
 from combstab.documents import DocumentError, InstanceDocument, load_document, render_document
 from combstab.model import ToothWitness, format_rational
@@ -388,15 +388,91 @@ def test_kernel_walks_the_teeth_once(capsys, write_doc, monkeypatch, extra):
     calls = []
     real = kernel_bundles._strong_unstability
 
-    def counting(curve, pair):
+    def counting(curve, pair, witnesses):
         calls.append(pair)
-        return real(curve, pair)
+        return real(curve, pair, witnesses)
 
     monkeypatch.setattr(kernel_bundles, "_strong_unstability", counting)
     monkeypatch.setattr(cli, "_strong_unstability", counting)
     code, _, _ = run_cli(capsys, "kernel", write_doc(KERNEL_SU), *extra)
     assert code == 1
     assert len(calls) == 1
+
+
+def _count_calls(monkeypatch, *names):
+    """Calls of each named helper, counted through every module binding that name."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        for module in (cli, documents, kernel_bundles, model, polarization, restrictions):
+            real = module.__dict__.get(name)
+            if real is not None:
+
+                def counting(*args, _real=real, _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def _sparse_failures_document(num):
+    """Rank 2, genus 1, chi = N + 1, tooth weights 1/(2N): tooth 1 fails below, tooth 2 above."""
+    return {
+        "curve": {"genera": [1] * num},
+        "bundle": {"rank": 2, "multidegree": [0, 3] + [1] * (num - 3) + [2 * num - 1]},
+        "polarization": {"weights": [f"1/{2 * num}"] * (num - 1) + [f"{num + 1}/{2 * num}"]},
+    }
+
+
+def _kernel_document(kernel_dims, flag):
+    """Rank 1, 4 sections, genus 2: degree 5 without a kernel, d_j = m - r_j = 2 with one."""
+    pair = {"rank": 1, "sections": 4, "multidegree": [5 - 3 * min(k, 1) for k in kernel_dims]}
+    pair.update(kernel_dims=kernel_dims, assumptions={"general_linear_series": flag})
+    return {"curve": {"genera": [2] * len(kernel_dims)}, "pair": pair}
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_analyze_derives_each_number_once(capsys, write_doc, monkeypatch, extra):
+    # chi_j, chi and the weight sum once, each tooth's sides once, and as many
+    # length checks whatever N is.
+    names = ("component_eulers", "total_euler", "_exact_sum", "_tooth_sides", "_check_lengths")
+    length_checks = []
+    for num in (7, 2000):
+        with monkeypatch.context() as patch:
+            counts = _count_calls(patch, *names)
+            code, out, _ = run_cli(capsys, "analyze", write_doc(_sparse_failures_document(num)), *extra)
+        assert code == 1
+        assert "lower FAILED" in out or '"lower_ok": false' in out
+        length_checks.append(counts.pop("_check_lengths"))
+        assert counts == {"component_eulers": 1, "total_euler": 1, "_exact_sum": 1, "_tooth_sides": num - 1}
+    assert length_checks[0] == length_checks[1]
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+@pytest.mark.parametrize("command", [["region"], ["region", "--strict"], ["polarize"]])
+def test_bundle_numbers_are_derived_once(capsys, write_doc, monkeypatch, command, extra):
+    counts = _count_calls(monkeypatch, "component_eulers", "total_euler")
+    code, _, _ = run_cli(capsys, *command, write_doc(_sparse_failures_document(2000)), *extra)
+    assert code == 1
+    assert counts == {"component_eulers": 1, "total_euler": 1}
+
+
+@pytest.mark.parametrize(
+    "command, doc, witnesses",
+    [
+        # No kernel and the rank-1 flag: characterize synthesizes on the kernel bundle.
+        ("kernel", _kernel_document([0] * 2000, True), 2000),
+        # Every third tooth has a kernel, each in the gap case: the walk reaches the last tooth.
+        ("kernel", _kernel_document([int(j % 3 == 0) for j in range(1999)] + [0], False), 2000),
+        ("polarize", _kernel_document([0] * 2000, True), 0),
+    ],
+    ids=["kernel-free", "kernel-gap", "polarize-pair"],
+)
+def test_pair_kernel_bundle_is_built_once(capsys, write_doc, monkeypatch, command, doc, witnesses):
+    counts = _count_calls(monkeypatch, "_kernel_bundle", "_restriction_witness")
+    code, _, _ = run_cli(capsys, command, write_doc(doc))
+    assert code == 0
+    assert counts == {"_kernel_bundle": 1, "_restriction_witness": witnesses}
 
 
 class TestValidate:
@@ -727,11 +803,11 @@ class TestInputBoundary:
         assert err.rstrip().endswith("entries, more than 10000000")
 
     def test_maximum_analyze_json_is_refused_before_the_check(self, capsys, write_doc, monkeypatch):
-        # The failing teeth are counted before necessary_check builds a witness.
+        # The failing teeth are counted before the check's core builds a witness.
         def not_reached(*args):
-            raise AssertionError("necessary_check ran before the listing bound")
+            raise AssertionError("the necessary check ran before the listing bound")
 
-        monkeypatch.setattr(cli, "necessary_check", not_reached)
+        monkeypatch.setattr(cli, "_necessary", not_reached)
         num = 100_000
         doc = {
             "curve": {"genera": [2] * num},
