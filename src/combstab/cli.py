@@ -63,7 +63,7 @@ _MAX_LISTING = 10**7
 
 
 class CliInputError(Exception):
-    """User input problem that is not a document parse error."""
+    """User input problem that is not a document parse error, or a failed write."""
 
 
 def _refuse_long_listing(
@@ -84,22 +84,23 @@ def _refuse_long_listing(
 def _emit(args: argparse.Namespace, payload: dict, render) -> int:
     """Print the payload as JSON or as the lines ``render(payload)`` yields.
 
-    A failed write (a closed pipe, a full disk) is an output error: one
-    ``error:`` line on stderr and exit 2.  Only the write is guarded, so an
-    ``OSError`` raised while rendering keeps its own traceback.
+    A failed write (a closed pipe or stdout, a full disk) is an output error,
+    raised as :class:`CliInputError` for ``main`` to report.  Only the write is
+    guarded, so an ``OSError`` raised while rendering keeps its own traceback.
     """
     text = _json_text(payload) if args.json else "\n".join(render(payload))
     try:
-        print(text)
-        sys.stdout.flush()  # raise here, not at interpreter exit
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError("standard output is closed")
+        print(text, flush=True)  # raise here, not at interpreter exit
     except OSError as exc:  # BrokenPipeError included
-        # The buffer keeps the unwritten bytes and the interpreter flushes
-        # stdout once more on the way out: let that flush go to devnull.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"error: cannot write the report: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        if sys.stdout is not None:
+            # The buffer keeps the unwritten bytes and the interpreter flushes
+            # stdout once more on the way out: let that flush go to devnull.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise CliInputError(f"cannot write the report: {exc}") from exc
     return payload["exit"]
 
 
@@ -240,12 +241,12 @@ def _encode(value: object, newline: str, put) -> None:
         raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _bundle_payload(curve: CombCurve, bundle: BundleData) -> dict:
+def _bundle_payload(curve: CombCurve, bundle: BundleData, chi: int) -> dict:
     return {
         "rank": bundle.rank,
         "multidegree": list(bundle.multidegree),
         "component_eulers": list(component_eulers(curve, bundle)),
-        "euler": total_euler(curve, bundle),
+        "euler": chi,
     }
 
 
@@ -296,7 +297,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     curve = doc.curve
     bundle = _require_bundle(doc)
     w = _require_polarization(doc)
-    bundle_payload = _bundle_payload(curve, bundle)
+    bundle_payload = _bundle_payload(curve, bundle, total_euler(curve, bundle))
     chis, chi, n = bundle_payload["component_eulers"], bundle_payload["euler"], bundle.rank
     teeth = list(zip(w.weights, chis[:-1]))
     sides = [_tooth_sides(w_j, chi_j, chi, n) for w_j, chi_j in teeth]
@@ -379,7 +380,7 @@ def _analyze_text(payload: dict):
 def cmd_region(args: argparse.Namespace) -> int:
     doc = load_document(args.file)
     bundle = _require_bundle(doc)
-    echo = _bundle_payload(doc.curve, bundle)
+    echo = _bundle_payload(doc.curve, bundle, total_euler(doc.curve, bundle))
     region, _ = _region(echo["component_eulers"], echo["euler"], bundle.rank, args.strict)
     payload = {
         "command": "region",
@@ -417,13 +418,13 @@ def cmd_polarize(args: argparse.Namespace) -> int:
     doc = load_document(args.file)
     # The target of the pair route is the pair's kernel bundle.
     if doc.bundle is not None:
-        target = doc.bundle
+        target, chi = doc.bundle, total_euler(doc.curve, doc.bundle)
     elif doc.pair is not None:
-        target = _kernel_bundle(doc.curve, _require_valid_pair(doc))
+        target, chi = _kernel_bundle(doc.curve, _require_valid_pair(doc))
     else:
         raise CliInputError("polarize needs a bundle or a pair section")
-    echo = _bundle_payload(doc.curve, target)
-    w = _synthesize(echo["component_eulers"], echo["euler"], target.rank)
+    echo = _bundle_payload(doc.curve, target, chi)
+    w = _synthesize(echo["component_eulers"], chi, target.rank)
     payload = {
         "command": "polarize",
         "target": echo,
@@ -448,14 +449,15 @@ def cmd_kernel(args: argparse.Namespace) -> int:
     restricted = [_restriction_witness(curve, pair, j) for j in range(1, curve.num_components + 1)]
     _refuse_long_listing(args, curve.num_components, sum(x is not None for x in restricted))
     su = _strong_unstability(curve, pair, restricted)
-    kernel = _kernel_bundle(curve, pair)
-    report = _characterize(curve, pair, su, kernel)
+    m, chi = _kernel_bundle(curve, pair)
+    echo = _bundle_payload(curve, m, chi)
+    report = _characterize(pair, su, lambda: (echo["component_eulers"], chi, m.rank))
     # The StronglyUnstable and DivisibilityContradiction characterizations are exactly these.
     negative = su.verdict is StrongUnstabilityKind.STRONGLY_UNSTABLE
     payload = {
         "command": "kernel",
         "pair": _render_pair(pair),
-        "kernel_bundle": _bundle_payload(curve, kernel),
+        "kernel_bundle": echo,
         "restriction_witnesses": [
             {"j": j, "witness": _witness_payload(witness)}
             for j, witness in enumerate(restricted, start=1)
@@ -641,7 +643,8 @@ def main(argv: list[str] | None = None) -> int:
         with _any_int_length():
             return args.func(args)
     except (DocumentError, CliInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with contextlib.suppress(OSError):  # the error line is best effort
+            print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

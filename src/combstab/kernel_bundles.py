@@ -12,14 +12,14 @@ All components are required to have genus >= 2.
 Validation is at the boundary only: each public function is ``_require_valid``
 followed by one private core, and the cores call only one another, so a caller
 that has validated the pair itself (the CLI does) calls only the cores.  A core
-takes what its caller derived already: the kernel bundle, the tooth witnesses.
+takes what its caller derived already: the tooth witnesses, chi_j(M), chi(M).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .model import (
     BundleData,
@@ -27,9 +27,10 @@ from .model import (
     Polarization,
     ToothWitness,
     _check_int,
+    component_eulers,
     total_euler,
 )
-from .polarization import synthesize_polarization
+from .polarization import _synthesize
 from .restrictions import euclidean_remainder
 
 
@@ -146,17 +147,22 @@ def _require_valid(curve: CombCurve, pair: GeneratedPairData) -> None:
 def kernel_data(curve: CombCurve, pair: GeneratedPairData) -> BundleData:
     """Rank and multidegree of the kernel bundle: (l - n, -multidegree of E)."""
     _require_valid(curve, pair)
-    return _kernel_bundle(curve, pair)
+    return _kernel_bundle(curve, pair)[0]
 
 
-def _kernel_bundle(curve: CombCurve, pair: GeneratedPairData) -> BundleData:
+def _kernel_bundle(curve: CombCurve, pair: GeneratedPairData) -> tuple[BundleData, int]:
     m = BundleData(rank=pair.kernel_rank, multidegree=tuple(-d for d in pair.multidegree))
     # The defining sequence gives chi(M) = l*(1 - p_a) - chi(E), chi(E) = -deg(M) + n*(1 - p_a).
     chi_structure = 1 - curve.arithmetic_genus
     chi_e = -m.total_degree + pair.rank * chi_structure
-    if total_euler(curve, m) != pair.sections * chi_structure - chi_e:
+    if (chi := total_euler(curve, m)) != pair.sections * chi_structure - chi_e:
         raise RuntimeError("kernel bundle euler characteristic disagrees with its defining sequence")
-    return m
+    return m, chi
+
+
+def _kernel_eulers(curve: CombCurve, pair: GeneratedPairData) -> tuple[tuple[int, ...], int, int]:
+    m, chi = _kernel_bundle(curve, pair)
+    return component_eulers(curve, m), chi, m.rank
 
 
 def _restriction_witness(curve: CombCurve, pair: GeneratedPairData, j: int) -> ToothWitness | None:
@@ -270,11 +276,11 @@ def kernel_polarization(curve: CombCurve, pair: GeneratedPairData) -> Polarizati
     the strict region is always feasible and a polarization is returned.
     """
     _require_valid(curve, pair)
-    return _kernel_polarization(curve, _kernel_bundle(curve, pair))
+    return _kernel_polarization(*_kernel_eulers(curve, pair))
 
 
-def _kernel_polarization(curve: CombCurve, kernel: BundleData) -> Polarization:
-    w = synthesize_polarization(curve, kernel)
+def _kernel_polarization(chis: Sequence[int], chi: int, m: int) -> Polarization:
+    w = _synthesize(chis, chi, m)
     if w is None:  # excluded by the argument in kernel_polarization's docstring
         raise RuntimeError("kernel bundle of a valid pair has no polarization")
     return w
@@ -309,11 +315,11 @@ def characterize(curve: CombCurve, pair: GeneratedPairData) -> CharacterizationR
     """
     _require_valid(curve, pair)
     su = _strong_unstability(curve, pair, _tooth_witnesses(curve, pair))
-    return _characterize(curve, pair, su, _kernel_bundle(curve, pair))
+    return _characterize(pair, su, lambda: _kernel_eulers(curve, pair))
 
 
 def _characterize(
-    curve: CombCurve, pair: GeneratedPairData, su: StrongUnstabilityVerdict, kernel: BundleData
+    pair: GeneratedPairData, su: StrongUnstabilityVerdict, kernel_eulers: Callable[[], tuple]
 ) -> CharacterizationReport:
     n = pair.rank
     m = pair.kernel_rank
@@ -334,7 +340,7 @@ def _characterize(
                 missing_assumptions=(needed,),
                 notes=tuple(notes + [f"{needed} required for {scope} sufficiency"]),
             )
-        w = _kernel_polarization(curve, kernel)
+        w = _kernel_polarization(*kernel_eulers())  # the one branch that asks for them
         notes.append(
             "all restriction kernels vanish, so the restricted kernel bundles are the "
             "component kernel bundles and are semistable under the assumed flags"

@@ -469,10 +469,18 @@ def test_bundle_numbers_are_derived_once(capsys, write_doc, monkeypatch, command
     ids=["kernel-free", "kernel-gap", "polarize-pair"],
 )
 def test_pair_kernel_bundle_is_built_once(capsys, write_doc, monkeypatch, command, doc, witnesses):
-    counts = _count_calls(monkeypatch, "_kernel_bundle", "_restriction_witness")
+    # The kernel bundle and its chi_j(M) and chi(M) once: the echo, the
+    # defining-sequence check and the synthesis share one derivation.
+    names = ("_kernel_bundle", "_restriction_witness", "component_eulers", "total_euler")
+    counts = _count_calls(monkeypatch, *names)
     code, _, _ = run_cli(capsys, command, write_doc(doc))
     assert code == 0
-    assert counts == {"_kernel_bundle": 1, "_restriction_witness": witnesses}
+    assert counts == {
+        "_kernel_bundle": 1,
+        "_restriction_witness": witnesses,
+        "component_eulers": 1,
+        "total_euler": 1,
+    }
 
 
 class TestValidate:
@@ -862,11 +870,11 @@ class TestInputBoundary:
             sys.set_int_max_str_digits(saved)
 
 
-def _combstab_process(*argv: str, stdout) -> subprocess.Popen:
+def _combstab_process(*argv: str, stdout, stderr=subprocess.PIPE) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "combstab", *argv],
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
 
@@ -904,6 +912,30 @@ class TestOutputErrors:
             assert proc.wait() == 2
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["validate", "DOC"], ["selftest", "--count", "5"]])
+    def test_closed_stdout_exits_two(self, write_doc, argv):
+        # fd 1 closed before the interpreter starts: sys.stdout is None.
+        argv = [write_doc(I1) if arg == "DOC" else arg for arg in argv]
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "combstab", *argv],
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: cannot write the report: standard output is closed\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    def test_unwritable_stderr_still_exits_two(self, tmp_path, write_doc):
+        # The error line is best effort: a stderr that cannot take it keeps exit 2.
+        with open("/dev/full", "wb") as full:
+            missing = _combstab_process(
+                "analyze", str(tmp_path / "missing.json"), stdout=subprocess.PIPE, stderr=full
+            )
+            assert missing.stdout.read() == b""
+            assert missing.wait() == 2
+            both = _combstab_process("validate", write_doc(I1), stdout=full, stderr=full)
+            assert both.wait() == 2
 
     def test_render_errors_are_not_relabelled(self, capsys, write_doc, monkeypatch):
         def broken(payload):

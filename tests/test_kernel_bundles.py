@@ -21,6 +21,7 @@ from combstab import (
     total_euler,
     validate_pair,
 )
+from combstab import kernel_bundles, model, polarization, restrictions
 from combstab.kernel_bundles import _restriction_witness
 from combstab.oracles import pair_stream
 
@@ -273,6 +274,61 @@ class TestKernelPolarization:
         for curve, pair in pair_stream(11, 300):
             expected = synthesize_polarization(curve, kernel_data(curve, pair))
             assert kernel_polarization(curve, pair) == expected
+
+
+def _count_eulers(monkeypatch):
+    """Calls of component_eulers and total_euler, counted through every module binding them."""
+    counts = dict.fromkeys(("component_eulers", "total_euler"), 0)
+    for name in counts:
+        for module in (kernel_bundles, model, polarization, restrictions):
+            real = module.__dict__.get(name)
+            if real is not None:
+
+                def counting(*args, _real=real, _name=name):
+                    counts[_name] += 1
+                    return _real(*args)
+
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+_N = 2000
+_CURVE_2000 = CombCurve((2,) * _N)
+# Rank 1, 4 sections, genus 2: no kernel with the rank-1 flag, or a kernel on
+# every third tooth, each in the gap case d_j = m - r_j = 2.
+_FREE_2000 = GeneratedPairData(
+    1, 4, (5,) * _N, (0,) * _N, PairAssumptions(general_linear_series=True)
+)
+_GAP_2000 = GeneratedPairData(
+    1, 4, tuple(2 if j % 3 == 0 else 5 for j in range(_N - 1)) + (5,),
+    tuple(int(j % 3 == 0) for j in range(_N - 1)) + (0,),
+)
+
+
+@pytest.mark.parametrize(
+    "function, pair, expected",
+    [
+        (kernel_polarization, _FREE_2000, {"component_eulers": 1, "total_euler": 1}),
+        (kernel_polarization, _GAP_2000, {"component_eulers": 1, "total_euler": 1}),
+        # Only the branch that synthesizes derives the kernel bundle's numbers.
+        (characterize, _FREE_2000, {"component_eulers": 1, "total_euler": 1}),
+        (characterize, _GAP_2000, {"component_eulers": 0, "total_euler": 0}),
+        (kernel_data, _FREE_2000, {"component_eulers": 0, "total_euler": 1}),
+        (strong_unstability, _GAP_2000, {"component_eulers": 0, "total_euler": 0}),
+    ],
+    ids=[
+        "polarization-free",
+        "polarization-gap",
+        "characterize-free",
+        "characterize-gap",
+        "kernel-data",
+        "strong-unstability",
+    ],
+)
+def test_kernel_numbers_are_derived_once(monkeypatch, function, pair, expected):
+    counts = _count_eulers(monkeypatch)
+    function(_CURVE_2000, pair)
+    assert counts == expected
 
 
 class TestCharacterize:

@@ -57,21 +57,42 @@ def test_no_assert_statements():
     assert found == []
 
 
+# The fast path's closed forms and cores, which no oracle may call.
+FAST_PATH = {
+    "_candidate_range",
+    "_classify",
+    "_exact_sum",
+    "_filtered",
+    "_listing_length",
+    "_necessary",
+    "_region",
+    "_repick",
+    "_synthesize",
+    "_tooth_eulers",
+    "_tooth_interval",
+    "_tooth_sides",
+    "component_eulers",
+    "simplest_between",
+    "total_euler",
+}
+
+
+def test_fast_path_names_exist():
+    # A guard that names a deleted helper guards nothing.
+    defined = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        defined |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert FAST_PATH - defined == set()
+
+
 def test_oracles_stay_independent_of_the_fast_path():
     # The oracles import no private helper of another combstab module and
-    # nothing from combstab.kernels, and name none of the closed-form range
-    # and predicate helpers, the fast interval intersection or the closed-form
-    # total euler, so a mistake there cannot agree with itself.
+    # nothing from combstab.kernels, and name none of the fast path's closed
+    # forms (tooth intervals, ranges, predicates, Euler numbers, exact sums)
+    # or cores, so a mistake there cannot agree with itself.
     path = PACKAGE / "oracles.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    reused = {
-        "destabilizer_range",
-        "_candidate_range",
-        "_tooth_sides",
-        "simplest_between",
-        "intersect",
-        "total_euler",
-    }
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -88,9 +109,9 @@ def test_oracles_stay_independent_of_the_fast_path():
                 for a in node.names
                 if a.name.split(".")[0] == "combstab" and "kernels" in a.name.split(".")
             ]
-        elif isinstance(node, ast.Name) and node.id in reused:
+        elif isinstance(node, ast.Name) and node.id in FAST_PATH:
             found.append(f"line {node.lineno}: uses {node.id}")
-        elif isinstance(node, ast.Attribute) and node.attr in reused:
+        elif isinstance(node, ast.Attribute) and node.attr in FAST_PATH:
             found.append(f"line {node.lineno}: uses {node.attr}")
     assert found == []
 
