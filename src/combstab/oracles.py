@@ -595,7 +595,10 @@ def _fork_range(seed: int, start: int, stop: int) -> tuple[int, int]:
 
 
 def _run_ranges(seed: int, cuts: list[int]) -> list:
-    """Ranges ``cuts[i]..cuts[i+1]-1``: the first here, every other in a forked child."""
+    """Ranges ``cuts[i]..cuts[i+1]-1``: the first here, every other in a forked child.
+
+    A single range forks nothing.
+    """
     import signal
 
     children: list[tuple[int, int]] = []
@@ -635,7 +638,7 @@ def run_selftest(seed: int, count: int) -> SelftestReport:
     if ranges > 1 and (not hasattr(os, "fork") or threading.active_count() > 1):
         ranges = 1  # no fork here, or one that other threads' locks could deadlock
     cuts = [count * i // ranges for i in range(ranges + 1)]
-    results = _run_ranges(seed, cuts) if ranges > 1 else [_run_range(seed, 0, count)]
+    results = _run_ranges(seed, cuts)
     report = SelftestReport(seed=seed, count=count)
     for phase in range(2):
         for phases in results:

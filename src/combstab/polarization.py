@@ -16,10 +16,15 @@ witness slope's sign condition and the synthesis re-pick's comparison are
 cross-multiplications of numerators and denominators.
 ``Fraction`` holds the reported values (witness slopes, interval ends,
 picks), each built once from integers.  Every N-term sum (the weight sum,
-the slack, the pick totals) is the pairwise integer sum of
+the slack, the reported pick total) is the pairwise integer sum of
 :func:`~combstab.model._exact_sum`, reduced once at the end.  The slack is
 taken once, where the region decides feasibility, and synthesis re-picks
-from that same value.  The interval ends and their clipping to (0, 1) stay
+from that same value.  Synthesis takes one exact total, over the picks it
+reports: whether the first picks total 1 or more is decided by the floors
+L = sum(floor(2^64 * (pick_j - lo_j)/s)) of the slack-scaled terms, since
+floor(y) <= y < floor(y) + 1 for each term puts 2^64 * (total - sum(lo_j))/s
+in [L, L + N - 1).  Only when 2^64 lies strictly between L and L + N - 1
+is the first total summed exactly.  The interval ends and their clipping to (0, 1) stay
 ``Fraction`` arithmetic.
 
 Validation is at the boundary only: each public function checks its input,
@@ -296,18 +301,33 @@ def synthesize_polarization(curve: CombCurve, bundle: BundleData) -> Polarizatio
 
 
 def _synthesize(chis: Sequence[int], chi: int, n: int) -> Polarization | None:
+    """The synthesis core on chi_j, chi and the rank; one exact total.
+
+    The strict intervals of a feasible region are open and nonempty, so each
+    first pick is :func:`kernels.simplest_between` on the interval's integer
+    ends.  The picks total 1 or more exactly when the slack-scaled terms
+    x_j = (pick_j - lo_j)/s sum to 1 or more.  With L the sum of the floors
+    of 2^64 * x_j, floor(y) <= y < floor(y) + 1 for each term puts
+    2^64 * sum(x_j) in [L, L + N - 1): L >= 2^64 re-picks, L + N - 1 <= 2^64
+    keeps the first picks, and only in between are they summed exactly.
+    The one exact total always taken is that of the reported picks.
+    """
     region, slack = _region(chis, chi, n, strict=True)
     if not region.feasible:
         return None
     intervals = region.intervals
-    picks = [pick_simplest_rational(iv) for iv in intervals]
-    total = _exact_sum(picks)
-    if total >= 1:
+    picks = [
+        Fraction(*kernels.simplest_between(
+            iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator
+        ))
+        for iv in intervals
+    ]
+    if _picks_reach_one(picks, intervals, slack):
         picks = [
             _repick(pick, iv.lo, slack.numerator, slack.denominator * len(intervals))
             for pick, iv in zip(picks, intervals)
         ]
-        total = _exact_sum(picks)
+    total = _exact_sum(picks)
     # Picks and their total in (0, 1) leave the spine weight 1 - total in
     # (0, 1) as well, and the weights sum to 1 by construction.
     in_unit = all(0 < x.numerator < x.denominator for x in (*picks, total))
@@ -315,6 +335,34 @@ def _synthesize(chis: Sequence[int], chi: int, n: int) -> Polarization | None:
     if not in_unit or not _strict_inequalities_hold(chis, chi, n, w):
         raise RuntimeError("synthesized polarization violates the strict inequalities")
     return w
+
+
+# Bits of each slack-scaled term that the re-pick bound keeps.
+_BOUND_BITS = 64
+
+
+def _picks_reach_one(picks: Sequence[Fraction], intervals: Sequence[IntervalQ], slack: Fraction) -> bool:
+    """Whether ``picks`` total 1 or more, where sum(lo_j) + ``slack`` = 1.
+
+    Decided by the floor bound of :func:`_synthesize`, each floor one
+    integer division of cross-multiplied ends; the exact total only when
+    the bound leaves it open.  The slack is the unit because the tight
+    family's first total is off 1 by about N/|chi|, which no fixed number
+    of bits on the raw scale resolves.
+    """
+    top = slack.denominator << _BOUND_BITS
+    slack_p = slack.numerator
+    low = 0
+    for pick, iv in zip(picks, intervals):
+        a, b = pick.numerator, pick.denominator
+        c, d = iv.lo.numerator, iv.lo.denominator
+        low += (a * d - c * b) * top // (b * d * slack_p)
+    one = 1 << _BOUND_BITS
+    if low >= one:
+        return True
+    if low + len(picks) <= one:
+        return False
+    return _exact_sum(picks) >= 1
 
 
 def _repick(pick: Fraction, lo: Fraction, share_p: int, share_q: int) -> Fraction:

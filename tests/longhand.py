@@ -1,12 +1,13 @@
-"""Longhand interval helpers the tests decide containment and intersection with.
+"""Longhand helpers the tests check the package against.
 
-They cross-multiply the ends and honour the open flags, so they share no
-code with the package's interval arithmetic.
+The interval helpers cross-multiply the ends and honour the open flags, so
+they share no code with the package's interval arithmetic.  The synthesis
+longhand states the re-pick rule with public pieces and ``Fraction`` sums.
 """
 
 from fractions import Fraction
 
-from combstab import IntervalQ
+from combstab import IntervalQ, pick_simplest_rational
 
 
 def _over(x: Fraction, y: Fraction) -> int:
@@ -32,3 +33,25 @@ def interval_intersection(a: IntervalQ, b: IntervalQ) -> IntervalQ:
         lo_open=a.lo_open if lo > 0 else b.lo_open if lo < 0 else a.lo_open or b.lo_open,
         hi_open=a.hi_open if hi < 0 else b.hi_open if hi > 0 else a.hi_open or b.hi_open,
     )
+
+
+def synthesize_longhand(region):
+    """Weights by the synthesis rule on a strict region, and whether the first picks were re-picked.
+
+    The simplest rational in each tooth interval; when those total 1 or
+    more, each tooth is picked again in its share (lo_j, lo_j + s/(N-1)) of
+    the slack s = 1 - sum(lo_j), unless its first pick already lies there.
+    """
+    if not region.feasible:
+        return None, False
+    intervals = region.intervals
+    picks = [pick_simplest_rational(iv) for iv in intervals]
+    repicked = sum(picks, Fraction(0)) >= 1
+    if repicked:
+        share = (1 - sum((iv.lo for iv in intervals), Fraction(0))) / len(intervals)
+        picks = [
+            p if p < iv.lo + share
+            else pick_simplest_rational(interval_intersection(iv, IntervalQ.open(iv.lo, iv.lo + share)))
+            for p, iv in zip(picks, intervals)
+        ]
+    return (*picks, 1 - sum(picks, Fraction(0))), repicked

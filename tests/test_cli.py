@@ -304,13 +304,9 @@ class TestPolarize:
     def test_repicked_output_is_pinned(
         self, capsys, write_doc, num, big, text_digest, rest_digest, json_digest
     ):
-        # The tight family: genera 0, rank 1, tooth degrees near -big, spine
-        # degree N - 3.  The first picks overshoot the simplex, so every
-        # tooth is picked again in its share of the slack.
-        rng = random.Random(num)
-        degrees = [-big - rng.randint(0, 999) for _ in range(num - 1)] + [num - 3]
-        doc = {"curve": {"genera": [0] * num}, "bundle": {"rank": 1, "multidegree": degrees}}
-        path = write_doc(doc)
+        # The first picks overshoot the simplex, so every tooth is picked
+        # again in its share of the slack.
+        path = write_doc(_tight_document(num, big))
         for extra, digest in (([], text_digest), (["--json"], json_digest)):
             code, out, err = run_cli(capsys, "polarize", path, *extra)
             assert (code, err) == (0, "")
@@ -424,6 +420,13 @@ def _sparse_failures_document(num):
     }
 
 
+def _tight_document(num, big):
+    """The tight family: genera 0, rank 1, tooth degrees near -big, spine degree N - 3."""
+    rng = random.Random(num)
+    degrees = [-big - rng.randint(0, 999) for _ in range(num - 1)] + [num - 3]
+    return {"curve": {"genera": [0] * num}, "bundle": {"rank": 1, "multidegree": degrees}}
+
+
 def _kernel_document(kernel_dims, flag):
     """Rank 1, 4 sections, genus 2: degree 5 without a kernel, d_j = m - r_j = 2 with one."""
     pair = {"rank": 1, "sections": 4, "multidegree": [5 - 3 * min(k, 1) for k in kernel_dims]}
@@ -455,6 +458,15 @@ def test_bundle_numbers_are_derived_once(capsys, write_doc, monkeypatch, command
     code, _, _ = run_cli(capsys, *command, write_doc(_sparse_failures_document(2000)), *extra)
     assert code == 1
     assert counts == {"component_eulers": 1, "total_euler": 1}
+
+
+def test_tight_family_polarize_sums_twice(capsys, write_doc, monkeypatch):
+    # One N-term sum for the slack and one for the reported total: the bound
+    # decides the re-pick without summing the first picks.
+    counts = _count_calls(monkeypatch, "_exact_sum")
+    code, _, _ = run_cli(capsys, "polarize", write_doc(_tight_document(2000, 2**64)), "--json")
+    assert code == 0
+    assert counts == {"_exact_sum": 2}
 
 
 @pytest.mark.parametrize(

@@ -22,9 +22,9 @@ from combstab import (
     validate_polarization,
 )
 
-from combstab import oracles, polarization
+from combstab import kernels, oracles, polarization
 from combstab.kernel_bundles import _restriction_witness
-from longhand import interval_contains, interval_intersection
+from longhand import interval_contains, interval_intersection, synthesize_longhand
 from test_model import curve_bundle_polarization
 
 C22 = CombCurve((2, 2))
@@ -34,6 +34,17 @@ W_HALF = Polarization(("1/2", "1/2"))
 C000 = CombCurve((0, 0, 0))
 B_NARROW = BundleData(1, (-51, -51, 0))
 B_CHI_ZERO = BundleData(2, (-1, -1, 0))  # chi_j = 1 on both teeth, chi = 0
+
+
+def _force_first_picks(monkeypatch, picks):
+    """The first len(picks) calls of the pick kernel return ``picks``, later ones the real pick."""
+    real, forced = kernels.simplest_between, iter(picks)
+
+    def simplest_between(*ends):
+        pick = next(forced, None)
+        return real(*ends) if pick is None else (pick.numerator, pick.denominator)
+
+    monkeypatch.setattr(polarization.kernels, "simplest_between", simplest_between)
 
 
 def assert_strict_inequalities(curve: CombCurve, bundle: BundleData, w: Polarization) -> None:
@@ -436,18 +447,58 @@ class TestSynthesizePolarization:
         rng = random.Random(num)
         degrees = tuple(-(2**64) - rng.randint(0, 999) for _ in range(num - 1)) + (num - 3,)
         curve, bundle = CombCurve((0,) * num), BundleData(1, degrees)
-        intervals = feasible_region(curve, bundle, strict=True).intervals
-        picks = [pick_simplest_rational(iv) for iv in intervals]
-        assert sum(picks, Fraction(0)) >= 1
-        share = (1 - sum((iv.lo for iv in intervals), Fraction(0))) / len(intervals)
-        repicked = [
-            p if p < iv.lo + share
-            else pick_simplest_rational(interval_intersection(iv, IntervalQ.open(iv.lo, iv.lo + share)))
-            for p, iv in zip(picks, intervals)
-        ]
-        assert repicked != picks
-        w = synthesize_polarization(curve, bundle)
-        assert w.weights == (*repicked, 1 - sum(repicked, Fraction(0)))
+        region = feasible_region(curve, bundle, strict=True)
+        assert region.feasible
+        weights, repicked = synthesize_longhand(region)
+        assert repicked
+        assert weights[:-1] != tuple(pick_simplest_rational(iv) for iv in region.intervals)
+        assert synthesize_polarization(curve, bundle).weights == weights
+
+    def test_synthesis_matches_the_longhand_rule(self):
+        # Seeded bundles up to N = 200 and 300-digit degrees: tight families,
+        # which re-pick, and small random degrees, which mostly keep their
+        # first picks.  The re-pick decision is the longhand's Fraction sum.
+        rng = random.Random(20260808)
+        branches = {True: 0, False: 0}
+        for _ in range(2000):
+            num = rng.choice((2, 3, 4, 6, 12, rng.randint(2, 60), rng.randint(2, 200)))
+            if rng.random() < 0.5:
+                big = rng.choice((2**64, 10 ** rng.randint(1, 299)))
+                degrees = tuple(-big - rng.randint(0, 999) for _ in range(num - 1)) + (num - 3,)
+                curve, bundle = CombCurve((0,) * num), BundleData(1, degrees)
+            else:
+                n = rng.randint(1, 4)
+                curve = CombCurve(tuple(rng.randint(0, 3) for _ in range(num)))
+                bundle = BundleData(n, tuple(rng.randint(-3, 3 * n) for _ in range(num)))
+            region = feasible_region(curve, bundle, strict=True)
+            weights, repicked = synthesize_longhand(region)
+            w = synthesize_polarization(curve, bundle)
+            assert (None if w is None else w.weights) == weights
+            if weights is not None:
+                branches[repicked] += 1
+        assert min(branches.values()) > 0, branches
+
+    @pytest.mark.parametrize(
+        "picks, fallbacks",
+        [
+            # Total exactly 1 in non-dyadic terms: the floors fall short by
+            # less than one unit per tooth, so only the exact total decides.
+            ((Fraction(1, 3), Fraction(2, 3)), 1),
+            # Total exactly 1 in dyadic terms: the floors are exact.
+            ((Fraction(1, 2), Fraction(1, 2)), 0),
+            # Just under 1.
+            ((Fraction(1, 3), Fraction(1, 3)), 0),
+        ],
+    )
+    def test_reach_one_bound_matches_the_exact_rule(self, monkeypatch, picks, fallbacks):
+        # chi = 0 leaves both teeth the interval (0, 1) and the slack 1.
+        region, slack = polarization._region((1, 1, 2), 0, 2, True)
+        calls = []
+        real = polarization._exact_sum
+        monkeypatch.setattr(polarization, "_exact_sum", lambda terms: calls.append(1) or real(terms))
+        reached = polarization._picks_reach_one(picks, region.intervals, slack)
+        assert reached == (sum(picks, Fraction(0)) >= 1)
+        assert len(calls) == fallbacks
 
     @pytest.mark.parametrize(
         "curve, bundle, picks",
@@ -461,16 +512,16 @@ class TestSynthesizePolarization:
         ],
     )
     def test_post_check_rejects_a_pick_outside_its_interval(self, monkeypatch, curve, bundle, picks):
-        forced = iter(picks)
-        monkeypatch.setattr(polarization, "pick_simplest_rational", lambda iv: next(forced))
+        _force_first_picks(monkeypatch, picks)
         with pytest.raises(RuntimeError, match="violates the strict inequalities"):
             synthesize_polarization(curve, bundle)
 
     def test_post_check_rejects_a_pick_total_of_one(self, monkeypatch):
-        # Picks 1/2 and 1/2 total 1; with the re-pick disabled the spine
-        # weight would be 0, and with chi = 0 only the total shows it.
-        monkeypatch.setattr(polarization, "pick_simplest_rational", lambda iv: Fraction(1, 2))
+        # First picks 1/2 and 1/2 total 1; with the re-pick disabled the
+        # spine weight would be 0, and with chi = 0 only the total shows it.
+        _force_first_picks(monkeypatch, [Fraction(1, 2)] * 2)
         assert synthesize_polarization(C000, B_CHI_ZERO).weights[-1] > 0
+        _force_first_picks(monkeypatch, [Fraction(1, 2)] * 2)
         monkeypatch.setattr(polarization, "_repick", lambda pick, lo, share_p, share_q: pick)
         with pytest.raises(RuntimeError, match="violates the strict inequalities"):
             synthesize_polarization(C000, B_CHI_ZERO)

@@ -65,6 +65,7 @@ FAST_PATH = {
     "_filtered",
     "_listing_length",
     "_necessary",
+    "_picks_reach_one",
     "_region",
     "_repick",
     "_synthesize",
