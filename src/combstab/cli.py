@@ -2,7 +2,7 @@
 
 Subcommands: analyze, region, polarize, kernel, validate, selftest.  Input
 is a JSON instance document.  Each command builds one payload, the object
---json prints, and renders its text report from that payload alone, so the
+--json writes, and renders its text report from that payload alone, so the
 text states no fact the JSON lacks.  Exit codes are uniform across commands:
 0 for an affirmative verdict, 1 for a negative one (failed check, infeasible
 region, strongly unstable kernel, selftest disagreement), 2 for any input
@@ -69,7 +69,7 @@ class CliInputError(Exception):
 def _refuse_long_listing(
     args: argparse.Namespace, num_components: int, witnesses: int, walked: int = 0
 ) -> None:
-    """Raise the input error of a report over ``_MAX_LISTING`` entries, before it is built.
+    """Raise the input error of a report over ``_MAX_LISTING`` entries, before a byte is written.
 
     ``walked`` counts the candidates a classification walks or lists; under
     --json each of the ``witnesses`` lists its N-entry multirank.
@@ -81,44 +81,76 @@ def _refuse_long_listing(
         )
 
 
-def _emit(args: argparse.Namespace, payload: dict, render) -> int:
-    """Print the payload as JSON or as the lines ``render(payload)`` yields.
+# A report goes out in writes of about this many characters, not one write
+# per piece: a stdout left unbuffered (PYTHONUNBUFFERED) makes one system
+# call per write.
+_WRITE_SIZE = 1 << 14
 
-    A failed write (a closed pipe or stdout, a full disk) is an output error,
-    raised as :class:`CliInputError` for ``main`` to report.  Only the write is
-    guarded, so an ``OSError`` raised while rendering keeps its own traceback.
+
+def _emit(args: argparse.Namespace, payload: dict, render) -> int:
+    """Write the payload to stdout as JSON or as the lines ``render(payload)`` yields.
+
+    The report is written while it is rendered, in writes of about
+    ``_WRITE_SIZE`` characters (one record's text can run past that), so no
+    copy of the whole report is held.  A failed write (a closed pipe or
+    stdout, a full disk) is an output error, raised as :class:`CliInputError`
+    for ``main`` to report; a reader may already hold a prefix of the
+    report.  Only the writes are guarded, so an ``OSError`` raised while
+    rendering keeps its own traceback.
     """
-    text = _json_text(payload) if args.json else "\n".join(render(payload))
-    try:
-        if sys.stdout is None:  # fd 1 was closed when the interpreter started
-            raise OSError("standard output is closed")
-        print(text, flush=True)  # raise here, not at interpreter exit
-    except OSError as exc:  # BrokenPipeError included
-        if sys.stdout is not None:
-            # The buffer keeps the unwritten bytes and the interpreter flushes
-            # stdout once more on the way out: let that flush go to devnull.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-        raise CliInputError(f"cannot write the report: {exc}") from exc
+    out = sys.stdout
+    if out is None:  # fd 1 was closed when the interpreter started
+        raise CliInputError("cannot write the report: standard output is closed")
+    pending: list[str] = []
+    held = 0
+
+    def write(flush: bool = False) -> None:
+        nonlocal held
+        try:
+            out.write("".join(pending))
+            if flush:
+                out.flush()  # raise here, not at interpreter exit
+        except OSError as exc:  # BrokenPipeError included
+            _drop_unwritten(out)
+            raise CliInputError(f"cannot write the report: {exc}") from exc
+        pending.clear()
+        held = 0
+
+    def put(text: str) -> None:
+        nonlocal held
+        pending.append(text)
+        held += len(text)
+        if held >= _WRITE_SIZE:
+            write()
+
+    if args.json:
+        _encode(payload, "\n", put)
+        put("\n")
+    else:
+        for line in render(payload):
+            put(line + "\n")
+    write(flush=True)
     return payload["exit"]
 
 
-def _json_text(value: object) -> str:
-    """The bytes of ``json.dumps(value, indent=2)``, written without its encoder.
+def _drop_unwritten(out) -> None:
+    """Point the file descriptor of ``out``, if it has one, at devnull.
 
-    With ``indent`` set the standard encoder runs in pure Python, one
-    generator step per item.  Here a flat list of ints or of strings is one
-    C-level join, and each report record is filled into one precomputed
-    template per indent level: a :class:`ToothWitness` is written as its
-    multirank list by repeating one line block, so no N-entry list is built;
-    a :class:`ComponentCheck` as its ``j``, sides and witness object (label,
-    multirank, euler, slope, or null); a :class:`RestrictionVerdict` as its
-    ``j``, case value, forced destabilizer pairs and notes.  Accepts str-keyed
-    dicts, lists, str, int, bool, None and Fraction, which is written as the
-    quoted :func:`format_rational` string (exact types; subclasses of str
-    and int are refused).
+    The buffer keeps the unwritten bytes and the interpreter flushes stdout
+    once more on the way out: let that flush go to devnull.  A stream with
+    no descriptor (an in-memory one) is left as it is.
     """
+    try:
+        fd = out.fileno()
+    except OSError:  # io.UnsupportedOperation included
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _json_text(value: object) -> str:
+    """The text :func:`_encode` writes for ``value``, as one string."""
     chunks: list[str] = []
     _encode(value, "\n", chunks.append)
     return "".join(chunks)
@@ -203,7 +235,22 @@ _RECORDS = {
 
 
 def _encode(value: object, newline: str, put) -> None:
-    """Append the indented JSON of ``value`` to ``put``; ``newline`` ends in its indent."""
+    """Pass the indented JSON of ``value`` to ``put``, piece by piece.
+
+    ``newline`` ends in the current indent; from ``"\n"`` the pieces join to
+    the bytes of ``json.dumps(value, indent=2)``, written without its
+    encoder.  With ``indent`` set the standard encoder runs in pure Python,
+    one generator step per item.  Here a flat list of ints or of strings is
+    one C-level join, and each report record is filled into one precomputed
+    template per indent level: a :class:`ToothWitness` is written as its
+    multirank list by repeating one line block, so no N-entry list is built;
+    a :class:`ComponentCheck` as its ``j``, sides and witness object (label,
+    multirank, euler, slope, or null); a :class:`RestrictionVerdict` as its
+    ``j``, case value, forced destabilizer pairs and notes.  Accepts str-keyed
+    dicts, lists, str, int, bool, None and Fraction, which is written as the
+    quoted :func:`format_rational` string (exact types; subclasses of str
+    and int are refused).
+    """
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         put(scalar(value))
@@ -253,7 +300,7 @@ def _bundle_payload(curve: CombCurve, bundle: BundleData, chi: int) -> dict:
 def _witness_payload(witness: ToothWitness | None) -> dict | None:
     if witness is None:
         return None
-    # The record itself stands in the payload: _json_text writes it as its multirank.
+    # The record itself stands in the payload: _encode writes it as its multirank.
     return {"label": witness.label, "multirank": witness, "euler": witness.euler}
 
 
@@ -307,7 +354,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # _require_polarization has checked that the weights sum to exactly 1.
     verdict = _necessary(n, chis, chi, w.weights, Fraction(1), sides)
 
-    # The records themselves stand in the payload; _json_text writes them.
+    # The records themselves stand in the payload; _encode writes them.
     classification = None
     if n >= 2:
         classification = [

@@ -158,6 +158,24 @@ def _wide_document(num):
     return doc
 
 
+class _RecordingStdout(io.StringIO):
+    """An in-memory stdout, with no file descriptor, that records each write's length.
+
+    Its ``fail_at``-th write raises ``error`` instead of writing.
+    """
+
+    def __init__(self, fail_at=None, error=OSError):
+        super().__init__()
+        self.sizes = []
+        self.fail_at, self.error = fail_at, error
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        if len(self.sizes) == self.fail_at:
+            raise self.error("injected write failure")
+        return super().write(text)
+
+
 class TestAnalyze:
     def test_pass_with_forced_destabilizer(self, capsys, write_doc):
         code, out, _ = run_cli(capsys, "analyze", write_doc(I1))
@@ -238,6 +256,17 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", write_doc(_wide_document(300)), "--json")
         assert code == 1
         digest = "614be3cf9eeab25d13b28dae4a97f4f323a0d0abd8b34053ea7bddcfbc301bae"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_json_report_is_written_as_it_is_rendered(self, write_doc):
+        # N = 1000: a 14.5 MB report, of which no write holds more than 1/100.
+        stdout = _RecordingStdout()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["analyze", write_doc(_wide_document(1000)), "--json"])
+        out = stdout.getvalue()
+        assert code == 1
+        assert max(stdout.sizes) <= len(out) // 100
+        digest = "5335f1ec28423bd4ab2a156c945a2407fa368604df36389c4f1989ecd2eed73c"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -956,6 +985,37 @@ class TestOutputErrors:
         monkeypatch.setattr(cli, "_region_text", broken)
         with pytest.raises(OSError, match="raised while rendering"):
             main(["region", write_doc(I1)])
+
+    def test_render_errors_after_a_line_are_not_relabelled(self, capsys, write_doc, monkeypatch):
+        # A first line of 1 MB fills a write, so it is out before the renderer fails.
+        first = "x" * 2**20
+
+        def broken(payload):
+            yield first
+            raise OSError("raised while rendering")
+
+        monkeypatch.setattr(cli, "_region_text", broken)
+        with pytest.raises(OSError, match="raised while rendering"):
+            main(["region", write_doc(I1)])
+        assert capsys.readouterr().out == first + "\n"
+
+    @pytest.mark.parametrize("error", [BrokenPipeError, OSError])
+    def test_stdout_without_a_descriptor_exits_two(self, capsys, write_doc, error):
+        # No descriptor to point at devnull: the output error is reported all the same.
+        with contextlib.redirect_stdout(_RecordingStdout(fail_at=1, error=error)):
+            code = main(["region", write_doc(I1)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: cannot write the report: injected write failure\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_write_failing_mid_report_exits_two(self, capsys, write_doc, extra):
+        # N = 1000: the report takes more than three writes, and the third fails.
+        stdout = _RecordingStdout(fail_at=3)
+        with contextlib.redirect_stdout(stdout):
+            code = main(["analyze", write_doc(_wide_document(1000)), *extra])
+        assert code == 2
+        assert len(stdout.sizes) == 3 and stdout.getvalue()
+        assert capsys.readouterr().err == "error: cannot write the report: injected write failure\n"
 
 
 class TestSelftest:
