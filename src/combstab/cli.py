@@ -81,47 +81,26 @@ def _refuse_long_listing(
         )
 
 
-# A report goes out in writes of about this many characters, not one write
-# per piece: a stdout left unbuffered (PYTHONUNBUFFERED) makes one system
-# call per write.
-_WRITE_SIZE = 1 << 14
-
-
 def _emit(args: argparse.Namespace, payload: dict, render) -> int:
     """Write the payload to stdout as JSON or as the lines ``render(payload)`` yields.
 
-    The report is written while it is rendered, in writes of about
-    ``_WRITE_SIZE`` characters (one record's text can run past that), so no
-    copy of the whole report is held.  A failed write (a closed pipe or
-    stdout, a full disk) is an output error, raised as :class:`CliInputError`
-    for ``main`` to report; a reader may already hold a prefix of the
-    report.  Only the writes are guarded, so an ``OSError`` raised while
-    rendering keeps its own traceback.
+    The report is written while it is rendered, so no copy of the whole
+    report is held; buffering is left to the stream.  A failed write (a
+    closed pipe or stdout, a full disk) is an output error, raised as
+    :class:`CliInputError` for ``main`` to report; a reader may already hold
+    a prefix of the report.  Only the writes are guarded, so an ``OSError``
+    raised while rendering keeps its own traceback.
     """
     out = sys.stdout
     if out is None:  # fd 1 was closed when the interpreter started
         raise CliInputError("cannot write the report: standard output is closed")
-    pending: list[str] = []
-    held = 0
 
-    def write(flush: bool = False) -> None:
-        nonlocal held
+    def put(text: str) -> None:
         try:
-            out.write("".join(pending))
-            if flush:
-                out.flush()  # raise here, not at interpreter exit
+            out.write(text)
         except OSError as exc:  # BrokenPipeError included
             _drop_unwritten(out)
             raise CliInputError(f"cannot write the report: {exc}") from exc
-        pending.clear()
-        held = 0
-
-    def put(text: str) -> None:
-        nonlocal held
-        pending.append(text)
-        held += len(text)
-        if held >= _WRITE_SIZE:
-            write()
 
     if args.json:
         _encode(payload, "\n", put)
@@ -129,7 +108,11 @@ def _emit(args: argparse.Namespace, payload: dict, render) -> int:
     else:
         for line in render(payload):
             put(line + "\n")
-    write(flush=True)
+    try:
+        out.flush()  # raise here, not at interpreter exit
+    except OSError as exc:
+        _drop_unwritten(out)
+        raise CliInputError(f"cannot write the report: {exc}") from exc
     return payload["exit"]
 
 
@@ -147,13 +130,6 @@ def _drop_unwritten(out) -> None:
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, fd)
     os.close(devnull)
-
-
-def _json_text(value: object) -> str:
-    """The text :func:`_encode` writes for ``value``, as one string."""
-    chunks: list[str] = []
-    _encode(value, "\n", chunks.append)
-    return "".join(chunks)
 
 
 # Writers for the scalars, by exact type; bool indexes the pair.  A rational

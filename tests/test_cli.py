@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from combstab import cli, documents, kernel_bundles, model, polarization, restrictions
-from combstab.cli import _any_int_length, _json_text, main
+from combstab.cli import _any_int_length, main
 from combstab.documents import DocumentError, InstanceDocument, load_document, render_document
 from combstab.model import ToothWitness, format_rational
 from combstab.oracles import instance_stream, pair_stream
@@ -987,8 +987,8 @@ class TestOutputErrors:
             main(["region", write_doc(I1)])
 
     def test_render_errors_after_a_line_are_not_relabelled(self, capsys, write_doc, monkeypatch):
-        # A first line of 1 MB fills a write, so it is out before the renderer fails.
-        first = "x" * 2**20
+        # The first line is written before the renderer fails.
+        first = "first line"
 
         def broken(payload):
             yield first
@@ -1098,6 +1098,13 @@ def _dense(value):
     if isinstance(value, list):
         return [_dense(item) for item in value]
     return value
+
+
+def _json_text(value):
+    """The text ``cli._encode`` writes for ``value``, as one string."""
+    chunks = []
+    cli._encode(value, "\n", chunks.append)
+    return "".join(chunks)
 
 
 class TestJsonRenderer:
