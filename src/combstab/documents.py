@@ -61,16 +61,27 @@ class InstanceDocument:
     polarization: Polarization | None = None
 
 
-def _require_mapping(obj: object, where: str) -> dict:
+def _section(
+    obj: object, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> dict:
+    """The section as a JSON object: every ``required`` field, none beyond ``optional``."""
     if not isinstance(obj, dict):
         raise DocumentError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    unknown = sorted(set(obj).difference(required, optional))
+    if unknown:
+        raise DocumentError(f"unknown field(s) in {where}: {', '.join(unknown)}")
+    for name in required:
+        if name not in obj:
+            raise DocumentError(f"{where}.{name} is required")
     return obj
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(obj) - allowed)
-    if unknown:
-        raise DocumentError(f"unknown field(s) in {where}: {', '.join(unknown)}")
+def _record(where: str, make: type, **values: object):
+    """``make(**values)``; the record's own type or rule error becomes a DocumentError."""
+    try:
+        return make(**values)
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"invalid {where}: {exc}") from exc
 
 
 def _int_field(value: object, where: str, *args: object) -> int:
@@ -80,45 +91,33 @@ def _int_field(value: object, where: str, *args: object) -> int:
         raise DocumentError(str(exc)) from exc
 
 
-def _int_list(value: object, where: str, expect_len: int | None = None) -> tuple:
-    """The array's entries as a tuple; the record they go into type-checks each one."""
+def _array(value: object, where: str, length: int | None = None, of: str = "integers") -> tuple:
+    """The array's entries as a tuple; the record or reader that takes them checks each one."""
     if not isinstance(value, list):
-        raise DocumentError(f"{where} must be an array of integers")
-    if expect_len is not None and len(value) != expect_len:
-        raise DocumentError(f"{where} has {len(value)} entries, expected {expect_len}")
+        raise DocumentError(f"{where} must be an array of {of}")
+    if length is not None and len(value) != length:
+        raise DocumentError(f"{where} has {len(value)} entries, expected {length}")
     return tuple(value)
 
 
 def _parse_curve(obj: object) -> CombCurve:
-    mapping = _require_mapping(obj, "curve")
-    _reject_unknown(mapping, {"genera"}, "curve")
-    if "genera" not in mapping:
-        raise DocumentError("curve.genera is required")
-    raw = mapping["genera"]
+    raw = _section(obj, "curve", ("genera",))["genera"]
     if isinstance(raw, list) and len(raw) > _MAX_COMPONENTS:
         raise DocumentError(f"curve.genera has {len(raw)} components, at most {_MAX_COMPONENTS}")
-    genera = _int_list(raw, "curve.genera")
-    try:
-        return CombCurve(genera)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"invalid curve: {exc}") from exc
+    return _record("curve", CombCurve, genera=_array(raw, "curve.genera"))
 
 
 def _parse_bundle(obj: object, curve: CombCurve) -> BundleData:
-    mapping = _require_mapping(obj, "bundle")
-    _reject_unknown(mapping, {"rank", "multidegree", "component_eulers", "euler"}, "bundle")
-    if "rank" not in mapping:
-        raise DocumentError("bundle.rank is required")
+    mapping = _section(obj, "bundle", ("rank",), ("multidegree", "component_eulers", "euler"))
     rank = _int_field(mapping["rank"], "bundle.rank")
     if rank > _MAX_RANK:
         raise DocumentError(f"bundle.rank is at most {_MAX_RANK}, got {rank}")
     num = curve.num_components
-    degrees = None
+    degrees = eulers = None
     if "multidegree" in mapping:
-        degrees = _int_list(mapping["multidegree"], "bundle.multidegree", num)
-    eulers = None
+        degrees = _array(mapping["multidegree"], "bundle.multidegree", num)
     if "component_eulers" in mapping:
-        eulers = _int_list(mapping["component_eulers"], "bundle.component_eulers", num)
+        eulers = _array(mapping["component_eulers"], "bundle.component_eulers", num)
         # No record holds the stated Euler numbers, so the reader checks them.
         for i, chi in enumerate(eulers):
             _int_field(chi, "bundle.component_eulers[{}]", i)
@@ -127,20 +126,16 @@ def _parse_bundle(obj: object, curve: CombCurve) -> BundleData:
     if degrees is None:
         # chi_j = d_j + rank*(1 - g_j) inverted; euler input is equivalent to degrees.
         degrees = tuple(chi - rank * (1 - g) for chi, g in zip(eulers, curve.genera))
-    try:
-        bundle = BundleData(rank=rank, multidegree=degrees)
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"invalid bundle: {exc}") from exc
-    if eulers is None and "euler" not in mapping:
-        return bundle
-    derived, total = component_eulers(curve, bundle), total_euler(curve, bundle)
-    if eulers is not None and tuple(eulers) != derived:
-        raise DocumentError(
-            f"bundle.component_eulers {list(eulers)} disagree with the multidegree "
-            f"(derived {list(derived)})"
-        )
+    bundle = _record("bundle", BundleData, rank=rank, multidegree=degrees)
+    if eulers is not None:
+        derived = component_eulers(curve, bundle)
+        if eulers != derived:
+            raise DocumentError(
+                f"bundle.component_eulers {list(eulers)} disagree with the multidegree "
+                f"(derived {list(derived)})"
+            )
     if "euler" in mapping:
-        stated = _int_field(mapping["euler"], "bundle.euler")
+        stated, total = _int_field(mapping["euler"], "bundle.euler"), total_euler(curve, bundle)
         if stated != total:
             raise DocumentError(
                 f"bundle.euler = {stated} disagrees with the derived total {total}"
@@ -148,58 +143,35 @@ def _parse_bundle(obj: object, curve: CombCurve) -> BundleData:
     return bundle
 
 
-_ASSUMPTION_KEYS = {"general_linear_series", "butler_conjecture", "components_general_in_moduli"}
-
-
 def _parse_assumptions(obj: object) -> PairAssumptions:
-    mapping = _require_mapping(obj, "pair.assumptions")
-    _reject_unknown(mapping, _ASSUMPTION_KEYS, "pair.assumptions")
-    values = {}
+    flags = ("general_linear_series", "butler_conjecture", "components_general_in_moduli")
+    mapping = _section(obj, "pair.assumptions", (), flags)
     for key, value in mapping.items():
         if not isinstance(value, bool):
             raise DocumentError(f"pair.assumptions.{key} must be a boolean")
-        values[key] = value
-    return PairAssumptions(**values)
+    return PairAssumptions(**mapping)
 
 
 def _parse_pair(obj: object, curve: CombCurve) -> GeneratedPairData:
-    mapping = _require_mapping(obj, "pair")
-    _reject_unknown(
-        mapping, {"rank", "sections", "multidegree", "kernel_dims", "assumptions"}, "pair"
+    mapping = _section(
+        obj, "pair", ("rank", "sections", "multidegree", "kernel_dims"), ("assumptions",)
     )
-    for required in ("rank", "sections", "multidegree", "kernel_dims"):
-        if required not in mapping:
-            raise DocumentError(f"pair.{required} is required")
     num = curve.num_components
-    assumptions = (
-        _parse_assumptions(mapping["assumptions"])
-        if "assumptions" in mapping
-        else PairAssumptions()
+    assumptions = _parse_assumptions(mapping.get("assumptions", {}))
+    return _record(
+        "pair",
+        GeneratedPairData,
+        rank=mapping["rank"],
+        sections=mapping["sections"],
+        multidegree=_array(mapping["multidegree"], "pair.multidegree", num),
+        kernel_dims=_array(mapping["kernel_dims"], "pair.kernel_dims", num),
+        assumptions=assumptions,
     )
-    try:
-        return GeneratedPairData(
-            rank=mapping["rank"],
-            sections=mapping["sections"],
-            multidegree=_int_list(mapping["multidegree"], "pair.multidegree", num),
-            kernel_dims=_int_list(mapping["kernel_dims"], "pair.kernel_dims", num),
-            assumptions=assumptions,
-        )
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"invalid pair: {exc}") from exc
 
 
 def _parse_polarization(obj: object, curve: CombCurve) -> Polarization:
-    mapping = _require_mapping(obj, "polarization")
-    _reject_unknown(mapping, {"weights"}, "polarization")
-    if "weights" not in mapping:
-        raise DocumentError("polarization.weights is required")
-    raw = mapping["weights"]
-    if not isinstance(raw, list):
-        raise DocumentError("polarization.weights must be an array of 'p/q' strings")
-    if len(raw) != curve.num_components:
-        raise DocumentError(
-            f"polarization.weights has {len(raw)} entries, expected {curve.num_components}"
-        )
+    raw = _section(obj, "polarization", ("weights",))["weights"]
+    raw = _array(raw, "polarization.weights", curve.num_components, of="'p/q' strings")
     weights = []
     for i, item in enumerate(raw):
         where = f"polarization.weights[{i}]"
@@ -216,19 +188,18 @@ def _parse_polarization(obj: object, curve: CombCurve) -> Polarization:
 
 def parse_document(obj: object) -> InstanceDocument:
     """Parse a decoded JSON object into an instance document (strict)."""
-    mapping = _require_mapping(obj, "document")
-    _reject_unknown(mapping, {"curve", "bundle", "pair", "polarization"}, "document")
-    if "curve" not in mapping:
-        raise DocumentError("document.curve is required")
+    mapping = _section(obj, "document", ("curve",), ("bundle", "pair", "polarization"))
     curve = _parse_curve(mapping["curve"])
-    bundle = _parse_bundle(mapping["bundle"], curve) if "bundle" in mapping else None
-    pair = _parse_pair(mapping["pair"], curve) if "pair" in mapping else None
-    polarization = (
-        _parse_polarization(mapping["polarization"], curve)
-        if "polarization" in mapping
-        else None
+    return InstanceDocument(
+        curve=curve,
+        bundle=_parse_bundle(mapping["bundle"], curve) if "bundle" in mapping else None,
+        pair=_parse_pair(mapping["pair"], curve) if "pair" in mapping else None,
+        polarization=(
+            _parse_polarization(mapping["polarization"], curve)
+            if "polarization" in mapping
+            else None
+        ),
     )
-    return InstanceDocument(curve=curve, bundle=bundle, pair=pair, polarization=polarization)
 
 
 def render_document(doc: InstanceDocument) -> dict:

@@ -186,6 +186,53 @@ def test_non_integers_rejected(field, bad, tmp_path, capsys):
     assert line.startswith("error: ") and "integer" in line
 
 
+# Each shape rule of the reader with its full message: (field path, value, message).
+BOUNDARY_MESSAGES = {
+    "document-list": ("", [1, 2], "document must be a JSON object, got list"),
+    "curve-list": ("curve", [1, 2], "curve must be a JSON object, got list"),
+    "bundle-list": ("bundle", [1, 2], "bundle must be a JSON object, got list"),
+    "pair-list": ("pair", [1, 2], "pair must be a JSON object, got list"),
+    "assumptions-list": ("pair.assumptions", [1, 2], "pair.assumptions must be a JSON object, got list"),
+    "polarization-list": ("polarization", [1, 2], "polarization must be a JSON object, got list"),
+    "document-unknown": ("extra", 1, "unknown field(s) in document: extra"),
+    "curve-unknown": ("curve.nodes", 1, "unknown field(s) in curve: nodes"),
+    "bundle-unknown": ("bundle.degree", 1, "unknown field(s) in bundle: degree"),
+    "pair-unknown": ("pair.h0", 1, "unknown field(s) in pair: h0"),
+    "assumptions-unknown": ("pair.assumptions.generic", 1, "unknown field(s) in pair.assumptions: generic"),
+    "polarization-unknown": ("polarization.sum", 1, "unknown field(s) in polarization: sum"),
+    "genera-int": ("curve.genera", 1, "curve.genera must be an array of integers"),
+    "degrees-int": ("bundle.multidegree", 1, "bundle.multidegree must be an array of integers"),
+    "eulers-int": ("bundle.component_eulers", 1, "bundle.component_eulers must be an array of integers"),
+    "pair-degrees-int": ("pair.multidegree", 1, "pair.multidegree must be an array of integers"),
+    "kernels-int": ("pair.kernel_dims", 1, "pair.kernel_dims must be an array of integers"),
+    "weights-int": ("polarization.weights", 1, "polarization.weights must be an array of 'p/q' strings"),
+    "genera-length": ("curve.genera", [2] * 100001, "curve.genera has 100001 components, at most 100000"),
+    "degrees-length": ("bundle.multidegree", [4, 5, 6], "bundle.multidegree has 3 entries, expected 2"),
+    "eulers-length": ("bundle.component_eulers", [2, 1, 0], "bundle.component_eulers has 3 entries, expected 2"),
+    "pair-degrees-length": ("pair.multidegree", [4, 5, 6], "pair.multidegree has 3 entries, expected 2"),
+    "kernels-length": ("pair.kernel_dims", [1, 0, 0], "pair.kernel_dims has 3 entries, expected 2"),
+    "weights-length": ("polarization.weights", ["1/3"] * 3, "polarization.weights has 3 entries, expected 2"),
+}
+
+
+@pytest.mark.parametrize(
+    "path, value, message", list(BOUNDARY_MESSAGES.values()), ids=list(BOUNDARY_MESSAGES)
+)
+def test_boundary_message_is_exact(path, value, message):
+    doc = json.loads(json.dumps(INTEGER_DOC))
+    if path:
+        *parents, name = path.split(".")
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[name] = value
+    else:
+        doc = value
+    with pytest.raises(DocumentError) as exc:
+        parse_document(doc)
+    assert str(exc.value) == message
+
+
 def test_float_eulers_that_agree_are_rejected():
     # 1.0 == 1, so only a type check on the stated Euler numbers refuses them.
     doc = {
