@@ -3,10 +3,13 @@
 Subcommands: analyze, region, polarize, kernel, validate, selftest.  Input
 is a JSON instance document.  Each command builds one payload, the object
 --json writes, and renders its text report from that payload alone, so the
-text states no fact the JSON lacks.  Exit codes are uniform across commands:
-0 for an affirmative verdict, 1 for a negative one (failed check, infeasible
-region, strongly unstable kernel, selftest disagreement), 2 for any input
-error or failed write of the report.
+text states no fact the JSON lacks.  Each document command's payload comes
+from one pure builder (``analyze_report``, ``region_report``,
+``polarize_report``, ``kernel_report``, ``validate_report``); selftest checks
+the first three.  Exit codes are uniform across commands: 0 for an
+affirmative verdict, 1 for a negative one (failed check, infeasible region,
+strongly unstable kernel, selftest disagreement), 2 for any input error or
+failed write of the report.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .model import (
     total_euler,
     validate_polarization,
 )
-from .oracles import run_selftest
 from .polarization import ComponentCheck, IntervalQ, _necessary, _region, _synthesize, _tooth_sides
 from .restrictions import RestrictionVerdict, _classify, _listing_length
 
@@ -66,15 +68,13 @@ class CliInputError(Exception):
     """User input problem that is not a document parse error, or a failed write."""
 
 
-def _refuse_long_listing(
-    args: argparse.Namespace, num_components: int, witnesses: int, walked: int = 0
-) -> None:
+def _refuse_long_listing(json: bool, num_components: int, witnesses: int, walked: int = 0) -> None:
     """Raise the input error of a report over ``_MAX_LISTING`` entries, before a byte is written.
 
     ``walked`` counts the candidates a classification walks or lists; under
     --json each of the ``witnesses`` lists its N-entry multirank.
     """
-    listing = walked + (num_components * witnesses if args.json else 0)
+    listing = walked + (num_components * witnesses if json else 0)
     if listing > _MAX_LISTING:
         raise CliInputError(
             f"the report would enumerate or list {listing} entries, more than {_MAX_LISTING}"
@@ -315,8 +315,7 @@ def _require_valid_pair(doc: InstanceDocument) -> GeneratedPairData:
     return doc.pair
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    doc = load_document(args.file)
+def analyze_report(doc: InstanceDocument, json: bool = False) -> dict:
     curve = doc.curve
     bundle = _require_bundle(doc)
     w = _require_polarization(doc)
@@ -326,7 +325,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     sides = [_tooth_sides(w_j, chi_j, chi, n) for w_j, chi_j in teeth]
     # Every failing tooth lists a witness; count them before any is built.
     failing = sum(not (lower_ok and upper_ok) for lower_ok, upper_ok in sides)
-    _refuse_long_listing(args, curve.num_components, failing, _listing_length(n, chis, chi, w))
+    _refuse_long_listing(json, curve.num_components, failing, _listing_length(n, chis, chi, w))
     # _require_polarization has checked that the weights sum to exactly 1.
     verdict = _necessary(n, chis, chi, w.weights, Fraction(1), sides)
 
@@ -336,7 +335,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         classification = [
             _classify(n, chi_j, chi, w_j, j) for j, (w_j, chi_j) in enumerate(teeth, start=1)
         ]
-    payload = {
+    return {
         "command": "analyze",
         "curve": {"genera": list(curve.genera)},
         "bundle": bundle_payload,
@@ -348,7 +347,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "classification": classification,
         "exit": EXIT_OK if verdict.overall_pass else EXIT_NEGATIVE,
     }
-    return _emit(args, payload, _analyze_text)
 
 
 def _analyze_text(payload: dict):
@@ -400,19 +398,19 @@ def _analyze_text(payload: dict):
         yield line
 
 
-def cmd_region(args: argparse.Namespace) -> int:
-    doc = load_document(args.file)
+def region_report(doc: InstanceDocument, strict: bool = False) -> dict:
     bundle = _require_bundle(doc)
     echo = _bundle_payload(doc.curve, bundle, total_euler(doc.curve, bundle))
-    region, _ = _region(echo["component_eulers"], echo["euler"], bundle.rank, args.strict)
-    payload = {
+    region, slack = _region(echo["component_eulers"], echo["euler"], bundle.rank, strict)
+    # _region takes the slack only when every interval is nonempty.
+    return {
         "command": "region",
         "bundle": echo,
         "strict": region.strict,
         "intervals": [
             {
                 "j": j,
-                "empty": iv.is_empty,
+                "empty": slack is None and iv.is_empty,
                 "lo": iv.lo,
                 "hi": iv.hi,
                 "lo_open": iv.lo_open,
@@ -423,7 +421,6 @@ def cmd_region(args: argparse.Namespace) -> int:
         "feasible": region.feasible,
         "exit": EXIT_OK if region.feasible else EXIT_NEGATIVE,
     }
-    return _emit(args, payload, _region_text)
 
 
 def _region_text(payload: dict):
@@ -437,8 +434,7 @@ def _region_text(payload: dict):
     yield "feasible" if payload["feasible"] else "infeasible"
 
 
-def cmd_polarize(args: argparse.Namespace) -> int:
-    doc = load_document(args.file)
+def polarize_report(doc: InstanceDocument) -> dict:
     # The target of the pair route is the pair's kernel bundle.
     if doc.bundle is not None:
         target, chi = doc.bundle, total_euler(doc.curve, doc.bundle)
@@ -448,13 +444,12 @@ def cmd_polarize(args: argparse.Namespace) -> int:
         raise CliInputError("polarize needs a bundle or a pair section")
     echo = _bundle_payload(doc.curve, target, chi)
     w = _synthesize(echo["component_eulers"], chi, target.rank)
-    payload = {
+    return {
         "command": "polarize",
         "target": echo,
         "weights": None if w is None else list(w.weights),
         "exit": EXIT_NEGATIVE if w is None else EXIT_OK,
     }
-    return _emit(args, payload, _polarize_text)
 
 
 def _polarize_text(payload: dict):
@@ -465,19 +460,18 @@ def _polarize_text(payload: dict):
         yield f"polarization: {_weights_text(payload['weights'])}"
 
 
-def cmd_kernel(args: argparse.Namespace) -> int:
-    doc = load_document(args.file)
+def kernel_report(doc: InstanceDocument, json: bool = False) -> dict:
     curve = doc.curve
     pair = _require_valid_pair(doc)
     restricted = [_restriction_witness(curve, pair, j) for j in range(1, curve.num_components + 1)]
-    _refuse_long_listing(args, curve.num_components, sum(x is not None for x in restricted))
+    _refuse_long_listing(json, curve.num_components, sum(x is not None for x in restricted))
     su = _strong_unstability(curve, pair, restricted)
     m, chi = _kernel_bundle(curve, pair)
     echo = _bundle_payload(curve, m, chi)
     report = _characterize(pair, su, lambda: (echo["component_eulers"], chi, m.rank))
     # The StronglyUnstable and DivisibilityContradiction characterizations are exactly these.
     negative = su.verdict is StrongUnstabilityKind.STRONGLY_UNSTABLE
-    payload = {
+    return {
         "command": "kernel",
         "pair": _render_pair(pair),
         "kernel_bundle": echo,
@@ -501,7 +495,6 @@ def cmd_kernel(args: argparse.Namespace) -> int:
         },
         "exit": EXIT_NEGATIVE if negative else EXIT_OK,
     }
-    return _emit(args, payload, _kernel_text)
 
 
 def _kernel_text(payload: dict):
@@ -542,20 +535,18 @@ def _kernel_text(payload: dict):
         yield f"  note: {note}"
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    doc = load_document(args.file)
+def validate_report(doc: InstanceDocument) -> dict:
     problems: list[str] = []
     if doc.polarization is not None:
         problems += [f"polarization: {v}" for v in validate_polarization(doc.polarization)]
     if doc.pair is not None:
         problems += [f"pair: {v}" for v in validate_pair(doc.curve, doc.pair)]
-    payload = {
+    return {
         "command": "validate",
         "document": render_document(doc),
         "violations": problems,
         "exit": EXIT_NEGATIVE if problems else EXIT_OK,
     }
-    return _emit(args, payload, _validate_text)
 
 
 def _validate_text(payload: dict):
@@ -564,6 +555,8 @@ def _validate_text(payload: dict):
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    from .oracles import run_selftest  # here: oracles imports the report builders
+
     if args.count < 0:
         raise CliInputError("--count must be nonnegative")
     report = run_selftest(args.seed, args.count)
@@ -606,37 +599,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_file: bool = True) -> None:
-        if with_file:
+    def add_command(name: str, help: str, build=None, render=None, options=()):
+        """Add a subcommand; a document command reads ``file`` and passes ``options`` to ``build``."""
+        p = sub.add_parser(name, help=help)
+        if build is not None:
             p.add_argument("file", help="JSON instance document")
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.set_defaults(build=build, render=render, options=options)
+        return p
 
-    p = sub.add_parser("analyze", help="necessary inequalities plus restriction classification")
-    add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("region", help="per-tooth weight intervals and feasibility")
-    add_common(p)
+    add_command(
+        "analyze", "necessary inequalities plus restriction classification",
+        analyze_report, _analyze_text, ("json",),
+    )
+    p = add_command(
+        "region", "per-tooth weight intervals and feasibility", region_report, _region_text, ("strict",)
+    )
     p.add_argument("--strict", action="store_true", help="open intervals (synthesis variant)")
-    p.set_defaults(func=cmd_region)
-
-    p = sub.add_parser("polarize", help="construct a polarization when one exists")
-    add_common(p)
-    p.set_defaults(func=cmd_polarize)
-
-    p = sub.add_parser("kernel", help="kernel-bundle report for a generated pair")
-    add_common(p)
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("validate", help="check a document against the schema and invariants")
-    add_common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("selftest", help="run the oracle cross-checks on seeded instances")
-    add_common(p, with_file=False)
+    add_command("polarize", "construct a polarization when one exists", polarize_report, _polarize_text)
+    add_command(
+        "kernel", "kernel-bundle report for a generated pair", kernel_report, _kernel_text, ("json",)
+    )
+    add_command(
+        "validate", "check a document against the schema and invariants", validate_report, _validate_text
+    )
+    p = add_command("selftest", "run the oracle cross-checks on seeded instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=10_000)
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
@@ -664,7 +653,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with _any_int_length():
-            return args.func(args)
+            if args.build is None:
+                return cmd_selftest(args)
+            # One runner for every document command: load, build the report, write it.
+            options = {name: getattr(args, name) for name in args.options}
+            return _emit(args, args.build(load_document(args.file), **options), args.render)
     except (DocumentError, CliInputError) as exc:
         with contextlib.suppress(OSError):  # the error line is best effort
             print(f"error: {exc}", file=sys.stderr)

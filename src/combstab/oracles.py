@@ -12,12 +12,12 @@ integers too: a witness slope is cross-multiplied with the weighted
 multirank, summed entry by entry as an unreduced numerator and denominator,
 and a polarization's weights are added one by one the same way.
 ``Fraction`` appears only in the generated weights, in the scanned
-simplest rational and in the interval ends, built once from integers as
-``IntervalQ`` values to compare with the fast ones.  The oracles stay
-independent of the fast path: they test every candidate one by one where
-the fast path computes closed-form floor-division ranges, and they import
-none of its private helpers and nothing from ``kernels``, so a shared
-mistake cannot make both sides agree.
+simplest rational and in the interval ends, built once from integers into
+the entries the region report writes.  The oracles stay independent of the
+fast path: they test every candidate one by one where the fast path
+computes closed-form floor-division ranges, and they import none of its
+private helpers and nothing from ``kernels``, so a shared mistake cannot
+make both sides agree.
 Inequalities are cross-multiplied by a tooth weight only inside (0, 1),
 where the multiplier is positive; anything else is a ValueError.
 Agreement is exact or it is a failure; there are no tolerances anywhere.
@@ -25,9 +25,12 @@ Agreement is exact or it is a failure; there are no tolerances anywhere.
 The instances and pairs come from two streams that depend on a seed alone;
 their bounds are the module constants ``MAX_COMPONENTS``, ``MAX_GENUS``,
 ``MAX_RANK``, ``DEGREE_RANGE`` and ``MAX_WEIGHT_DENOMINATOR``.  The selftest
-sweeps each checked tooth's padded window once: the one raw candidate list
-is compared with the fast range and then replayed through the divisibility
-filters.
+checks the payloads the CLI writes: ``cli.analyze_report``, ``region_report``
+and ``polarize_report`` on each instance as a document, and the pair route
+of ``polarize_report`` on each pair.  No report holds the raw destabilizer
+ranges, so each checked tooth's padded window is swept once, compared with
+``destabilizer_candidates`` and replayed through the divisibility filters
+against the reported classification.
 
 The selftest cuts its count into contiguous instance ranges, one per CPU the
 process may use and at least ``_MIN_RANGE`` instances each.  The calling
@@ -51,21 +54,17 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .kernel_bundles import GeneratedPairData, kernel_data
+from .cli import analyze_report, polarize_report, region_report
+from .documents import InstanceDocument
+from .kernel_bundles import GeneratedPairData
 from .model import (
     BundleData,
     CombCurve,
     Polarization,
     format_rational,
 )
-from .polarization import (
-    IntervalQ,
-    feasible_region,
-    necessary_check,
-    pick_simplest_rational,
-    synthesize_polarization,
-)
-from .restrictions import classify_restriction, destabilizer_candidates
+from .polarization import IntervalQ, pick_simplest_rational
+from .restrictions import destabilizer_candidates
 
 
 # Bounds of the seeded generators.  The common weight denominator must
@@ -183,31 +182,37 @@ def _violated_sides(p: int, q: int, chi_j: int, chi: int, n: int) -> tuple[bool,
     return (chi - chi_j) * q > chi * (q - p), (chi_j - n) * q > chi * p
 
 
-def oracle_necessary_equivalence(curve: CombCurve, bundle: BundleData, w: Polarization) -> bool:
+def oracle_necessary_equivalence(
+    curve: CombCurve, bundle: BundleData, w: Polarization, necessary: dict
+) -> bool:
     """Recompute the necessary check from raw slope comparisons and compare.
 
-    The two witness profiles are rebuilt here from scratch and each side is
-    decided by the cross-multiplied integer predicates of
-    :func:`_violated_sides`; the failure pattern must match the fast check
-    side for side at every tooth.  The reported witness (the complement on
-    a lower failure, else the twisted restriction, none on a pass) must
-    match its rebuilt profile in label, multirank and euler, and its slope,
-    a reported value, must equal the euler over the weighted multirank
-    summed entry by entry on integers (:func:`_slope_matches`).  Raises
-    ValueError on a tooth weight outside (0, 1).
+    ``necessary`` is the ``analyze`` report's entry of that name.  The two
+    witness profiles are rebuilt here from scratch and each side is decided
+    by the cross-multiplied integer predicates of :func:`_violated_sides`;
+    the reported checks must cover teeth 1..N-1 in order and match them
+    side for side, and ``overall_pass`` must hold exactly when no side is
+    violated.  The reported witness (the complement on a lower failure,
+    else the twisted restriction, none on a pass) must match its rebuilt
+    profile in label, multirank and euler, and its slope, a reported value,
+    must equal the euler over the weighted multirank summed entry by entry
+    on integers (:func:`_slope_matches`).  Raises ValueError on a tooth
+    weight outside (0, 1), before the report is read.
     """
     n = bundle.rank
     num = curve.num_components
     chis, chi = _eulers(curve, n, bundle.multidegree)
     terms = [_weight_terms(w_j, j) for j, w_j in enumerate(w.weights[: num - 1], start=1)]
-    verdict = necessary_check(curve, bundle, w)
-    for check in verdict.components:
+    sides = [_violated_sides(*pq, chi_j, chi, n) for pq, chi_j in zip(terms, chis)]
+    checks = necessary["components"]
+    if [check.j for check in checks] != list(range(1, num)):
+        return False
+    if necessary["overall_pass"] != (not any(lower or upper for lower, upper in sides)):
+        return False
+    for check, (lower_violated, upper_violated) in zip(checks, sides):
         j = check.j
         chi_j = chis[j - 1]
-        lower_violated, upper_violated = _violated_sides(*terms[j - 1], chi_j, chi, n)
-        if check.upper_ok != (not upper_violated):
-            return False
-        if check.lower_ok != (not lower_violated):
+        if (check.lower_ok, check.upper_ok) != (not lower_violated, not upper_violated):
             return False
         if lower_violated:
             label = f"tilde-E_{j}"
@@ -348,9 +353,7 @@ def oracle_simplest_rational(interval: IntervalQ, max_denominator: int) -> Fract
     return None
 
 
-def _longhand_region(
-    chis: list[int], chi: int, n: int, strict: bool
-) -> tuple[tuple[IntervalQ, ...], bool]:
+def _longhand_region(chis: list[int], chi: int, n: int, strict: bool) -> tuple[list[dict], bool]:
     """Tooth weight intervals solved from w*chi <= chi_j <= w*chi + n, and feasibility.
 
     With chi > 0 the ends are (chi_j - n)/chi and chi_j/chi; with chi < 0
@@ -361,14 +364,15 @@ def _longhand_region(
     (strict: 0 < chi_j < n) and empty otherwise.  An interval is empty when
     its cross-multiplied ends cross, or meet with an open end.  The region
     is feasible when no interval is empty and the lower ends, added one by
-    one as the unreduced top/bottom, leave a slack 1 - top/bottom > 0.  The
-    intervals are ``IntervalQ`` values so the fast ones can be compared
-    with them as they are, crossed ends included.
+    one as the unreduced top/bottom, leave a slack 1 - top/bottom > 0.  Each
+    interval is the entry the region report writes for it (``j``, ``empty``,
+    ``lo``, ``hi``, ``lo_open``, ``hi_open``), so the reported entries can
+    be compared with them as they are, crossed ends included.
     """
     intervals = []
     nonempty = True
     top, bottom = 0, 1
-    for chi_j in chis[:-1]:
+    for j, chi_j in enumerate(chis[:-1], start=1):
         if chi == 0:
             holds = 0 < chi_j < n if strict else 0 <= chi_j <= n
             (a, b), (c, d) = (0, 1), (1 if holds else 0, 1)
@@ -384,20 +388,25 @@ def _longhand_region(
             if c >= d:
                 (c, d), hi_open = (1, 1), True
         span = c * b - a * d
-        nonempty = nonempty and (span > 0 or (span == 0 and not (lo_open or hi_open)))
+        empty = span < 0 or (span == 0 and (lo_open or hi_open))
+        nonempty = nonempty and not empty
         top, bottom = top * b + a * bottom, bottom * b
-        intervals.append(IntervalQ(Fraction(a, b), Fraction(c, d), lo_open, hi_open))
-    return tuple(intervals), nonempty and top < bottom
+        lo, hi = Fraction(a, b), Fraction(c, d)
+        intervals.append(dict(j=j, empty=empty, lo=lo, hi=hi, lo_open=lo_open, hi_open=hi_open))
+    return intervals, nonempty and top < bottom
 
 
-def _valid_longhand(w: Polarization) -> bool:
+def _valid_longhand(weights: list[Fraction] | None) -> bool:
     """Each weight strictly between 0 and 1, and the weights, added one by one, sum to 1.
 
     With w_j = p/q in lowest terms the bounds read 0 < p < q.  The running
     sum is kept as the unreduced top/bottom, which equals 1 when top == bottom.
+    No weights at all (a report's None) are not valid.
     """
+    if weights is None:
+        return False
     top, bottom = 0, 1
-    for w_j in w.weights:
+    for w_j in weights:
         p, q = w_j.numerator, w_j.denominator
         if not 0 < p < q:
             return False
@@ -470,14 +479,16 @@ def _usable_cpus() -> int:
 
 
 def _check_instances(report: SelftestReport, instances) -> None:
+    """Check the ``analyze``, ``region`` and ``polarize`` reports of each instance."""
     for curve, bundle, w in instances:
 
         def where(suffix: str = "") -> str:
             return _describe_instance(curve, bundle, w) + suffix
 
-        report.record(
-            "necessary-equivalence", oracle_necessary_equivalence(curve, bundle, w), where
-        )
+        doc = InstanceDocument(curve, bundle=bundle, polarization=w)
+        analyzed = analyze_report(doc)
+        agrees = oracle_necessary_equivalence(curve, bundle, w, analyzed["necessary"])
+        report.record("necessary-equivalence", agrees, where)
         n = bundle.rank
         chis, chi = _eulers(curve, n, bundle.multidegree)
         for j in range(1, curve.num_components):
@@ -496,7 +507,7 @@ def _check_instances(report: SelftestReport, instances) -> None:
                     return where(f" j={j}")
 
                 report.record("destabilizer-range", raw_fast == raw_oracle, at_tooth)
-                verdict = classify_restriction(curve, bundle, w, j)
+                verdict = analyzed["classification"][j - 1]
                 filtered = _replay_filters(curve, bundle, j, raw_oracle)
                 if verdict.case.is_semistable:
                     report.record("classifier-consistency", not filtered, at_tooth)
@@ -507,26 +518,25 @@ def _check_instances(report: SelftestReport, instances) -> None:
                         at_tooth,
                     )
         # "region-nesting" keeps the name in the pinned report; it checks the
-        # fast closed region against the longhand one.
-        closed = feasible_region(curve, bundle, strict=False)
-        expected = _longhand_region(chis, chi, n, strict=False)
-        report.record("region-nesting", (closed.intervals, closed.feasible) == expected, where)
+        # reported closed region against the longhand one, entry by entry.
+        closed = region_report(doc)
+        ok = (closed["intervals"], closed["feasible"]) == _longhand_region(chis, chi, n, strict=False)
+        report.record("region-nesting", ok, where)
         intervals, feasible = _longhand_region(chis, chi, n, strict=True)
-        w_built = synthesize_polarization(curve, bundle)
-        if feasible:
-            ok = w_built is not None and _valid_longhand(w_built)
-            report.record("region-synthesis", ok, where)
-            for iv in intervals:
-                fast = pick_simplest_rational(iv)
-                slow = oracle_simplest_rational(iv, fast.denominator)
-                report.record(
-                    "simplest-rational", slow == fast, lambda: where(f" interval={iv.render()}")
-                )
-        else:
-            report.record("region-synthesis", w_built is None, where)
+        weights = polarize_report(doc)["weights"]
+        ok = _valid_longhand(weights) if feasible else weights is None
+        report.record("region-synthesis", ok, where)
+        for entry in intervals if feasible else ():
+            iv = IntervalQ(entry["lo"], entry["hi"], entry["lo_open"], entry["hi_open"])
+            fast = pick_simplest_rational(iv)
+            slow = oracle_simplest_rational(iv, fast.denominator)
+            report.record(
+                "simplest-rational", slow == fast, lambda: where(f" interval={iv.render()}")
+            )
 
 
 def _check_pairs(report: SelftestReport, pairs) -> None:
+    """Check the kernel-bundle echo and weights of each pair's ``polarize`` report."""
     for curve, pair in pairs:
 
         def where() -> str:
@@ -535,18 +545,14 @@ def _check_pairs(report: SelftestReport, pairs) -> None:
                 f"multidegree={list(pair.multidegree)} kernel_dims={list(pair.kernel_dims)}"
             )
 
-        m = kernel_data(curve, pair)
-        _, chi_m = _eulers(curve, m.rank, m.multidegree)
+        polarized = polarize_report(InstanceDocument(curve, pair=pair))
+        m = polarized["target"]
+        _, chi_m = _eulers(curve, m["rank"], m["multidegree"])
         _, chi_e = _eulers(curve, pair.rank, pair.multidegree)
         _, chi_o = _eulers(curve, 1, [0] * curve.num_components)
         identity = chi_m == pair.sections * chi_o - chi_e
         report.record("kernel-identity", identity, where)
-        w_pair = synthesize_polarization(curve, m)
-        report.record(
-            "kernel-polarization",
-            w_pair is not None and _valid_longhand(w_pair),
-            where,
-        )
+        report.record("kernel-polarization", _valid_longhand(polarized["weights"]), where)
 
 
 def _run_range(seed: int, start: int, stop: int) -> list:

@@ -28,7 +28,8 @@ from combstab import (
     validate_polarization,
 )
 from combstab import oracles
-from combstab.documents import parse_document, render_document
+from combstab.cli import analyze_report
+from combstab.documents import InstanceDocument, parse_document, render_document
 from combstab.oracles import (
     instance_stream,
     oracle_destabilizer_enumeration,
@@ -64,7 +65,9 @@ def test_criterion_1_witness_equivalence():
     start = time.perf_counter()
     agreements = 0
     for curve, bundle, w in instance_stream(ACCEPTANCE_SEED, count):
-        assert oracle_necessary_equivalence(curve, bundle, w)
+        # The oracle checks the necessary entry of the report analyze writes.
+        analyzed = analyze_report(InstanceDocument(curve, bundle=bundle, polarization=w))
+        assert oracle_necessary_equivalence(curve, bundle, w, analyzed["necessary"])
         agreements += 1
     elapsed = time.perf_counter() - start
     assert agreements == count

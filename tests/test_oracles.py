@@ -16,12 +16,15 @@ from combstab import (
     BundleData,
     CombCurve,
     Polarization,
+    component_eulers,
     kernel_data,
+    total_euler,
     validate_polarization,
 )
-from combstab.cli import main
+from combstab.cli import analyze_report, main
+from combstab.documents import InstanceDocument
 from combstab.polarization import IntervalQ, necessary_check
-from combstab import kernel_bundles, oracles, polarization
+from combstab import cli, kernel_bundles, oracles, polarization
 from combstab.oracles import (
     instance_stream,
     oracle_destabilizer_enumeration,
@@ -86,12 +89,21 @@ class TestGenerators:
             assert part == list(itertools.islice(stream(seed, count), start, None))
 
 
+def reported_necessary(curve, bundle, w):
+    """The ``necessary`` entry of the analyze report on this instance."""
+    return analyze_report(InstanceDocument(curve, bundle=bundle, polarization=w))["necessary"]
+
+
+def necessary_agrees(curve, bundle, w):
+    return oracle_necessary_equivalence(curve, bundle, w, reported_necessary(curve, bundle, w))
+
+
 class TestNecessaryEquivalence:
     def test_worked(self):
         c = CombCurve((2, 2))
         w = Polarization(("1/2", "1/2"))
-        assert oracle_necessary_equivalence(c, BundleData(2, (1, 1)), w)
-        assert oracle_necessary_equivalence(c, BundleData(2, (5, 1)), w)
+        assert necessary_agrees(c, BundleData(2, (1, 1)), w)
+        assert necessary_agrees(c, BundleData(2, (5, 1)), w)
 
     # On C22 at w = (1/2, 1/2): degrees (1, 1) pass at tooth 1, (5, 1) fail its upper side.
     @pytest.mark.parametrize(
@@ -120,17 +132,12 @@ class TestNecessaryEquivalence:
             ),
         ],
     )
-    def test_doctored_component_check_disagrees(self, monkeypatch, degrees, doctor):
+    def test_doctored_component_check_disagrees(self, degrees, doctor):
         curve, bundle, w = CombCurve((2, 2)), BundleData(2, degrees), Polarization(("1/2", "1/2"))
-        assert oracle_necessary_equivalence(curve, bundle, w)
-        real = oracles.necessary_check
-
-        def doctored(*args):
-            verdict = real(*args)
-            return dataclasses.replace(verdict, components=(doctor(verdict.components[0]),))
-
-        monkeypatch.setattr(oracles, "necessary_check", doctored)
-        assert not oracle_necessary_equivalence(curve, bundle, w)
+        necessary = reported_necessary(curve, bundle, w)
+        assert oracle_necessary_equivalence(curve, bundle, w, necessary)
+        doctored = {**necessary, "components": [doctor(necessary["components"][0])]}
+        assert not oracle_necessary_equivalence(curve, bundle, w, doctored)
 
 
 class TestDestabilizerOracle:
@@ -217,6 +224,11 @@ def two_component_instance(n, chi_j, chi, w_j):
     return curve, bundle, Polarization((w_j, 1 - w_j))
 
 
+def as_interval(entry):
+    """The ``IntervalQ`` of a region entry, as the region report or the longhand writes it."""
+    return IntervalQ(entry["lo"], entry["hi"], entry["lo_open"], entry["hi_open"])
+
+
 class TestIntegerOraclesAgainstReference:
     """Exhaustive over n in 2..4, chi_j and chi in [-12, 12], w_j = p/q with q <= 12."""
 
@@ -243,17 +255,18 @@ class TestIntegerOraclesAgainstReference:
         assert kept > 0
 
     def test_necessary_equivalence_on_every_instance(self):
-        # The fast check agrees with the reference sides on every instance,
-        # so the integer oracle must accept every instance.
+        # The reported check agrees with the reference sides on every
+        # instance, so the integer oracle must accept every instance.
         for n in range(2, 5):
             for chi_j in range(-12, 13, 3):
                 for chi in range(-12, 13):
                     for w_j in small_weights():
                         curve, bundle, w = two_component_instance(n, chi_j, chi, w_j)
-                        check = necessary_check(curve, bundle, w).components[0]
+                        necessary = reported_necessary(curve, bundle, w)
+                        (check,) = necessary["components"]
                         lower, upper = reference_sides(w_j, chi_j, chi, n)
                         assert (check.lower_ok, check.upper_ok) == (not lower, not upper)
-                        assert oracle_necessary_equivalence(curve, bundle, w)
+                        assert oracle_necessary_equivalence(curve, bundle, w, necessary)
 
     def test_simplest_scan_on_every_endpoint_kind(self):
         ends = sorted({Fraction(p, q) for q in range(1, 7) for p in range(-q, 2 * q + 1)})
@@ -282,7 +295,9 @@ class TestIntegerOraclesAgainstReference:
         for n, chi, chi_j, strict in itertools.product(
             range(1, 4), range(-5, 6), range(-8, 9), (False, True)
         ):
-            (iv,), _ = oracles._longhand_region([chi_j, 0], chi, n, strict)
+            (entry,), _ = oracles._longhand_region([chi_j, 0], chi, n, strict)
+            iv = as_interval(entry)
+            assert entry["j"] == 1
             for w in weights:
                 p, q = w.numerator, w.denominator
                 low, mid, high = p * chi, chi_j * q, p * chi + n * q
@@ -303,16 +318,20 @@ class TestIntegerOraclesAgainstReference:
 
     def test_longhand_feasibility_against_fraction_sums(self):
         # Emptiness and the slack are decided on integers; the reference
-        # compares the same ends as ``Fraction``s and sums them one by one.
+        # compares the same ends as ``Fraction``s and sums them one by one,
+        # and each entry's reported emptiness must match.
         verdicts = set()
         for n, chi, strict, chi_1, chi_2 in itertools.product(
             range(1, 4), range(-5, 6), (False, True), range(-8, 9), range(-8, 9)
         ):
-            intervals, feasible = oracles._longhand_region([chi_1, chi_2, 0], chi, n, strict)
-            nonempty = all(
-                iv.lo < iv.hi or (iv.lo == iv.hi and not (iv.lo_open or iv.hi_open))
+            entries, feasible = oracles._longhand_region([chi_1, chi_2, 0], chi, n, strict)
+            intervals = [as_interval(entry) for entry in entries]
+            empties = [
+                not (iv.lo < iv.hi or (iv.lo == iv.hi and not (iv.lo_open or iv.hi_open)))
                 for iv in intervals
-            )
+            ]
+            assert [entry["empty"] for entry in entries] == empties
+            nonempty = not any(empties)
             slack = 1 - sum((iv.lo for iv in intervals), Fraction(0))
             assert feasible == (nonempty and slack > 0), (n, chi, strict, chi_1, chi_2)
             verdicts.add((feasible, nonempty))
@@ -385,7 +404,7 @@ class TestIntegerLonghandAgainstFraction:
             *teeth, spine = w.weights
             off = Fraction(1, spine.denominator)
             for weights in (w.weights, (*teeth, spine + off), (*teeth, spine - off)):
-                assert oracles._valid_longhand(Polarization(weights)) == reference_valid(weights)
+                assert oracles._valid_longhand(weights) == reference_valid(weights)
 
     @pytest.mark.parametrize(
         "weights",
@@ -404,7 +423,7 @@ class TestIntegerLonghandAgainstFraction:
     )
     def test_valid_longhand_edge_cases(self, weights):
         w = Polarization(weights)
-        assert oracles._valid_longhand(w) == reference_valid(w.weights)
+        assert oracles._valid_longhand(w.weights) == reference_valid(w.weights)
 
 
 class TestWeightPrecondition:
@@ -414,9 +433,11 @@ class TestWeightPrecondition:
 
     @pytest.mark.parametrize("w_1", BAD, ids=str)
     def test_necessary_equivalence(self, w_1):
+        # analyze refuses such weights, so there is no report: the weight is
+        # refused before the reported entry is read.
         curve, bundle, w = two_component_instance(2, 3, 1, w_1)
         with pytest.raises(ValueError, match="weight 1 is .* not strictly between 0 and 1"):
-            oracle_necessary_equivalence(curve, bundle, w)
+            oracle_necessary_equivalence(curve, bundle, w, {"overall_pass": True, "components": []})
 
     @pytest.mark.parametrize("w_1", BAD, ids=str)
     def test_destabilizer_enumeration(self, w_1):
@@ -493,17 +514,17 @@ class TestSelftest:
         assert "result: FAIL" in text
 
     def test_necessary_fault_is_caught_with_replay_seed(self, capsys, monkeypatch):
-        # Flip the upper side of each instance's first tooth: the oracle
-        # decides that side on its own and must notice.
-        real = oracles.necessary_check
+        # Flip the upper side of each instance's first tooth in analyze's
+        # core: the oracle decides that side on its own and must notice.
+        real = cli._necessary
 
-        def flipped(curve, bundle, w):
-            verdict = real(curve, bundle, w)
+        def flipped(*args):
+            verdict = real(*args)
             first, *rest = verdict.components
             first = dataclasses.replace(first, upper_ok=not first.upper_ok)
             return dataclasses.replace(verdict, components=(first, *rest))
 
-        monkeypatch.setattr(oracles, "necessary_check", flipped)
+        monkeypatch.setattr(cli, "_necessary", flipped)
         report = run_selftest(13, 60)
         assert not report.passed
         stat = report.checks["necessary-equivalence"]
@@ -517,10 +538,10 @@ class TestSelftest:
     def test_nudged_witness_slope_is_caught(self, monkeypatch):
         # Every reported witness slope moved by 10^-30: each instance with a
         # witness must fail, each without one still agree.
-        real = oracles.necessary_check
+        real = cli._necessary
 
-        def nudged(curve, bundle, w):
-            verdict = real(curve, bundle, w)
+        def nudged(*args):
+            verdict = real(*args)
             components = tuple(
                 c
                 if c.witness_slope is None
@@ -530,24 +551,24 @@ class TestSelftest:
             return dataclasses.replace(verdict, components=components)
 
         seed = 13
-        passing = sum(real(*instance).overall_pass for instance in instance_stream(seed, 60))
-        monkeypatch.setattr(oracles, "necessary_check", nudged)
+        passing = sum(necessary_check(*instance).overall_pass for instance in instance_stream(seed, 60))
+        monkeypatch.setattr(cli, "_necessary", nudged)
         report = run_selftest(seed, 60)
         stat = report.checks["necessary-equivalence"]
         assert stat.run == 60 and stat.agreed == passing < 60
         assert report.first_failure.startswith("necessary-equivalence: genera=")
 
     def test_polarization_off_the_simplex_is_caught(self, monkeypatch):
-        # The synthesis checks add the weights longhand: a spine weight
-        # moved by 10^-30 fails them.  Instances and kernel bundles share
-        # the one synthesis.
+        # The synthesis checks add the reported weights longhand: a spine
+        # weight moved by 10^-30 fails them.  Instances and kernel bundles
+        # share polarize's one synthesis core.
         def nudged(w):
             if w is None:
                 return None
             return Polarization(w.weights[:-1] + (w.weights[-1] + Fraction(1, 10**30),))
 
-        synthesis = oracles.synthesize_polarization
-        monkeypatch.setattr(oracles, "synthesize_polarization", lambda c, b: nudged(synthesis(c, b)))
+        synthesis = cli._synthesize
+        monkeypatch.setattr(cli, "_synthesize", lambda chis, chi, n: nudged(synthesis(chis, chi, n)))
         report = run_selftest(13, 60)
         for name in ("region-synthesis", "kernel-polarization"):
             assert report.checks[name].agreed < report.checks[name].run
@@ -574,9 +595,42 @@ class TestSelftest:
         assert not report.passed
         assert report.first_failure.startswith(("region-nesting: ", "region-synthesis: "))
 
+    @pytest.mark.parametrize(
+        "fault, check",
+        [
+            ("strict-sides", "necessary-equivalence"),
+            ("weight-sum-two", "necessary-equivalence"),
+            ("strict-region", "region-nesting"),
+            ("pair-bundle-as-target", "kernel-identity"),
+        ],
+    )
+    def test_wrong_report_glue_is_caught(self, monkeypatch, fault, check):
+        # Each fault sits in a report builder's glue around a correct core:
+        # analyze deciding its sides strictly or passing a weight sum of 2,
+        # region building the strict region for the closed one, polarize
+        # taking the pair's own bundle for its kernel bundle.  The selftest
+        # checks the reports the CLI builds, so each must show.
+        sides, necessary, region = cli._tooth_sides, cli._necessary, cli._region
+
+        def pair_bundle(curve, pair):
+            bundle = BundleData(pair.rank, pair.multidegree)
+            return bundle, total_euler(curve, bundle)
+
+        faulty = {
+            "strict-sides": ("_tooth_sides", lambda *a: sides(*a, strict=True)),
+            "weight-sum-two": ("_necessary", lambda *a: necessary(*a[:4], Fraction(2), a[5])),
+            "strict-region": ("_region", lambda chis, chi, n, strict: region(chis, chi, n, True)),
+            "pair-bundle-as-target": ("_kernel_bundle", pair_bundle),
+        }
+        monkeypatch.setattr(cli, *faulty[fault])
+        report = run_selftest(0, 200)
+        assert not report.passed
+        assert report.first_failure.startswith(check + ": ")
+
     def test_two_region_builds_per_instance(self, monkeypatch):
-        # The closed region for the interval check and the strict one inside
-        # synthesis; the oracle builds no third, fast strict region.
+        # The closed region of the region report and the strict one inside
+        # the polarize report's synthesis; the oracle builds no third, fast
+        # strict region.  cli binds _region by name, so both bindings count.
         built = []
         real = polarization._region
 
@@ -585,12 +639,14 @@ class TestSelftest:
             return real(chis, chi, n, strict)
 
         monkeypatch.setattr(polarization, "_region", counting)
+        monkeypatch.setattr(cli, "_region", counting)
         report = oracles.SelftestReport(seed=8, count=200)
         oracles._check_instances(report, instance_stream(8, 200))
         assert report.passed
         assert (built.count(False), built.count(True)) == (200, 200)
 
     def test_each_pair_is_validated_once(self, monkeypatch):
+        # cli binds validate_pair by name, so both bindings count.
         calls = []
         real = kernel_bundles.validate_pair
 
@@ -599,6 +655,7 @@ class TestSelftest:
             return real(curve, pair)
 
         monkeypatch.setattr(kernel_bundles, "validate_pair", counting)
+        monkeypatch.setattr(cli, "validate_pair", counting)
         report = oracles.SelftestReport(seed=8, count=100)
         oracles._check_pairs(report, pair_stream(8, 100))
         assert report.passed
@@ -729,22 +786,25 @@ class TestParallelSelftest:
         instances = list(instance_stream(seed, SPLIT_COUNT))
         late = instances[-1]
         assert late not in instances[:-1]
-        # The first pair's synthesis fails, keyed on its kernel bundle, which
-        # no instance of the stream shares.
+        # The first pair's synthesis fails, keyed on its kernel bundle's
+        # Euler numbers and rank, which no instance of the stream shares.
+        def key(curve, bundle):
+            return tuple(component_eulers(curve, bundle)), total_euler(curve, bundle), bundle.rank
+
         curve, pair = next(pair_stream(seed, 1))
-        first_target = (curve, kernel_data(curve, pair))
-        assert first_target not in [(c, b) for c, b, _ in instances]
+        first_target = key(curve, kernel_data(curve, pair))
+        assert first_target not in [key(c, b) for c, b, _ in instances]
         real_necessary = oracles.oracle_necessary_equivalence
-        real_synthesis = oracles.synthesize_polarization
+        real_synthesis = cli._synthesize
         monkeypatch.setattr(
             oracles,
             "oracle_necessary_equivalence",
-            lambda c, b, w: (c, b, w) != late and real_necessary(c, b, w),
+            lambda c, b, w, necessary: (c, b, w) != late and real_necessary(c, b, w, necessary),
         )
         monkeypatch.setattr(
-            oracles,
-            "synthesize_polarization",
-            lambda c, b: None if (c, b) == first_target else real_synthesis(c, b),
+            cli,
+            "_synthesize",
+            lambda chis, chi, n: None if (tuple(chis), chi, n) == first_target else real_synthesis(chis, chi, n),
         )
         reports = {}
         for cpus in (1, 2):
