@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands: analyze, region, polarize, kernel, validate, selftest.  Input
-is a JSON instance document.  Each command builds one payload, the object
---json writes, and renders its text report from that payload alone, so the
-text states no fact the JSON lacks.  Each document command's payload comes
-from one pure builder (``analyze_report``, ``region_report``,
-``polarize_report``, ``kernel_report``, ``validate_report``); selftest checks
-the first three.  Exit codes are uniform across commands: 0 for an
-affirmative verdict, 1 for a negative one (failed check, infeasible region,
-strongly unstable kernel, selftest disagreement), 2 for any input error or
-failed write of the report.
+is a JSON instance document, for every command but selftest.  Each command
+builds one payload, the object --json writes, and renders its text report
+from that payload alone, so the text states no fact the JSON lacks.  Every
+payload comes from one pure builder (``analyze_report``, ``region_report``,
+``polarize_report``, ``kernel_report``, ``validate_report``,
+``selftest_report``) behind one runner in ``main``, which loads the document
+when the command takes one; selftest checks the first three.  Exit codes are
+uniform across commands: 0 for an affirmative verdict, 1 for a negative one
+(failed check, infeasible region, strongly unstable kernel, selftest
+disagreement), 2 for any input error or failed write of the report.
 """
 
 from __future__ import annotations
@@ -554,27 +555,23 @@ def _validate_text(payload: dict):
     return ["violations:", *(f"  {p}" for p in problems)] if problems else ["ok"]
 
 
-def cmd_selftest(args: argparse.Namespace) -> int:
+def selftest_report(seed: int = 0, count: int = 10_000) -> dict:
     from .oracles import run_selftest  # here: oracles imports the report builders
 
-    if args.count < 0:
+    if count < 0:
         raise CliInputError("--count must be nonnegative")
-    report = run_selftest(args.seed, args.count)
-    payload = {
+    report = run_selftest(seed, count)
+    return {
         "command": "selftest",
-        "seed": report.seed,
-        "count": report.count,
-        "checks": {
-            name: {"run": stat.run, "agreed": stat.agreed}
-            for name, stat in sorted(report.checks.items())
-        },
+        "seed": seed,
+        "count": count,
+        "checks": dict(sorted(report.checks.items())),
         "total_run": report.total_run,
         "total_agreed": report.total_agreed,
         "first_failure": report.first_failure,
         "passed": report.passed,
         "exit": EXIT_OK if report.passed else EXIT_NEGATIVE,
     }
-    return _emit(args, payload, _selftest_text)
 
 
 def _selftest_text(payload: dict):
@@ -599,10 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name: str, help: str, build=None, render=None, options=()):
-        """Add a subcommand; a document command reads ``file`` and passes ``options`` to ``build``."""
+    def add_command(name: str, help: str, build, render, options=(), document=True):
+        """Add a subcommand whose ``options`` go to ``build``; a ``document`` command reads ``file``."""
         p = sub.add_parser(name, help=help)
-        if build is not None:
+        if document:
             p.add_argument("file", help="JSON instance document")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(build=build, render=render, options=options)
@@ -623,7 +620,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_command(
         "validate", "check a document against the schema and invariants", validate_report, _validate_text
     )
-    p = add_command("selftest", "run the oracle cross-checks on seeded instances")
+    p = add_command(
+        "selftest", "run the oracle cross-checks on seeded instances",
+        selftest_report, _selftest_text, ("seed", "count"), document=False,
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=10_000)
 
@@ -653,11 +653,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with _any_int_length():
-            if args.build is None:
-                return cmd_selftest(args)
-            # One runner for every document command: load, build the report, write it.
+            # One runner for every command: load a document if it takes one, build, write.
+            docs = [load_document(args.file)] if "file" in args else []
             options = {name: getattr(args, name) for name in args.options}
-            return _emit(args, args.build(load_document(args.file), **options), args.render)
+            return _emit(args, args.build(*docs, **options), args.render)
     except (DocumentError, CliInputError) as exc:
         with contextlib.suppress(OSError):  # the error line is best effort
             print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,6 @@ from .model import (
     total_euler,
 )
 from .polarization import _synthesize
-from .restrictions import euclidean_remainder
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,7 +238,7 @@ def _strong_unstability(
             )
         else:
             chi_j_m = -d + m * (1 - curve.genera[j - 1])
-            r = euclidean_remainder(chi_j_m, m)
+            r = chi_j_m % m
             if r == 0:
                 reason = (
                     f"divisibility contradiction at tooth {j}: m = {m} divides "

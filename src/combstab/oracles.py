@@ -10,7 +10,8 @@ the inequality on integer ends, its emptiness and the region's slack
 decided by cross-multiplication.  Reported values are compared on
 integers too: a witness slope is cross-multiplied with the weighted
 multirank, summed entry by entry as an unreduced numerator and denominator,
-and a polarization's weights are added one by one the same way.
+and a polarization's weights are added one by one the same way, each tooth's
+tested against the target's strict inequality by cross-multiplication.
 ``Fraction`` appears only in the generated weights, in the scanned
 simplest rational and in the interval ends, built once from integers into
 the entries the region report writes.  The oracles stay independent of the
@@ -36,11 +37,12 @@ The selftest cuts its count into contiguous instance ranges, one per CPU the
 process may use and at least ``_MIN_RANGE`` instances each.  The calling
 process checks the first range; forked children check the others, each
 drawing the seeded streams' raw values up to its start without building a
-record from them, and send back agreement counts and first failures as
-builtins.  Merging runs in range order, instance phase before pair phase,
-so the report, and the CLI text and JSON rendered from it, are the same on
-any number of CPUs.  Without ``os.fork``, or with other threads running,
-every range runs in the calling process.
+record from them.  A tally has one shape from ``record`` to the CLI's
+payload, ``{check: {"run": r, "agreed": a}}``, which a forked child marshals
+as it is, with its first failure.  Merging adds the counts in range order,
+instance phase before pair phase, so the report, and the CLI text and JSON
+rendered from it, are the same on any number of CPUs.  Without ``os.fork``,
+or with other threads running, every range runs in the calling process.
 """
 
 from __future__ import annotations
@@ -396,61 +398,57 @@ def _longhand_region(chis: list[int], chi: int, n: int, strict: bool) -> tuple[l
     return intervals, nonempty and top < bottom
 
 
-def _valid_longhand(weights: list[Fraction] | None) -> bool:
-    """Each weight strictly between 0 and 1, and the weights, added one by one, sum to 1.
+def _valid_longhand(weights: list[Fraction] | None, chis: list[int], chi: int, n: int) -> bool:
+    """Whether the weights polarize the bundle with these Euler numbers strictly.
 
-    With w_j = p/q in lowest terms the bounds read 0 < p < q.  The running
-    sum is kept as the unreduced top/bottom, which equals 1 when top == bottom.
+    One weight w_j = p/q (lowest terms) per component with 0 < p < q, each
+    tooth's inside w_j*chi < chi_j < w_j*chi + n, read p*chi < chi_j*q < p*chi + n*q,
+    and a sum of 1: added one by one as the unreduced top/bottom, top == bottom.
     No weights at all (a report's None) are not valid.
     """
-    if weights is None:
+    if weights is None or len(weights) != len(chis):
         return False
     top, bottom = 0, 1
-    for w_j in weights:
+    for j, (w_j, chi_j) in enumerate(zip(weights, chis), start=1):
         p, q = w_j.numerator, w_j.denominator
         if not 0 < p < q:
+            return False
+        if j < len(chis) and not p * chi < chi_j * q < p * chi + n * q:
             return False
         top, bottom = top * q + p * bottom, bottom * q
     return top == bottom
 
 
 @dataclass
-class CheckStat:
-    run: int = 0
-    agreed: int = 0
-
-
-@dataclass
 class SelftestReport:
-    """Outcome of one seeded selftest sweep."""
+    """Outcome of one seeded selftest sweep, or of one range of it.
 
-    seed: int
-    count: int
-    checks: dict[str, CheckStat] = field(default_factory=dict)
+    ``checks`` maps each check name to ``{"run": r, "agreed": a}``, the
+    shape ``selftest --json`` writes and a forked range sends back.
+    """
+
+    checks: dict[str, dict[str, int]] = field(default_factory=dict)
     first_failure: str | None = None
-
-    def _stat(self, name: str) -> CheckStat:
-        return self.checks.setdefault(name, CheckStat())
 
     def record(self, name: str, ok: bool, describe: Callable[[], str]) -> None:
         """Count one check; the first disagreement is kept as ``name: describe()``.
 
         ``describe`` builds the counterexample text, so it runs only then.
         """
-        stat = self._stat(name)
-        stat.run += 1
+        stat = self.checks.setdefault(name, {"run": 0, "agreed": 0})
+        stat["run"] += 1
         if ok:
-            stat.agreed += 1
+            stat["agreed"] += 1
         elif self.first_failure is None:
             self.first_failure = f"{name}: {describe()}"
 
     @property
     def total_run(self) -> int:
-        return sum(s.run for s in self.checks.values())
+        return sum(s["run"] for s in self.checks.values())
 
     @property
     def total_agreed(self) -> int:
-        return sum(s.agreed for s in self.checks.values())
+        return sum(s["agreed"] for s in self.checks.values())
 
     @property
     def passed(self) -> bool:
@@ -524,7 +522,7 @@ def _check_instances(report: SelftestReport, instances) -> None:
         report.record("region-nesting", ok, where)
         intervals, feasible = _longhand_region(chis, chi, n, strict=True)
         weights = polarize_report(doc)["weights"]
-        ok = _valid_longhand(weights) if feasible else weights is None
+        ok = _valid_longhand(weights, chis, chi, n) if feasible else weights is None
         report.record("region-synthesis", ok, where)
         for entry in intervals if feasible else ():
             iv = IntervalQ(entry["lo"], entry["hi"], entry["lo_open"], entry["hi_open"])
@@ -547,26 +545,26 @@ def _check_pairs(report: SelftestReport, pairs) -> None:
 
         polarized = polarize_report(InstanceDocument(curve, pair=pair))
         m = polarized["target"]
-        _, chi_m = _eulers(curve, m["rank"], m["multidegree"])
+        chis_m, chi_m = _eulers(curve, m["rank"], m["multidegree"])
         _, chi_e = _eulers(curve, pair.rank, pair.multidegree)
         _, chi_o = _eulers(curve, 1, [0] * curve.num_components)
         identity = chi_m == pair.sections * chi_o - chi_e
         report.record("kernel-identity", identity, where)
-        report.record("kernel-polarization", _valid_longhand(polarized["weights"]), where)
+        valid = _valid_longhand(polarized["weights"], chis_m, chi_m, m["rank"])
+        report.record("kernel-polarization", valid, where)
 
 
 def _run_range(seed: int, start: int, stop: int) -> list:
     """Check instances and pairs ``start..stop-1`` of the seeded streams.
 
-    Returns builtins only, one ``([(check, run, agreed), ...], first_failure)``
-    entry per phase (instances, then pairs), so a forked child can marshal it.
+    Returns builtins only, one ``(checks, first_failure)`` entry per phase
+    (instances, then pairs), so a forked child can marshal it.
     """
     phases = []
     for check, stream in ((_check_instances, instance_stream), (_check_pairs, pair_stream)):
-        part = SelftestReport(seed=seed, count=stop - start)
+        part = SelftestReport()
         check(part, stream(seed, stop, start))
-        stats = [(name, stat.run, stat.agreed) for name, stat in part.checks.items()]
-        phases.append((stats, part.first_failure))
+        phases.append((part.checks, part.first_failure))
     return phases
 
 
@@ -645,14 +643,13 @@ def run_selftest(seed: int, count: int) -> SelftestReport:
         ranges = 1  # no fork here, or one that other threads' locks could deadlock
     cuts = [count * i // ranges for i in range(ranges + 1)]
     results = _run_ranges(seed, cuts)
-    report = SelftestReport(seed=seed, count=count)
-    for phase in range(2):
-        for phases in results:
-            stats, failure = phases[phase]
-            for name, run, agreed in stats:
-                stat = report._stat(name)
-                stat.run += run
-                stat.agreed += agreed
-            if report.first_failure is None:
-                report.first_failure = failure
+    report = SelftestReport()
+    # Every range's instance phase comes before any pair phase.
+    for checks, failure in [phases[phase] for phase in range(2) for phases in results]:
+        for name, part in checks.items():
+            stat = report.checks.setdefault(name, {"run": 0, "agreed": 0})
+            stat["run"] += part["run"]
+            stat["agreed"] += part["agreed"]
+        if report.first_failure is None:
+            report.first_failure = failure
     return report

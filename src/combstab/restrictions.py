@@ -235,7 +235,7 @@ def _classify(n: int, chi_j: int, chi: int, w_j: Fraction, j: int) -> Restrictio
             ),
         )
     elif forced:
-        r_j = euclidean_remainder(chi_j, n)
+        r_j = chi_j % n
         notes = (
             f"admissible destabilizers listed as (rank, euler); "
             f"remainder of chi_{j} mod {n} is {r_j}"

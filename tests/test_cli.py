@@ -1041,6 +1041,15 @@ class TestSelftest:
         assert payload["passed"] is True
         assert payload["total_run"] == payload["total_agreed"] > 0
 
+    def test_builder_is_the_json_payload(self, capsys):
+        # selftest is a pure builder behind the one runner, like the document commands.
+        _, out, _ = run_cli(capsys, "selftest", "--json", "--seed", "3", "--count", "25")
+        assert cli.selftest_report(3, 25) == json.loads(out)
+
+    def test_builder_refuses_a_negative_count(self):
+        with pytest.raises(cli.CliInputError, match="^--count must be nonnegative$"):
+            cli.selftest_report(count=-1)
+
     @pytest.mark.parametrize(
         "extra, digest",
         [

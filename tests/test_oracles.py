@@ -23,7 +23,7 @@ from combstab import (
 )
 from combstab.cli import analyze_report, main
 from combstab.documents import InstanceDocument
-from combstab.polarization import IntervalQ, necessary_check
+from combstab.polarization import IntervalQ, necessary_check, synthesize_polarization
 from combstab import cli, kernel_bundles, oracles, polarization
 from combstab.oracles import (
     instance_stream,
@@ -346,14 +346,24 @@ def reference_slope_matches(slope, euler, weights, multirank):
     return slope is not None and weighted > 0 and slope == Fraction(euler) / weighted
 
 
-def reference_valid(weights):
-    """Each weight in (0, 1) and the ``Fraction`` sum, added one by one, exactly 1."""
+def reference_valid(weights, chis, chi, n):
+    """One weight per component, each in (0, 1), the ``Fraction`` sum, added one
+    by one, exactly 1, and w_j*chi < chi_j < w_j*chi + n at every tooth."""
+    if len(weights) != len(chis):
+        return False
     total = Fraction(0)
     for w_j in weights:
         if not Fraction(0) < w_j < Fraction(1):
             return False
         total += w_j
-    return total == Fraction(1)
+    teeth = zip(weights, chis[:-1])
+    return total == Fraction(1) and all(w_j * chi < chi_j < w_j * chi + n for w_j, chi_j in teeth)
+
+
+def free_teeth(num):
+    """Euler numbers (chis, chi, n) whose strict tooth inequalities hold for any weights."""
+    # chi = 0 drops w_j out: each tooth reads 0 < chi_j = 1 < n = 2.
+    return [1] * (num - 1) + [num - 1], 0, 2
 
 
 class TestIntegerLonghandAgainstFraction:
@@ -400,11 +410,21 @@ class TestIntegerLonghandAgainstFraction:
         assert oracles._slope_matches(slope, euler, weights, multirank) == expected
 
     def test_valid_longhand_on_drawn_weights(self):
-        for _, _, w in instance_stream(19, 300):
+        # The drawn weights against their own bundle's teeth and against free
+        # ones, and the synthesized weights, which hold at every tooth.
+        verdicts = set()
+        for curve, bundle, w in instance_stream(19, 300):
+            own = list(component_eulers(curve, bundle)), total_euler(curve, bundle), bundle.rank
             *teeth, spine = w.weights
             off = Fraction(1, spine.denominator)
             for weights in (w.weights, (*teeth, spine + off), (*teeth, spine - off)):
-                assert oracles._valid_longhand(weights) == reference_valid(weights)
+                for euler_numbers in (own, free_teeth(len(weights))):
+                    expected = reference_valid(weights, *euler_numbers)
+                    assert oracles._valid_longhand(weights, *euler_numbers) == expected
+                    verdicts.add(expected)
+            if (synthesized := synthesize_polarization(curve, bundle)) is not None:
+                assert oracles._valid_longhand(synthesized.weights, *own)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize(
         "weights",
@@ -423,7 +443,32 @@ class TestIntegerLonghandAgainstFraction:
     )
     def test_valid_longhand_edge_cases(self, weights):
         w = Polarization(weights)
-        assert oracles._valid_longhand(w.weights) == reference_valid(w.weights)
+        euler_numbers = free_teeth(len(w.weights))
+        expected = reference_valid(w.weights, *euler_numbers)
+        assert oracles._valid_longhand(w.weights, *euler_numbers) == expected
+
+    @pytest.mark.parametrize(
+        "n, chi, chi_1, w_1, holds",
+        [
+            (2, 4, 3, "1/2", True),
+            (2, 4, 2, "1/2", False),  # w_1*chi = chi_1
+            (2, 4, 4, "1/2", False),  # chi_1 = w_1*chi + n
+            (2, -3, 0, "1/3", True),
+            (2, -3, -1, "1/3", False),
+            (2, -3, 1, "1/3", False),
+            (3, 0, 1, "1/5", True),
+            (3, 0, 0, "1/5", False),
+            (3, 0, 3, "4/5", False),
+        ],
+        ids=str,
+    )
+    def test_valid_longhand_at_the_tooth_ends(self, n, chi, chi_1, w_1, holds):
+        # Weights on the simplex, so only the strict tooth inequality decides.
+        weights = Polarization((w_1, 1 - Fraction(w_1))).weights
+        chis = [chi_1, chi - chi_1 + n]
+        assert reference_valid(weights, chis, chi, n) == holds
+        assert oracles._valid_longhand(weights, chis, chi, n) == holds
+        assert not oracles._valid_longhand(weights[:1], chis, chi, n)
 
 
 class TestWeightPrecondition:
@@ -528,7 +573,7 @@ class TestSelftest:
         report = run_selftest(13, 60)
         assert not report.passed
         stat = report.checks["necessary-equivalence"]
-        assert stat.run == 60 and stat.agreed == 0
+        assert stat["run"] == 60 and stat["agreed"] == 0
         assert report.first_failure.startswith("necessary-equivalence: genera=")
         text = selftest_text(capsys, 13, 60)
         assert "first counterexample: necessary-equivalence: genera=" in text
@@ -555,7 +600,7 @@ class TestSelftest:
         monkeypatch.setattr(cli, "_necessary", nudged)
         report = run_selftest(seed, 60)
         stat = report.checks["necessary-equivalence"]
-        assert stat.run == 60 and stat.agreed == passing < 60
+        assert stat["run"] == 60 and stat["agreed"] == passing < 60
         assert report.first_failure.startswith("necessary-equivalence: genera=")
 
     def test_polarization_off_the_simplex_is_caught(self, monkeypatch):
@@ -571,7 +616,21 @@ class TestSelftest:
         monkeypatch.setattr(cli, "_synthesize", lambda chis, chi, n: nudged(synthesis(chis, chi, n)))
         report = run_selftest(13, 60)
         for name in ("region-synthesis", "kernel-polarization"):
-            assert report.checks[name].agreed < report.checks[name].run
+            assert report.checks[name]["agreed"] < report.checks[name]["run"]
+        assert report.first_failure.startswith("region-synthesis: ")
+
+    def test_uniform_weights_outside_the_teeth_are_caught(self, monkeypatch):
+        # Uniform weights 1/N lie on the simplex but mostly outside the
+        # target's strict tooth inequalities, which the synthesis checks
+        # test on their own: against the instance's degrees, and against
+        # the kernel bundle the pair's report echoes.
+        def uniform(chis, chi, n):
+            return Polarization((Fraction(1, len(chis)),) * len(chis))
+
+        monkeypatch.setattr(cli, "_synthesize", uniform)
+        report = run_selftest(0, 200)
+        assert report.checks["region-synthesis"] == {"run": 200, "agreed": 4}
+        assert report.checks["kernel-polarization"] == {"run": 200, "agreed": 9}
         assert report.first_failure.startswith("region-synthesis: ")
 
     @pytest.mark.parametrize("fault", ["teeth-emptied", "lower-end-raised"])
@@ -640,7 +699,7 @@ class TestSelftest:
 
         monkeypatch.setattr(polarization, "_region", counting)
         monkeypatch.setattr(cli, "_region", counting)
-        report = oracles.SelftestReport(seed=8, count=200)
+        report = oracles.SelftestReport()
         oracles._check_instances(report, instance_stream(8, 200))
         assert report.passed
         assert (built.count(False), built.count(True)) == (200, 200)
@@ -656,10 +715,10 @@ class TestSelftest:
 
         monkeypatch.setattr(kernel_bundles, "validate_pair", counting)
         monkeypatch.setattr(cli, "validate_pair", counting)
-        report = oracles.SelftestReport(seed=8, count=100)
+        report = oracles.SelftestReport()
         oracles._check_pairs(report, pair_stream(8, 100))
         assert report.passed
-        assert report.checks["kernel-polarization"].run == 100
+        assert report.checks["kernel-polarization"]["run"] == 100
         assert len(calls) == 100
 
     def test_one_enumeration_per_checked_tooth(self, monkeypatch):
@@ -682,7 +741,7 @@ class TestSelftest:
         assert report.passed
         assert checked > 50
         assert len(calls) == checked
-        assert report.checks["destabilizer-range"].run == checked
+        assert report.checks["destabilizer-range"]["run"] == checked
 
 
 # Two ranges: the calling process checks the first, one forked worker the second.
@@ -817,7 +876,7 @@ class TestParallelSelftest:
         assert serial.first_failure == (
             "necessary-equivalence: " + oracles._describe_instance(*late)
         )
-        assert serial.checks["kernel-polarization"].agreed < SPLIT_COUNT
+        assert serial.checks["kernel-polarization"]["agreed"] < SPLIT_COUNT
 
     def test_worker_exception_raises_promptly_and_leaves_no_child(self, monkeypatch):
         caller = os.getpid()
